@@ -19,6 +19,7 @@ from .attribution import (
     Explanation,
     confidence_delta,
     counterfactual_diff,
+    lime_batch,
     lime_latent,
 )
 from .discovery import (
@@ -93,6 +94,7 @@ __all__ = [
     "entropy",
     "faithfulness_index",
     "frozen_loss",
+    "lime_batch",
     "lime_latent",
     "linear_oracle",
     "loss_gradient_fd",

@@ -1,7 +1,8 @@
 """Globally-inspired local explanations over aligned latent features.
 
-lime_latent fits a proximity-weighted ridge surrogate of the classifier's
-target-class probability on intervention deltas. Under the interventional
+lime_batch fits proximity-weighted ridge surrogates of the classifier's
+target-class probability on intervention deltas around many latents at
+once (lime_latent is its one-item case). Under the interventional
 policy perturbations run through the oracle so descendants (per the
 discovered graph) co-move; the independent policy writes coordinates
 directly and serves as the ablation baseline. Interventional confidence
@@ -91,33 +92,145 @@ def _reach_matrix(graph: CausalGraph) -> np.ndarray:
     return reach
 
 
-def _weighted_ridge(
-    x: np.ndarray, y: np.ndarray, sample_w: np.ndarray, lam: float
-) -> tuple[np.ndarray, float, bool]:
-    """Ridge fit with unpenalized intercept; bumps lambda if singular."""
-    n, d = x.shape
-    design = np.column_stack([np.ones(n), x])
-    penalty = np.eye(d + 1)
+def _perturbations(seed: int, n: int, d: int, std: float) -> tuple[np.ndarray, np.ndarray]:
+    """Random feature subsets (at least one feature each) and Gaussian deltas."""
+    rng = np.random.default_rng([seed, 7])
+    masks = rng.random((n, d)) < 0.5
+    empty = ~masks.any(axis=1)
+    if empty.any():
+        picks = rng.integers(0, d, size=int(empty.sum()))
+        masks[np.flatnonzero(empty), picks] = True
+    deltas = np.where(masks, rng.normal(0.0, std, (n, d)), 0.0)
+    return masks, deltas
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched solve; the items whose system is singular come back as NaN."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        half = len(a) // 2
+        return np.concatenate([_solve(a[:half], b[:half]), _solve(a[half:], b[half:])])
+
+
+def _ridge(gram: np.ndarray, rhs: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ridge solves with an unpenalized intercept.
+
+    Items whose solve fails or is non-finite retry with lambda raised
+    tenfold (from a 1e-3 floor when lambda is 0), up to eight tries in
+    all. Returns the (m, k) solutions and the per-item degenerate flag: the
+    lambda in use differs from the requested one.
+    """
+    penalty = np.eye(gram.shape[-1])
     penalty[0, 0] = 0.0
-    wx = design * sample_w[:, None]
-    gram = design.T @ wx
-    rhs = wx.T @ y
-    lam_eff = max(lam, 1e-3) if lam == 0 else lam
-    degenerate = False
+    lam_eff = np.full(len(gram), 1e-3 if lam == 0 else lam)
+    beta = np.empty(rhs.shape)
+    todo = np.arange(len(gram))
     for _ in range(8):
-        try:
-            beta = np.linalg.solve(gram + lam_eff * penalty, rhs)
-            if np.all(np.isfinite(beta)):
-                break
-        except np.linalg.LinAlgError:
-            pass
-        degenerate = True
-        lam_eff *= 10.0
+        beta[todo] = _solve(gram[todo] + lam_eff[todo, None, None] * penalty, rhs[todo])
+        todo = todo[~np.isfinite(beta[todo]).all(axis=(1, 2))]
+        if not todo.size:
+            return beta[..., 0], lam_eff != lam
+        lam_eff[todo] *= 10.0
+    raise np.linalg.LinAlgError("ridge system unsolvable even after lambda floor")
+
+
+# perturbation rows per stacked oracle query and batched ridge solve
+_CHUNK_ROWS = 8192
+
+
+def lime_batch(
+    oracle: Oracle,
+    head: ClassifierHead,
+    graph: CausalGraph,
+    latents: np.ndarray,
+    config: AttributionConfig,
+    seeds=None,
+    target_class: int | None = None,
+) -> list[Explanation]:
+    """Local surrogate fits around each row of latents (m, d).
+
+    Each perturbation picks a random feature subset and draws Gaussian
+    intervention deltas for it. The regressors are those applied deltas;
+    the response is the classifier's target-class probability on the
+    realized vector. Item k uses seeds[k] in place of config.seed (all use
+    config.seed when seeds is None) and the predicted class of its latent
+    unless target_class is given.
+
+    Batch invariance: item k equals lime_latent(latents[k]) under its seed
+    bit for bit, however many items share the call. Items with equal seeds
+    share one draw of masks and deltas; each chunk of items sends one
+    stacked oracle query and solves all its ridge systems at once.
+    """
+    values = np.asarray(latents, dtype=float)
+    d = oracle.dim
+    if values.ndim != 2 or values.shape[1] != d:
+        raise ValueError(f"latents shape {values.shape} != (m, {d})")
+    if graph.n_nodes != d:
+        raise ValueError("graph node count disagrees with oracle dimension")
+    if config.n_perturbations < d + 1:
+        raise ValueError("n_perturbations must be at least dim + 1 for a solvable fit")
+    m, n = values.shape[0], config.n_perturbations
+    seeds = [config.seed] * m if seeds is None else [int(s) for s in seeds]
+    if len(seeds) != m:
+        raise ValueError(f"{len(seeds)} seeds for {m} latents")
+    if target_class is None:
+        classes = head.probabilities(values[:, None, :])[:, 0].argmax(axis=1)
     else:
-        raise np.linalg.LinAlgError("ridge system unsolvable even after lambda floor")
-    if lam_eff != lam:
-        degenerate = True
-    return beta, lam_eff, degenerate
+        classes = np.full(m, target_class)
+    reach = _reach_matrix(graph) if config.perturbation_policy == "interventional" else None
+    width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
+
+    explanations: list[Explanation] = []
+    drawn: dict = {}
+    step = max(1, _CHUNK_ROWS // n)
+    for lo in range(0, m, step):
+        chunk = seeds[lo : lo + step]
+        # a seed already drawn for the previous chunk is reused; older draws
+        # are dropped, so memory stays bounded by the chunk
+        drawn = {
+            s: drawn[s] if s in drawn else _perturbations(s, n, d, config.perturbation_std)
+            for s in dict.fromkeys(chunk)
+        }
+        masks = np.stack([drawn[s][0] for s in chunk])
+        deltas = np.stack([drawn[s][1] for s in chunk])
+        x = values[lo : lo + step, None, :]
+        base = np.broadcast_to(x, masks.shape)
+        if reach is not None:
+            realized = oracle.query_stacked(base, (masks, base + deltas), [[s, 8] for s in chunk])
+            realized = np.where(masks @ reach > 0, realized, base)
+        else:
+            realized = np.where(masks, base + deltas, base)
+        tc = classes[lo : lo + step]
+        probs = head.probabilities(realized)
+        scores = np.take_along_axis(probs, tc[:, None, None], axis=2)[..., 0]
+
+        sample_w = np.exp(-((realized - x) ** 2).sum(axis=2) / width**2)
+        design = np.concatenate([np.ones((len(chunk), n, 1)), deltas], axis=2)
+        wx = design * sample_w[..., None]
+        gram = design.transpose(0, 2, 1) @ wx
+        rhs = wx.transpose(0, 2, 1) @ scores[..., None]
+        beta, degenerate = _ridge(gram, rhs, config.ridge_lambda)
+
+        pred = (design @ beta[..., None])[..., 0]
+        ybar = np.average(scores, axis=1, weights=sample_w)
+        ss_res = np.sum(sample_w * (scores - pred) ** 2, axis=1)
+        ss_tot = np.sum(sample_w * (scores - ybar[:, None]) ** 2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r2 = np.where(ss_tot <= 1e-300, 0.0, np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0))
+        explanations += [
+            Explanation(
+                weights=b[1:],
+                intercept=float(b[0]),
+                local_fit_r2=float(r),
+                target_class=int(c),
+                degenerate_fit=bool(g),
+            )
+            for b, r, c, g in zip(beta, r2, tc, degenerate)
+        ]
+    return explanations
 
 
 def lime_latent(
@@ -128,60 +241,14 @@ def lime_latent(
     config: AttributionConfig,
     target_class: int | None = None,
 ) -> Explanation:
-    """Local surrogate fit around one latent vector.
+    """Local surrogate fit around one latent vector: lime_batch with one item.
 
-    Each perturbation picks a random feature subset and draws Gaussian
-    intervention deltas for it. The regressors are those applied deltas;
-    the response is the classifier's target-class probability on the
-    realized vector. Deterministic given the config seed.
+    Deterministic given the config seed.
     """
     values = latent.values if isinstance(latent, LatentVector) else np.asarray(latent, float)
-    d = oracle.dim
-    if values.shape != (d,):
-        raise ValueError(f"latent shape {values.shape} != oracle dimension ({d},)")
-    if graph.n_nodes != d:
-        raise ValueError("graph node count disagrees with oracle dimension")
-    if config.n_perturbations < d + 1:
-        raise ValueError("n_perturbations must be at least dim + 1 for a solvable fit")
-    rng = np.random.default_rng([config.seed, 7])
-    n = config.n_perturbations
-
-    masks = rng.random((n, d)) < 0.5
-    empty = ~masks.any(axis=1)
-    if empty.any():
-        picks = rng.integers(0, d, size=int(empty.sum()))
-        masks[np.flatnonzero(empty), picks] = True
-    deltas = np.where(masks, rng.normal(0.0, config.perturbation_std, (n, d)), 0.0)
-
-    base = np.broadcast_to(values, (n, d))
-    if config.perturbation_policy == "interventional":
-        realized = oracle.query(base, (masks, base + deltas), seed=[config.seed, 8])
-        allowed = masks @ _reach_matrix(graph) > 0
-        realized = np.where(allowed, realized, base)
-    else:
-        realized = np.where(masks, base + deltas, base)
-
-    if target_class is None:
-        target_class = head.predicted_class(values)
-    scores = head.probabilities(realized)[:, target_class]
-
-    width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
-    dist2 = ((realized - values) ** 2).sum(axis=1)
-    sample_w = np.exp(-dist2 / width**2)
-
-    beta, _lam, degenerate = _weighted_ridge(deltas, scores, sample_w, config.ridge_lambda)
-    pred = np.column_stack([np.ones(n), deltas]) @ beta
-    ybar = float(np.average(scores, weights=sample_w))
-    ss_res = float(np.sum(sample_w * (scores - pred) ** 2))
-    ss_tot = float(np.sum(sample_w * (scores - ybar) ** 2))
-    r2 = 0.0 if ss_tot <= 1e-300 else float(np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0))
-    return Explanation(
-        weights=beta[1:],
-        intercept=float(beta[0]),
-        local_fit_r2=r2,
-        target_class=int(target_class),
-        degenerate_fit=degenerate,
-    )
+    if values.shape != (oracle.dim,):
+        raise ValueError(f"latent shape {values.shape} != oracle dimension ({oracle.dim},)")
+    return lime_batch(oracle, head, graph, values[None], config, target_class=target_class)[0]
 
 
 def confidence_delta(

@@ -20,6 +20,7 @@ from .attribution import (
     AttributionConfig,
     confidence_delta,
     counterfactual_diff,
+    lime_batch,
     lime_latent,
 )
 from .discovery import DiscoveryConfig, discover
@@ -177,9 +178,13 @@ def _parse_intervention(spec: str, oracle, latent: np.ndarray) -> tuple[str, int
                 raise ValueError(f"bad intervention value in {spec!r}") from exc
             idx = oracle.index_of(name)
             if op == "+=":
-                return spec, idx, float(latent[idx] + value)
-            if op == "-=":
-                return spec, idx, float(latent[idx] - value)
+                value = float(latent[idx] + value)
+            elif op == "-=":
+                value = float(latent[idx] - value)
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"intervention {spec!r} must resolve to a finite value, got {value}"
+                )
             return spec, idx, value
     raise ValueError(f"bad intervention spec {spec!r}; use feature+=v, feature-=v or feature=v")
 
@@ -321,6 +326,8 @@ def _resolve_latent(cfg: dict, oracle, seed: int, index: int | None, latent_csv:
             raise ValueError(
                 f"latent vector has {values.size} entries, oracle dimension is {oracle.dim}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"latent vector must be finite, got {latent_csv!r}")
         return values
     pool_size = int(cfg.get("pool_size", 1024))
     pool = oracle.sample_latents(pool_size, [seed, 10])
@@ -395,57 +402,49 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     their input and a deterministic explainer scores stability 0 exactly.
     Setting evaluate.deterministic_seed to false derives an independent
     seed per run instead, exposing the explainer's Monte-Carlo variance.
+    Shuffled pairings define no stability baseline, so that entry is None.
     """
+    ev = cfg.get("evaluate", {})
+    n_expl = int(ev.get("n_explanations", 400))
+    stability_index = int(ev.get("stability_index", 0))
+    if not 0 <= stability_index < n_expl:
+        raise ValueError(
+            f"evaluate.stability_index must lie in [0, {n_expl}), got {stability_index}"
+        )
+    det = bool(ev.get("deterministic_seed", True))
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg)
     dcfg = build_discovery_config(cfg, _derive_seed(seed, 13))
     graph = discover(oracle, dcfg)
     acfg = build_attribution_config(cfg, 0)
     ecfg = build_evaluation_config(cfg, seed)
-    ev = cfg.get("evaluate", {})
-    n_expl = int(ev.get("n_explanations", 400))
-    det = bool(ev.get("deterministic_seed", True))
     fixed_seed = _derive_seed(seed, 14)
 
     latents = oracle.sample_latents(n_expl, [seed, 16])
-    weights = np.array(
-        [
-            lime_latent(
-                oracle,
-                head,
-                graph,
-                latents[k],
-                replace(acfg, seed=fixed_seed if det else _derive_seed(seed, 15, k)),
-            ).weights
-            for k in range(n_expl)
-        ]
-    )
+    seeds = [fixed_seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
+    weights = np.array([e.weights for e in lime_batch(oracle, head, graph, latents, acfg, seeds)])
     f_engine = faithfulness_index(latents, weights, ecfg)
     perm = np.random.default_rng([seed, 17]).permutation(n_expl)
     f_shuffled = faithfulness_index(latents, weights[perm], ecfg)
 
-    base = latents[int(ev.get("stability_index", 0))]
-    sets = []
-    for p in range(ecfg.p_subsets):
-        noisy = base + np.random.default_rng([seed, 18, p]).normal(
-            0.0, ecfg.noise_std, oracle.dim
-        )
-        group = [
-            lime_latent(
-                oracle,
-                head,
-                graph,
-                noisy,
-                replace(acfg, seed=fixed_seed if det else _derive_seed(seed, 19, p, q)),
-            ).weights
-            for q in range(ecfg.q_repetitions)
-        ]
-        sets.append(group)
+    n_sets, n_reps = ecfg.p_subsets, ecfg.q_repetitions
+    base = latents[stability_index]
+    noisy = [
+        base + np.random.default_rng([seed, 18, p]).normal(0.0, ecfg.noise_std, oracle.dim)
+        for p in range(n_sets)
+    ]
+    stab_seeds = [
+        fixed_seed if det else _derive_seed(seed, 19, p, q)
+        for p in range(n_sets)
+        for q in range(n_reps)
+    ]
+    stab = lime_batch(oracle, head, graph, np.repeat(noisy, n_reps, axis=0), acfg, stab_seeds)
+    sets = np.array([e.weights for e in stab]).reshape(n_sets, n_reps, oracle.dim)
     s_engine = stability(sets)
 
     return {
         "faithfulness": {"engine": f_engine, "shuffled_baseline": f_shuffled},
-        "stability": {"engine": s_engine, "shuffled_baseline": s_engine},
+        "stability": {"engine": s_engine, "shuffled_baseline": None},
         "deterministic_seed": det,
         "joint_histogram": joint_feasible(n_expl, 2 * oracle.dim, ecfg.mi_bins),
         "n_explanations": n_expl,
@@ -468,11 +467,8 @@ def run_evaluate(cfg: dict, out_dir: str, seed: int) -> dict:
         ["method", "faithfulness", "stability"],
         [
             ["engine", report["faithfulness"]["engine"], report["stability"]["engine"]],
-            [
-                "shuffled-baseline",
-                report["faithfulness"]["shuffled_baseline"],
-                report["stability"]["shuffled_baseline"],
-            ],
+            # shuffled pairings define no stability baseline: empty cell
+            ["shuffled-baseline", report["faithfulness"]["shuffled_baseline"], ""],
         ],
     )
     _write_manifest(out, "evaluate", cfg, seed, ["metrics.json", "metrics.csv"])

@@ -91,9 +91,11 @@ def stability(explanation_sets: Sequence[Sequence[np.ndarray]]) -> float:
 
     explanation_sets holds P sets of Q weight vectors; for each set the
     empirical (population) variance across the Q vectors is averaged over
-    coordinates, and the result is the negative mean over sets. 0 is best.
+    coordinates, and the result is the negative mean over sets. 0 is best,
+    and identical vectors score exactly +0.0: the variance is taken of the
+    offsets from each set's first vector, whose mean then rounds to 0.
     """
-    if not explanation_sets:
+    if len(explanation_sets) == 0:
         raise ValueError("at least one explanation set is required")
     per_set = []
     for group in explanation_sets:
@@ -102,8 +104,8 @@ def stability(explanation_sets: Sequence[Sequence[np.ndarray]]) -> float:
             raise ValueError("each set must hold same-length weight vectors")
         if arr.shape[0] == 1:
             warnings.warn("stability with Q = 1 is 0 by convention", RuntimeWarning)
-        per_set.append(arr.var(axis=0, ddof=0).mean())
-    return float(-np.mean(per_set))
+        per_set.append((arr - arr[0]).var(axis=0, ddof=0).mean())
+    return float(-np.mean(per_set)) + 0.0  # + 0.0 turns -0.0 into +0.0
 
 
 def _as_columns(x: np.ndarray) -> np.ndarray:

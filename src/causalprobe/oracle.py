@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CausalGraph
-from .scm import SampleSet, ScmModel
+from .scm import ScmModel
 
 _STANDARDIZE_DRAWS = 4096
 
@@ -70,11 +70,24 @@ class LatentVector:
         return self.values[self.observed_count :]
 
 
+def _seed_key(seed, k: int):
+    """Blocks whose seeds share a key share their draws.
+
+    Integer seeds and lists or tuples of them are keyed by value; any other
+    seed (None, an array, a SeedSequence or a Generator) gets the block's
+    own index, so its block draws alone.
+    """
+    return repr(seed) if isinstance(seed, (int, np.integer, list, tuple)) else k
+
+
 class Oracle:
     """Base query plumbing shared by the concrete oracles.
 
-    Subclasses implement ``_propagate(base, do_mask, do_values, rng)``
-    returning the noiseless intervened rows in the oracle's latent chart.
+    Subclasses implement ``_draw_noise(n, rng)`` returning (n, d) exogenous
+    noise and ``_propagate(base, do_mask, do_values, noise)`` returning the
+    noiseless intervened rows in the oracle's latent chart. noise is None
+    under the "fixed" policy (the rows' own noise is abducted) and do_mask
+    is None without an intervention. Both take (..., n, d) stacks of blocks.
     Queries are pure: identical (base, do, seed) give identical output.
     """
 
@@ -118,33 +131,90 @@ class Oracle:
         for key, val in do.items():
             idx = self.index_of(key)
             mask[:, idx] = True
-            values[:, idx] = np.broadcast_to(np.asarray(val, dtype=float), (n,))
+            values[:, idx] = val  # a scalar or an (n,) array
         return mask, values
 
     def sample_latents(self, n: int, seed) -> np.ndarray:
         raise NotImplementedError
 
-    def _propagate(self, base, do_mask, do_values, rng) -> np.ndarray:
+    def _draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        raise NotImplementedError
+
+    def _propagate(self, base, do_mask, do_values, noise) -> np.ndarray:
         raise NotImplementedError
 
     def query(self, base: np.ndarray, do=None, seed=0) -> np.ndarray:
         """Re-encode base rows under an optional intervention.
 
         base: (d,) or (n, d) latent rows in the oracle's chart. Returns the
-        intervened, noise-perturbed rows with matching shape.
+        intervened, noise-perturbed rows with matching shape. This is
+        query_stacked with a single block.
         """
         arr = np.asarray(base, dtype=float)
         single = arr.ndim == 1
         rows = np.atleast_2d(arr)
         norm = self.normalize_do(do, rows.shape[0])
-        rng = np.random.default_rng(seed)
-        if norm is None:
-            out = self._propagate(rows, None, None, rng)
-        else:
-            out = self._propagate(rows, norm[0], norm[1], rng)
-        if self.config.roundtrip_noise_std > 0:
-            out = out + rng.normal(0.0, self.config.roundtrip_noise_std, out.shape)
+        stacked_do = None if norm is None else (norm[0][None], norm[1][None])
+        out = self.query_stacked(rows[None], stacked_do, [seed])[0]
         return out[0] if single else out
+
+    def query_stacked(self, base: np.ndarray, do, seeds) -> np.ndarray:
+        """Re-encode m independent blocks of rows in one propagation.
+
+        base: (m, n, d) rows; do: None or a (mask, values) pair of (m, n, d)
+        arrays; seeds: one seed per block. Block k equals
+        query(base[k], (mask[k], values[k]), seeds[k]) bit for bit:
+        - its draws come from default_rng(seeds[k]) in query's order, first
+          the exogenous noise ("resample" policy), then the round-trip noise;
+          blocks with equal integer seeds share one draw;
+        - every row contraction runs per block with the block's own shape
+          (BLAS rounds a row differently with the number of rows it gets);
+        - a block whose mask is empty takes the no-intervention path.
+        """
+        base = np.ascontiguousarray(base, dtype=float)
+        if base.ndim != 3 or base.shape[2] != self.dim:
+            raise ValueError(f"stacked base must have shape (m, n, {self.dim}), got {base.shape}")
+        m, n, d = base.shape
+        seeds = list(seeds)
+        if len(seeds) != m:
+            raise ValueError(f"{len(seeds)} seeds for {m} blocks")
+        mask = values = None
+        if do is not None:
+            mask = np.asarray(do[0], dtype=bool)
+            values = np.asarray(do[1], dtype=float)
+            if mask.shape != base.shape or values.shape != base.shape:
+                raise ValueError(f"do mask and values must have the base shape {base.shape}")
+            active = mask.any(axis=(1, 2))
+            n_active = np.count_nonzero(active)
+            if not n_active:
+                mask = values = None
+
+        resample = self.config.noise_policy == "resample"
+        std = self.config.roundtrip_noise_std
+        rngs, inverse = [], []
+        if resample or std > 0:
+            unique: dict = {}  # seed key -> (index of its draw, seed)
+            for k, s in enumerate(seeds):
+                inverse.append(unique.setdefault(_seed_key(s, k), (len(unique), s))[0])
+            rngs = [np.random.default_rng(s) for _, s in unique.values()]
+
+        def per_block(draw):
+            # copied out to every block, not broadcast: propagation allocates
+            # its output like the noise, and a broadcast layout changes BLAS
+            draws = [draw(rng) for rng in rngs]
+            return draws[0][None] if m == 1 else np.stack(draws)[inverse]
+
+        def rows(a):  # one block propagates as plain (n, d) rows: cheaper indexing
+            return a[0] if m == 1 and a is not None else a
+
+        noise = per_block(lambda rng: self._draw_noise(n, rng)) if resample else None
+        out = self._propagate(rows(base), rows(mask), rows(values), rows(noise))
+        out = out.reshape(base.shape)
+        if mask is not None and noise is None and n_active < m:
+            out[~active] = base[~active]  # fixed noise, no intervention: identity
+        if std > 0:
+            out = out + per_block(lambda rng: rng.normal(0.0, std, (n, d)))
+        return out
 
     def query_latent(self, latent: LatentVector, do=None, seed=0) -> LatentVector:
         if latent.dim != self.dim:
@@ -191,21 +261,17 @@ class ScmOracle(Oracle):
     def sample_latents(self, n: int, seed) -> np.ndarray:
         return self.to_chart(self.model.sample(n, seed).values)
 
-    def _propagate(self, base, do_mask, do_values, rng) -> np.ndarray:
-        raw = self.to_raw(base)
-        if self.config.noise_policy == "fixed":
-            ss = self.model.abduce(raw)
-        else:
-            noise = self.model.draw_noise(raw.shape[0], rng)
-            ss = SampleSet(raw, noise)
-        if do_mask is None:
-            if self.config.noise_policy == "fixed":
+    def _draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.model.draw_noise(n, rng)
+
+    def _propagate(self, base, do_mask, do_values, noise) -> np.ndarray:
+        if noise is None:
+            if do_mask is None:
                 return np.asarray(base, dtype=float).copy()
-            cf = self.model.propagate(ss.noise)
-        else:
-            raw_values = self.to_raw(do_values)
-            cf = self.model.counterfactual_masked(ss, do_mask, raw_values)
-        return self.to_chart(cf)
+            noise = self.model.abduce(self.to_raw(base)).noise
+        if do_mask is None:
+            return self.to_chart(self.model.propagate(noise))
+        return self.to_chart(self.model.propagate(noise, do_mask, self.to_raw(do_values)))
 
     def ground_truth_graph(self) -> CausalGraph:
         return self.model.ground_truth_graph()
@@ -245,11 +311,11 @@ class LinearOracle(Oracle):
     def _forward(self, noise, do_mask=None, do_values=None) -> np.ndarray:
         out = np.zeros_like(noise)
         for v in self._topo:
-            mech = out @ self.weights[:, v] + noise[:, v]
+            mech = out @ self.weights[:, v] + noise[..., v]
             if do_mask is not None:
-                out[:, v] = np.where(do_mask[:, v], do_values[:, v], mech)
+                out[..., v] = np.where(do_mask[..., v], do_values[..., v], mech)
             else:
-                out[:, v] = mech
+                out[..., v] = mech
         return out
 
     def sample_latents(self, n: int, seed) -> np.ndarray:
@@ -257,16 +323,15 @@ class LinearOracle(Oracle):
         noise = rng.normal(0.0, self.exo_noise_std, (n, self.dim))
         return self._forward(noise)
 
-    def _propagate(self, base, do_mask, do_values, rng) -> np.ndarray:
+    def _draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(0.0, self.exo_noise_std, (n, self.dim))
+
+    def _propagate(self, base, do_mask, do_values, noise) -> np.ndarray:
         base = np.asarray(base, dtype=float)
-        if self.config.noise_policy == "fixed":
-            noise = base - base @ self.weights  # exact abduction
-        else:
-            noise = rng.normal(0.0, self.exo_noise_std, base.shape)
-        if do_mask is None:
-            if self.config.noise_policy == "fixed":
+        if noise is None:
+            if do_mask is None:
                 return base.copy()
-            return self._forward(noise)
+            noise = base - base @ self.weights  # exact abduction
         return self._forward(noise, do_mask, do_values)
 
     def ground_truth_graph(self) -> CausalGraph:
@@ -330,27 +395,25 @@ class ClassifierHead:
         return self.weights.shape[-1]
 
     def probabilities(self, latents: np.ndarray) -> np.ndarray:
-        """Probability vector(s) summing to 1; accepts (d,) or (n, d)."""
+        """Probability vector(s) summing to 1; accepts (d,), (n, d) or a
+        (..., n, d) stack of blocks, each contracted on its own."""
         arr = np.asarray(latents, dtype=float)
         single = arr.ndim == 1
         rows = np.atleast_2d(arr)
-        if rows.shape[1] != self.dim:
-            raise ValueError(f"latent dimension {rows.shape[1]} != head dimension {self.dim}")
+        if rows.shape[-1] != self.dim:
+            raise ValueError(f"latent dimension {rows.shape[-1]} != head dimension {self.dim}")
         if self.weights.ndim == 1:
             z = rows @ self.weights + self.bias[0]
             # numerically stable logistic pair
             znorm = np.clip(z, -700, 700)
             p = 1.0 / (1.0 + np.exp(-znorm))
-            probs = np.column_stack([1.0 - p, p])
+            probs = np.stack([1.0 - p, p], axis=-1)
         else:
             z = rows @ self.weights.T + self.bias
-            z = z - z.max(axis=1, keepdims=True)
+            z = z - z.max(axis=-1, keepdims=True)
             e = np.exp(z)
-            probs = e / e.sum(axis=1, keepdims=True)
+            probs = e / e.sum(axis=-1, keepdims=True)
         return probs[0] if single else probs
-
-    def predicted_class(self, latent: np.ndarray) -> int:
-        return int(np.argmax(self.probabilities(latent)))
 
 
 def classify(head: ClassifierHead, latent: LatentVector | np.ndarray) -> np.ndarray:

@@ -103,16 +103,21 @@ class Mechanism:
         return max(len(self.linear), len(self.sig_linear))
 
     def evaluate(self, parent_values: np.ndarray) -> np.ndarray:
-        """parent_values: (n, k) columns in parent order; returns (n,)."""
+        """parent_values: (..., n, k) columns in parent order; returns (..., n).
+
+        Leading axes stack independent (n, k) blocks; each block's
+        contraction is its own matmul, so a block's result does not depend
+        on what it is stacked with.
+        """
         parent_values = np.asarray(parent_values, dtype=float)
-        n = parent_values.shape[0]
-        out = np.full(n, self.const, dtype=float)
+        shape = parent_values.shape[:-1]
+        out = np.full(shape, self.const, dtype=float)
         if self.linear:
-            out += parent_values[:, : len(self.linear)] @ np.asarray(self.linear)
+            out += parent_values[..., : len(self.linear)] @ np.asarray(self.linear)
         if self.sig_scale != 0.0:
-            arg = np.full(n, self.sig_bias, dtype=float)
+            arg = np.full(shape, self.sig_bias, dtype=float)
             if self.sig_linear:
-                arg += parent_values[:, : len(self.sig_linear)] @ np.asarray(self.sig_linear)
+                arg += parent_values[..., : len(self.sig_linear)] @ np.asarray(self.sig_linear)
             out += self.sig_scale * expit(arg)
         return out
 
@@ -240,17 +245,18 @@ class ScmModel:
     ) -> np.ndarray:
         """Evaluate all equations in topological order against given noise.
 
+        noise is (..., n, d): leading axes stack independent blocks of rows.
         Intervened entries (do_mask True) are clamped to do_values and their
         descendants see the clamped value.
         """
         noise = np.asarray(noise, dtype=float)
         out = np.empty_like(noise)
         for eq in self.equations:
-            mech = eq.mechanism.evaluate(out[:, list(eq.parents)]) + noise[:, eq.node]
+            mech = eq.mechanism.evaluate(out[..., list(eq.parents)]) + noise[..., eq.node]
             if do_mask is not None:
-                out[:, eq.node] = np.where(do_mask[:, eq.node], do_values[:, eq.node], mech)
+                out[..., eq.node] = np.where(do_mask[..., eq.node], do_values[..., eq.node], mech)
             else:
-                out[:, eq.node] = mech
+                out[..., eq.node] = mech
         return out
 
     def draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -266,12 +272,15 @@ class ScmModel:
         return SampleSet(self.propagate(noise), noise)
 
     def abduce(self, values: np.ndarray) -> SampleSet:
-        """Recover exogenous noise exactly from observed rows (additive noise)."""
+        """Recover exogenous noise exactly from observed rows (additive noise).
+
+        values is (n, d) or a (..., n, d) stack of blocks, as in propagate.
+        """
         values = np.atleast_2d(np.asarray(values, dtype=float))
         noise = np.empty_like(values)
         for eq in self.equations:
-            noise[:, eq.node] = values[:, eq.node] - eq.mechanism.evaluate(
-                values[:, list(eq.parents)]
+            noise[..., eq.node] = values[..., eq.node] - eq.mechanism.evaluate(
+                values[..., list(eq.parents)]
             )
         return SampleSet(values.copy(), noise)
 
@@ -285,12 +294,6 @@ class ScmModel:
         norm = self._normalize_do(do, base.n)
         mask, values = norm
         return self.propagate(base.noise, mask, values)
-
-    def counterfactual_masked(
-        self, base: SampleSet, do_mask: np.ndarray, do_values: np.ndarray
-    ) -> np.ndarray:
-        """Counterfactual with per-row intervention masks (vectorized form)."""
-        return self.propagate(base.noise, do_mask, do_values)
 
     def ground_truth_graph(self) -> CausalGraph:
         edges = {}

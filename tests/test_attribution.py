@@ -1,5 +1,11 @@
+from dataclasses import replace
+from functools import lru_cache
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalprobe import (
     AttributionConfig,
@@ -12,8 +18,10 @@ from causalprobe import (
     confidence_delta,
     counterfactual_diff,
     discover,
+    lime_batch,
     lime_latent,
 )
+from causalprobe import attribution
 
 NOISELESS = OracleConfig(roundtrip_noise_std=0.0, standardize=False)
 
@@ -192,3 +200,119 @@ def test_attribution_config_validation():
         AttributionConfig(n_perturbations=1)
     with pytest.raises(ValueError):
         AttributionConfig(kernel_width=0.0)
+
+
+@lru_cache(maxsize=None)
+def batch_setup(kind, policy):
+    config = OracleConfig(noise_policy=policy)
+    if kind == "TSWI":
+        oracle = ScmOracle(builtin(kind), config)
+    else:
+        # d = 9 reaches the BLAS kernels that round a row by its position
+        rng = np.random.default_rng(11)
+        w = np.triu(rng.uniform(-1.0, 1.0, (9, 9)), k=1) * (rng.random((9, 9)) < 0.4)
+        oracle = LinearOracle(w, config)
+    return oracle, discover(oracle, DiscoveryConfig(n_samples=64, seed=0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(["TSWI", "linear"]),
+    noise_policy=st.sampled_from(["fixed", "resample"]),
+    perturbation_policy=st.sampled_from(["interventional", "independent"]),
+    softmax=st.booleans(),
+    target_class=st.sampled_from([None, 0, 1]),
+    per_item_seeds=st.booleans(),
+    m=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+def test_lime_batch_rows_equal_lime_latent(
+    kind, noise_policy, perturbation_policy, softmax, target_class, per_item_seeds, m, seed
+):
+    oracle, graph = batch_setup(kind, noise_policy)
+    d = oracle.dim
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=(3, d) if softmax else d)
+    head = ClassifierHead(weights, bias=rng.normal(size=3) if softmax else -1.0)
+    latents = oracle.sample_latents(m, seed)
+    cfg = AttributionConfig(
+        n_perturbations=2 * d + 1, perturbation_policy=perturbation_policy, seed=3
+    )
+    seeds = [int(s) for s in rng.integers(0, 4, m)] if per_item_seeds else None
+    # two items per chunk, so an odd m leaves a short last chunk
+    with mock.patch.object(attribution, "_CHUNK_ROWS", 2 * cfg.n_perturbations + 1):
+        batch = lime_batch(oracle, head, graph, latents, cfg, seeds, target_class)
+    for k in range(m):
+        solo_cfg = cfg if seeds is None else replace(cfg, seed=seeds[k])
+        solo = lime_latent(oracle, head, graph, latents[k], solo_cfg, target_class)
+        assert np.array_equal(batch[k].weights, solo.weights)
+        assert (batch[k].intercept, batch[k].local_fit_r2) == (solo.intercept, solo.local_fit_r2)
+        assert (batch[k].target_class, batch[k].degenerate_fit) == (
+            solo.target_class,
+            solo.degenerate_fit,
+        )
+
+
+def reference_lime(oracle, head, graph, latent, cfg):
+    """The per-explanation loop lime_batch replaced, kept as the reference."""
+    d, n = oracle.dim, cfg.n_perturbations
+    rng = np.random.default_rng([cfg.seed, 7])
+    masks = rng.random((n, d)) < 0.5
+    empty = ~masks.any(axis=1)
+    if empty.any():
+        masks[np.flatnonzero(empty), rng.integers(0, d, size=int(empty.sum()))] = True
+    deltas = np.where(masks, rng.normal(0.0, cfg.perturbation_std, (n, d)), 0.0)
+    base = np.broadcast_to(latent, (n, d))
+    if cfg.perturbation_policy == "interventional":
+        realized = oracle.query(base, (masks, base + deltas), seed=[cfg.seed, 8])
+        reach = np.eye(d, dtype=bool)
+        for c in range(d):
+            reach[c, list(graph.descendants(c))] = True
+        realized = np.where(masks @ reach > 0, realized, base)
+    else:
+        realized = np.where(masks, base + deltas, base)
+    scores = head.probabilities(realized)[:, int(np.argmax(head.probabilities(latent)))]
+    sample_w = np.exp(-((realized - latent) ** 2).sum(axis=1) / (0.75 * np.sqrt(d)) ** 2)
+    design = np.column_stack([np.ones(n), deltas])
+    penalty = np.diag([0.0] + [1.0] * d)
+    wx = design * sample_w[:, None]
+    return np.linalg.solve(design.T @ wx + cfg.ridge_lambda * penalty, wx.T @ scores)
+
+
+@pytest.mark.parametrize("policy", ["interventional", "independent"])
+@pytest.mark.parametrize("softmax", [False, True])
+def test_lime_batch_matches_reference_loop(policy, softmax):
+    oracle, graph = batch_setup("TSWI", "fixed")
+    rng = np.random.default_rng(4)
+    head = ClassifierHead(rng.normal(size=(3, 4) if softmax else 4), bias=0.5)
+    latents = oracle.sample_latents(5, 2)
+    seeds = [3, 3, 9, 1, 9]
+    cfg = AttributionConfig(n_perturbations=40, perturbation_policy=policy)
+    batch = lime_batch(oracle, head, graph, latents, cfg, seeds)
+    for k, seed in enumerate(seeds):
+        beta = reference_lime(oracle, head, graph, latents[k], replace(cfg, seed=seed))
+        # the same arithmetic, apart from BLAS summation order
+        np.testing.assert_allclose(batch[k].weights, beta[1:], rtol=1e-9, atol=1e-12)
+        assert batch[k].intercept == pytest.approx(beta[0], rel=1e-9, abs=1e-12)
+
+
+def test_lime_batch_unsolvable_item_raises_like_lime_latent():
+    oracle, graph = batch_setup("TSWI", "fixed")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents = oracle.sample_latents(3, 0)
+    latents[1, 2] = np.nan
+    cfg = AttributionConfig(n_perturbations=20, seed=1)
+    with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
+        lime_batch(oracle, head, graph, latents, cfg)
+    with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
+        lime_latent(oracle, head, graph, latents[1], cfg)
+
+
+def test_ridge_bumps_lambda_only_for_failing_items():
+    penalty = np.diag([0.0, 1.0, 1.0])
+    good = np.diag([2.0, 1.0, 1.0])
+    bad = np.diag([1.0, -1e-3, 1.0])  # singular at lambda 1e-3, solvable at 1e-2
+    beta, degenerate = attribution._ridge(np.stack([good, bad]), np.ones((2, 3, 1)), 1e-3)
+    assert np.array_equal(beta[0], np.linalg.solve(good + 1e-3 * penalty, np.ones(3)))
+    assert np.array_equal(beta[1], np.linalg.solve(bad + 1e-2 * penalty, np.ones(3)))
+    assert degenerate.tolist() == [False, True]

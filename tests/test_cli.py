@@ -154,10 +154,38 @@ def test_evaluate_outputs(tmp_path):
     assert metrics["faithfulness_index"] == f["engine"]
     assert metrics["stability"] <= 0.0
     assert metrics["correctness_index"] is None
+    # shuffled pairings define no stability baseline: null, not a copied value
+    assert metrics["details"]["stability"]["shuffled_baseline"] is None
     rows = (out / "metrics.csv").read_text().strip().splitlines()
     assert rows[0] == "method,faithfulness,stability"
     assert rows[1].startswith("engine,")
-    assert rows[2].startswith("shuffled-baseline,")
+    assert rows[2].startswith("shuffled-baseline,") and rows[2].endswith(",")
+
+
+def test_evaluate_rejects_out_of_range_stability_index(tmp_path, capsys):
+    evaluate = {"n_explanations": 150, "stability_index": 150}
+    cfg = write_cfg(tmp_path, {**TI_CFG, "evaluate": evaluate})
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "ev")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "evaluate.stability_index" in err["message"] and "[0, 150)" in err["message"]
+
+
+def test_explain_rejects_non_finite_latent(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TI_CFG)
+    rc = main(["explain", "--config", cfg, "--out", str(tmp_path / "e"), "--latent", "nan,1.0"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "finite" in err["message"]
+
+
+def test_explain_rejects_non_finite_intervention(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TI_CFG)
+    out = tmp_path / "e"
+    assert main(["explain", "--config", cfg, "--out", str(out), "--do", "t=inf"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "finite" in err["message"]
+    assert not (out / "confidence_delta.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,13 @@ def test_stability_identical_explanations():
     assert stability(sets) == 0.0
 
 
+def test_stability_repeated_vector_is_exact_positive_zero():
+    # np.var of identical rows rounds its mean and leaves ~1e-35 behind
+    v = np.array([0.1, 0.7, 1e-3, 0.123456789, -0.3])
+    score = stability([[v.copy() for _ in range(5)] for _ in range(3)])
+    assert score == 0.0 and np.copysign(1.0, score) == 1.0
+
+
 def test_stability_alternating_coordinate():
     # one of four coordinates alternates +-1 across Q=2 -> variance 1 on it
     sets = [[np.array([1.0, 0, 0, 0]), np.array([-1.0, 0, 0, 0])]]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalprobe import (
     ClassifierHead,
@@ -193,3 +195,48 @@ def test_query_latent_wrapper():
     out = oracle.query_latent(lv, None, seed=0)
     assert np.array_equal(out.values, lv.values)
     assert np.allclose(classify(ClassifierHead(np.zeros(2)), out), [0.5, 0.5])
+
+
+def random_dag_weights(d, rng):
+    w = np.triu(rng.uniform(-1.0, 1.0, (d, d)), k=1) * (rng.random((d, d)) < 0.5)
+    perm = rng.permutation(d)  # node ids away from topological order
+    return w[np.ix_(perm, perm)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["TI", "TSWI", "linear3", "linear9"]),
+    policy=st.sampled_from(["fixed", "resample"]),
+    noise=st.sampled_from([0.0, 0.1]),
+    m=st.integers(1, 4),
+    n=st.integers(1, 20),
+    shared_seed=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_query_stacked_blocks_equal_solo_queries(kind, policy, noise, m, n, shared_seed, seed):
+    rng = np.random.default_rng(seed)
+    config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy)
+    if kind.startswith("linear"):
+        # d = 9 reaches the BLAS kernels that round a row by its position
+        oracle = LinearOracle(random_dag_weights(int(kind[6:]), rng), config)
+    else:
+        oracle = ScmOracle(builtin(kind), config)
+    base = oracle.sample_latents(m * n, seed).reshape(m, n, oracle.dim)
+    mask = rng.random(base.shape) < 0.4
+    mask[rng.random(m) < 0.3] = False  # blocks without an intervention
+    values = base + rng.normal(size=base.shape)
+    # repeated seeds share draws
+    seeds = [[int(s), 8] for s in rng.integers(0, 1 if shared_seed else 3, m)]
+    stacked = oracle.query_stacked(base, (mask, values), seeds)
+    plain = oracle.query_stacked(base, None, seeds)
+    for k in range(m):
+        assert np.array_equal(stacked[k], oracle.query(base[k], (mask[k], values[k]), seeds[k]))
+        assert np.array_equal(plain[k], oracle.query(base[k], None, seeds[k]))
+
+
+def test_query_stacked_rejects_bad_shapes():
+    oracle = ScmOracle(builtin("TI"), NOISELESS)
+    with pytest.raises(ValueError, match="shape"):
+        oracle.query_stacked(np.zeros((4, 2)), None, [0] * 4)
+    with pytest.raises(ValueError, match="seeds"):
+        oracle.query_stacked(np.zeros((3, 4, 2)), None, [0, 1])
