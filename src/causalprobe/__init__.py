@@ -40,16 +40,7 @@ from .metrics import (
     mutual_information,
     stability,
 )
-from .oracle import (
-    ClassifierHead,
-    LatentVector,
-    LinearOracle,
-    OracleConfig,
-    ScmOracle,
-    classify,
-    linear_oracle,
-    scm_oracle,
-)
+from .oracle import ClassifierHead, Oracle, OracleConfig
 from .scm import (
     BUILTIN_NAMES,
     Mechanism,
@@ -72,20 +63,17 @@ __all__ = [
     "DiscoveryConfig",
     "EvaluationConfig",
     "Explanation",
-    "LatentVector",
-    "LinearOracle",
     "Mechanism",
     "MetricsReport",
     "NoiseSpec",
+    "Oracle",
     "OracleConfig",
     "SampleSet",
     "ScmModel",
-    "ScmOracle",
     "StructuralEquation",
     "alignment_loss",
     "alpha_schedule",
     "builtin",
-    "classify",
     "confidence_delta",
     "correctness_index",
     "counterfactual_diff",
@@ -96,13 +84,11 @@ __all__ = [
     "frozen_loss",
     "lime_batch",
     "lime_latent",
-    "linear_oracle",
     "loss_gradient_fd",
     "mutual_information",
     "propose_edges",
     "prune_indirect",
     "resolve_cycles",
-    "scm_oracle",
     "stability",
     "thin_svd",
 ]

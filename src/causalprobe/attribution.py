@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CausalGraph
-from .oracle import ClassifierHead, LatentVector, Oracle
+from .oracle import ClassifierHead, Oracle
 
 POLICIES = ("interventional", "independent")
 
@@ -237,7 +237,7 @@ def lime_latent(
     oracle: Oracle,
     head: ClassifierHead,
     graph: CausalGraph,
-    latent: LatentVector | np.ndarray,
+    latent: np.ndarray,
     config: AttributionConfig,
     target_class: int | None = None,
 ) -> Explanation:
@@ -245,7 +245,7 @@ def lime_latent(
 
     Deterministic given the config seed.
     """
-    values = latent.values if isinstance(latent, LatentVector) else np.asarray(latent, float)
+    values = np.asarray(latent, dtype=float)
     if values.shape != (oracle.dim,):
         raise ValueError(f"latent shape {values.shape} != oracle dimension ({oracle.dim},)")
     return lime_batch(oracle, head, graph, values[None], config, target_class=target_class)[0]
@@ -254,17 +254,17 @@ def lime_latent(
 def confidence_delta(
     oracle: Oracle,
     head: ClassifierHead,
-    latent: LatentVector | np.ndarray,
+    latent: np.ndarray,
     do,
     n_samples: int = 256,
     seed=0,
 ) -> np.ndarray:
     """Expected per-class probability shift of an intervention.
 
-    classify(query(l, do)) - classify(query(l, {})), each side averaged
+    probabilities(query(l, do)) - probabilities(query(l, {})), each side averaged
     over n_samples oracle draws. An empty do-set returns exact zeros.
     """
-    values = latent.values if isinstance(latent, LatentVector) else np.asarray(latent, float)
+    values = np.asarray(latent, dtype=float)
     if not do:
         return np.zeros(head.n_classes)
     base = np.broadcast_to(values, (n_samples, values.size))
@@ -275,13 +275,13 @@ def confidence_delta(
 
 def counterfactual_diff(
     oracle: Oracle,
-    latent: LatentVector | np.ndarray,
+    latent: np.ndarray,
     do,
     n_samples: int = 256,
     seed=0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected intervened vector and its per-feature diff from baseline."""
-    values = latent.values if isinstance(latent, LatentVector) else np.asarray(latent, float)
+    values = np.asarray(latent, dtype=float)
     base = np.broadcast_to(values, (n_samples, values.size))
     baseline = oracle.query(base, None, seed=[seed, 0]).mean(axis=0)
     if not do:

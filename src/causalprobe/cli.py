@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .metrics import (
     joint_feasible,
     stability,
 )
-from .oracle import ClassifierHead, LinearOracle, OracleConfig, ScmOracle
+from .oracle import ClassifierHead, Oracle, OracleConfig
 from .scm import BUILTIN_NAMES, ScmModel, builtin
 
 
@@ -75,11 +75,44 @@ def _jsonable(obj):
     return obj
 
 
+# the keys each config section may hold; the oracle section's depend on its
+# kind and are checked where the model is built
+_SECTION_KEYS = {
+    "seed": None,
+    "pool_size": None,
+    "oracle": None,
+    "oracle_config": [f.name for f in fields(OracleConfig)],
+    "classifier": ("weights", "bias", "n_classes"),
+    "discovery": [f.name for f in fields(DiscoveryConfig)],
+    "attribution": [f.name for f in fields(AttributionConfig)],
+    "evaluation": [f.name for f in fields(EvaluationConfig)],
+    "sample": ("n",),
+    "explain": ("index", "interventions"),
+    "evaluate": ("n_explanations", "stability_index", "deterministic_seed"),
+}
+_ORACLE_KEYS = {
+    "scm": ("kind", "model", "model_file"),
+    "linear": ("kind", "dim", "edges", "noise_std", "file"),
+}
+
+
+def _check_keys(doc: dict, known, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown config key '{where}{key}'; known keys: {sorted(known)}")
+
+
 def load_config(path: str) -> dict:
+    """Read a JSON config, rejecting unknown keys at every level."""
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
+    _check_keys(cfg, _SECTION_KEYS, "")
+    for name, known in _SECTION_KEYS.items():
+        if known is not None and name in cfg:
+            _check_keys(cfg[name], known, f"{name}.")
+    return cfg
 
 
 def resolve_seed(cfg: dict, flag_seed) -> int:
@@ -95,9 +128,20 @@ def resolve_seed(cfg: dict, flag_seed) -> int:
 
 
 def build_scm_model(cfg: dict) -> ScmModel:
-    spec = cfg.get("oracle", {})
-    if spec.get("kind", "scm") != "scm":
-        raise ValueError("this command needs an scm-backed oracle")
+    spec = cfg.get("oracle")
+    if not spec:
+        raise ValueError("config is missing the 'oracle' section")
+    kind = spec.get("kind", "scm")
+    if kind not in _ORACLE_KEYS:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    _check_keys(spec, _ORACLE_KEYS[kind], "oracle.")
+    if kind == "linear":
+        doc = json.loads(Path(spec["file"]).read_text()) if "file" in spec else spec
+        d = int(doc["dim"])
+        weights = np.zeros((d, d))
+        for e in doc.get("edges", []):
+            weights[int(e["from"]), int(e["to"])] = float(e["weight"])
+        return ScmModel.linear(weights, float(doc.get("noise_std", 1.0)))
     if "model_file" in spec:
         return ScmModel.from_json(Path(spec["model_file"]).read_text())
     name = spec.get("model")
@@ -106,21 +150,14 @@ def build_scm_model(cfg: dict) -> ScmModel:
     return builtin(name)
 
 
-def build_oracle(cfg: dict, seed: int):
-    spec = cfg.get("oracle")
-    if not spec:
-        raise ValueError("config is missing the 'oracle' section")
+def build_oracle(cfg: dict, seed: int) -> Oracle:
+    """The config's model behind an Oracle; standardize defaults to on for
+    an scm model and off for a linear SEM."""
+    model = build_scm_model(cfg)
     oc_args = dict(cfg.get("oracle_config", {}))
     oc_args.setdefault("seed", seed)
-    oconfig = OracleConfig(**oc_args)
-    kind = spec.get("kind", "scm")
-    if kind == "scm":
-        return ScmOracle(build_scm_model(cfg), oconfig)
-    if kind == "linear":
-        if "file" in spec:
-            return LinearOracle.from_json(Path(spec["file"]).read_text(), oconfig)
-        return LinearOracle.from_json_dict(spec, oconfig)
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    oc_args.setdefault("standardize", cfg["oracle"].get("kind", "scm") == "scm")
+    return Oracle(model, OracleConfig(**oc_args))
 
 
 def build_head(cfg: dict) -> ClassifierHead:
@@ -263,7 +300,7 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     try:
         truth = oracle.ground_truth_graph()
         correctness = correctness_index(runs, truth)
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         correctness_flag = f"undefined: {exc}"
 
     consensus_edges = consensus.edge_set()

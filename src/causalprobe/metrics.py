@@ -161,12 +161,31 @@ def entropy(x: np.ndarray, config: EvaluationConfig) -> float:
     return float(np.mean([_entropy_from_codes(codes[:, c]) for c in range(arr.shape[1])]))
 
 
-def _mi_from_codes(cx: np.ndarray, cy: np.ndarray) -> float:
+def _mi_from_codes(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, float]:
+    """(MI, H(x), H(y)) of two code vectors."""
     hx = _entropy_from_codes(cx)
     hy = _entropy_from_codes(cy)
     pair = cx * (cy.max() + 1) + cy
     hxy = _entropy_from_codes(pair)
-    return hx + hy - hxy
+    return hx + hy - hxy, hx, hy
+
+
+def _mi_regime(x: np.ndarray, y: np.ndarray, bins: int) -> tuple[float, float, float]:
+    """(MI, H(x), H(y)) in bits on the equal-frequency binning of two matrices.
+
+    The regime is chosen on the combined columns: when the joint histogram
+    over all columns of (x, y) is adequately sampled it is used throughout;
+    otherwise MI is the mean pairwise MI over all column pairs and each
+    entropy the mean of its per-column entropies.
+    """
+    cx = _bin_codes(x, bins)
+    cy = _bin_codes(y, bins)
+    if joint_feasible(cx.shape[0], cx.shape[1] + cy.shape[1], bins):
+        return _mi_from_codes(_joint_code(cx, bins), _joint_code(cy, bins))
+    mi = float(np.mean([_mi_from_codes(a, b)[0] for a in cx.T for b in cy.T]))
+    hx = float(np.mean([_entropy_from_codes(a) for a in cx.T]))
+    hy = float(np.mean([_entropy_from_codes(b) for b in cy.T]))
+    return mi, hx, hy
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray, config: EvaluationConfig) -> float:
@@ -179,17 +198,7 @@ def mutual_information(x: np.ndarray, y: np.ndarray, config: EvaluationConfig) -
     ax, ay = _as_columns(x), _as_columns(y)
     if ax.shape[0] != ay.shape[0]:
         raise ValueError("x and y must have the same number of rows")
-    bins = config.mi_bins
-    cx = _bin_codes(ax, bins)
-    cy = _bin_codes(ay, bins)
-    if joint_feasible(ax.shape[0], ax.shape[1] + ay.shape[1], bins):
-        return _mi_from_codes(_joint_code(cx, bins), _joint_code(cy, bins))
-    pair_values = [
-        _mi_from_codes(cx[:, a], cy[:, b])
-        for a in range(ax.shape[1])
-        for b in range(ay.shape[1])
-    ]
-    return float(np.mean(pair_values))
+    return _mi_regime(ax, ay, config.mi_bins)[0]
 
 
 def faithfulness_index(
@@ -203,25 +212,7 @@ def faithfulness_index(
     lat, exp_w = _as_columns(latents), _as_columns(explanations)
     if lat.shape[0] != exp_w.shape[0]:
         raise ValueError("latents and explanations must have matched rows")
-    bins = config.mi_bins
-    c_lat = _bin_codes(lat, bins)
-    c_exp = _bin_codes(exp_w, bins)
-    if joint_feasible(lat.shape[0], lat.shape[1] + exp_w.shape[1], bins):
-        mi = _mi_from_codes(_joint_code(c_lat, bins), _joint_code(c_exp, bins))
-        h_lat = _entropy_from_codes(_joint_code(c_lat, bins))
-        h_exp = _entropy_from_codes(_joint_code(c_exp, bins))
-    else:
-        mi = float(
-            np.mean(
-                [
-                    _mi_from_codes(c_lat[:, a], c_exp[:, b])
-                    for a in range(lat.shape[1])
-                    for b in range(exp_w.shape[1])
-                ]
-            )
-        )
-        h_lat = float(np.mean([_entropy_from_codes(c_lat[:, a]) for a in range(lat.shape[1])]))
-        h_exp = float(np.mean([_entropy_from_codes(c_exp[:, b]) for b in range(exp_w.shape[1])]))
+    mi, h_lat, h_exp = _mi_regime(lat, exp_w, config.mi_bins)
     if h_lat <= 0 or h_exp <= 0:
         raise ValueError("faithfulness is undefined when either marginal has zero entropy")
     return float(np.clip(mi / np.sqrt(h_lat * h_exp), 0.0, 1.0))

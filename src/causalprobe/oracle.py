@@ -1,14 +1,14 @@
-"""Intervene-and-re-encode oracles over an aligned latent feature space.
+"""Intervene-and-re-encode oracle over an aligned latent feature space.
 
 An oracle accepts a latent vector plus an optional do-intervention and
 returns the re-encoded latent vector: interventions are propagated to
-descendants by the backing mechanism and i.i.d. Gaussian observation noise
-models the encode round trip. Two concrete oracles are provided (simulator
-backed and linear SEM) plus a linear-logistic classifier head.
+descendants by the backing structural causal model and i.i.d. Gaussian
+observation noise models the encode round trip. A linear SEM is an
+ScmModel too (ScmModel.linear), so one Oracle class serves both. A
+linear-logistic classifier head reads the latent space.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,9 @@ class OracleConfig:
     roundtrip_noise_std: per-coordinate Gaussian observation noise.
     noise_policy: "fixed" reuses the exogenous noise abducted from the base
         row (counterfactual propagation); "resample" draws fresh noise.
-    standardize: present latents in a z-scored chart (simulator oracle only);
-        chart constants are estimated once at construction.
+    standardize: present latents in a z-scored chart; chart constants are
+        estimated once at construction. The CLI defaults it per oracle kind
+        (on for "scm", off for "linear").
     """
 
     roundtrip_noise_std: float = 0.1
@@ -42,34 +43,6 @@ class OracleConfig:
             raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
 
 
-@dataclass(frozen=True)
-class LatentVector:
-    """Aligned feature vector; first observed_count positions are context-aligned."""
-
-    values: np.ndarray
-    observed_count: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("latent vector must be one-dimensional")
-        object.__setattr__(self, "values", values)
-        if not 0 <= self.observed_count <= values.size:
-            raise ValueError("observed_count out of range")
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-    @property
-    def observed(self) -> np.ndarray:
-        return self.values[: self.observed_count]
-
-    @property
-    def unobserved(self) -> np.ndarray:
-        return self.values[self.observed_count :]
-
-
 def _seed_key(seed, k: int):
     """Blocks whose seeds share a key share their draws.
 
@@ -81,19 +54,26 @@ def _seed_key(seed, k: int):
 
 
 class Oracle:
-    """Base query plumbing shared by the concrete oracles.
+    """Oracle backed by a structural causal model.
 
-    Subclasses implement ``_draw_noise(n, rng)`` returning (n, d) exogenous
-    noise and ``_propagate(base, do_mask, do_values, noise)`` returning the
-    noiseless intervened rows in the oracle's latent chart. noise is None
-    under the "fixed" policy (the rows' own noise is abducted) and do_mask
-    is None without an intervention. Both take (..., n, d) stacks of blocks.
-    Queries are pure: identical (base, do, seed) give identical output.
+    With standardize=True (default) the latent chart is the z-scored feature
+    space: chart constants come from a fixed-size observational draw, the
+    ±1 intervention convention then moves each feature by one observational
+    standard deviation. With standardize=False the chart is the raw feature
+    space and queries agree exactly with the model counterfactual at zero
+    observation noise. Queries are pure: identical (base, do, seed) give
+    identical output.
     """
 
-    labels: tuple[str, ...]
-    observed_count: int
-    config: OracleConfig
+    def __init__(self, model: ScmModel, config: OracleConfig | None = None):
+        self.model = model
+        self.config = config or OracleConfig()
+        self.labels = tuple(model.labels)
+        if self.config.standardize:
+            ref = model.sample(_STANDARDIZE_DRAWS, [self.config.seed, 0x5CA1E])
+            self.chart_mean = ref.values.mean(axis=0)
+            self.chart_scale = ref.values.std(axis=0)
+            self.chart_scale[self.chart_scale < 1e-9] = 1.0  # degenerate columns keep raw units
 
     @property
     def dim(self) -> int:
@@ -134,14 +114,20 @@ class Oracle:
             values[:, idx] = val  # a scalar or an (n,) array
         return mask, values
 
+    def to_chart(self, raw: np.ndarray) -> np.ndarray:
+        raw = np.asarray(raw, dtype=float)
+        if not self.config.standardize:
+            return raw
+        return (raw - self.chart_mean) / self.chart_scale
+
+    def to_raw(self, chart: np.ndarray) -> np.ndarray:
+        chart = np.asarray(chart, dtype=float)
+        if not self.config.standardize:
+            return chart
+        return chart * self.chart_scale + self.chart_mean
+
     def sample_latents(self, n: int, seed) -> np.ndarray:
-        raise NotImplementedError
-
-    def _draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def _propagate(self, base, do_mask, do_values, noise) -> np.ndarray:
-        raise NotImplementedError
+        return self.to_chart(self.model.sample(n, seed).values)
 
     def query(self, base: np.ndarray, do=None, seed=0) -> np.ndarray:
         """Re-encode base rows under an optional intervention.
@@ -207,161 +193,24 @@ class Oracle:
         def rows(a):  # one block propagates as plain (n, d) rows: cheaper indexing
             return a[0] if m == 1 and a is not None else a
 
-        noise = per_block(lambda rng: self._draw_noise(n, rng)) if resample else None
-        out = self._propagate(rows(base), rows(mask), rows(values), rows(noise))
-        out = out.reshape(base.shape)
-        if mask is not None and noise is None and n_active < m:
-            out[~active] = base[~active]  # fixed noise, no intervention: identity
+        if not resample and mask is None:
+            out = base.copy()  # fixed noise, no intervention: identity
+        else:
+            if resample:
+                noise = rows(per_block(lambda rng: self.model.draw_noise(n, rng)))
+            else:  # the rows' own noise
+                noise = self.model.abduce(self.to_raw(rows(base))).noise
+            raw_values = None if mask is None else self.to_raw(rows(values))
+            out = self.to_chart(self.model.propagate(noise, rows(mask), raw_values))
+            out = out.reshape(base.shape)
+            if not resample and n_active < m:
+                out[~active] = base[~active]  # blocks without an intervention
         if std > 0:
             out = out + per_block(lambda rng: rng.normal(0.0, std, (n, d)))
         return out
 
-    def query_latent(self, latent: LatentVector, do=None, seed=0) -> LatentVector:
-        if latent.dim != self.dim:
-            raise ValueError(f"latent dimension {latent.dim} != oracle dimension {self.dim}")
-        return LatentVector(self.query(latent.values, do, seed), self.observed_count)
-
-    def ground_truth_graph(self) -> CausalGraph:
-        raise NotImplementedError("this oracle has no known ground truth")
-
-
-class ScmOracle(Oracle):
-    """Oracle backed by a structural causal model.
-
-    With standardize=True (default) the latent chart is the z-scored feature
-    space: chart constants come from a fixed-size observational draw, the
-    ±1 intervention convention then moves each feature by one observational
-    standard deviation. With standardize=False the chart is the raw feature
-    space and queries agree exactly with the model counterfactual at zero
-    observation noise.
-    """
-
-    def __init__(self, model: ScmModel, config: OracleConfig | None = None):
-        self.model = model
-        self.config = config or OracleConfig()
-        self.labels = tuple(model.labels)
-        self.observed_count = model.context_count
-        if self.config.standardize:
-            ref = model.sample(_STANDARDIZE_DRAWS, [self.config.seed, 0x5CA1E])
-            mu = ref.values.mean(axis=0)
-            sigma = ref.values.std(axis=0)
-            sigma[sigma < 1e-9] = 1.0  # degenerate columns keep raw units
-        else:
-            mu = np.zeros(model.n_nodes)
-            sigma = np.ones(model.n_nodes)
-        self.chart_mean = mu
-        self.chart_scale = sigma
-
-    def to_chart(self, raw: np.ndarray) -> np.ndarray:
-        return (np.asarray(raw, dtype=float) - self.chart_mean) / self.chart_scale
-
-    def to_raw(self, chart: np.ndarray) -> np.ndarray:
-        return np.asarray(chart, dtype=float) * self.chart_scale + self.chart_mean
-
-    def sample_latents(self, n: int, seed) -> np.ndarray:
-        return self.to_chart(self.model.sample(n, seed).values)
-
-    def _draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.model.draw_noise(n, rng)
-
-    def _propagate(self, base, do_mask, do_values, noise) -> np.ndarray:
-        if noise is None:
-            if do_mask is None:
-                return np.asarray(base, dtype=float).copy()
-            noise = self.model.abduce(self.to_raw(base)).noise
-        if do_mask is None:
-            return self.to_chart(self.model.propagate(noise))
-        return self.to_chart(self.model.propagate(noise, do_mask, self.to_raw(do_values)))
-
     def ground_truth_graph(self) -> CausalGraph:
         return self.model.ground_truth_graph()
-
-
-class LinearOracle(Oracle):
-    """Linear-SEM oracle: x_j = sum_k w[k, j] x_k + noise, weights a DAG."""
-
-    def __init__(
-        self,
-        weights: np.ndarray,
-        config: OracleConfig | None = None,
-        exo_noise_std: float = 1.0,
-        labels=None,
-    ):
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-            raise ValueError("weights must be a square matrix")
-        d = weights.shape[0]
-        if np.any(np.diag(weights) != 0):
-            raise ValueError("self-weights must be zero")
-        adjacency = CausalGraph(
-            [f"x{k}" for k in range(d)],
-            {(i, j): weights[i, j] for i in range(d) for j in range(d) if weights[i, j] != 0},
-        )
-        self._topo = adjacency.topological_order()  # raises on cyclic weights
-        self.weights = weights
-        self.config = config or OracleConfig()
-        self.labels = tuple(labels) if labels is not None else tuple(f"x{k}" for k in range(d))
-        if len(self.labels) != d:
-            raise ValueError("labels length must match dimension")
-        self.observed_count = d
-        if exo_noise_std < 0:
-            raise ValueError("exo_noise_std must be >= 0")
-        self.exo_noise_std = float(exo_noise_std)
-
-    def _forward(self, noise, do_mask=None, do_values=None) -> np.ndarray:
-        out = np.zeros_like(noise)
-        for v in self._topo:
-            mech = out @ self.weights[:, v] + noise[..., v]
-            if do_mask is not None:
-                out[..., v] = np.where(do_mask[..., v], do_values[..., v], mech)
-            else:
-                out[..., v] = mech
-        return out
-
-    def sample_latents(self, n: int, seed) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        noise = rng.normal(0.0, self.exo_noise_std, (n, self.dim))
-        return self._forward(noise)
-
-    def _draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, self.exo_noise_std, (n, self.dim))
-
-    def _propagate(self, base, do_mask, do_values, noise) -> np.ndarray:
-        base = np.asarray(base, dtype=float)
-        if noise is None:
-            if do_mask is None:
-                return base.copy()
-            noise = base - base @ self.weights  # exact abduction
-        return self._forward(noise, do_mask, do_values)
-
-    def ground_truth_graph(self) -> CausalGraph:
-        edges = {
-            (i, j): self.weights[i, j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if self.weights[i, j] != 0
-        }
-        return CausalGraph(list(self.labels), edges)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, config: OracleConfig | None = None) -> "LinearOracle":
-        d = int(doc["dim"])
-        weights = np.zeros((d, d))
-        for e in doc.get("edges", []):
-            weights[int(e["from"]), int(e["to"])] = float(e["weight"])
-        return cls(weights, config, exo_noise_std=float(doc.get("noise_std", 1.0)))
-
-    @classmethod
-    def from_json(cls, text: str, config: OracleConfig | None = None) -> "LinearOracle":
-        return cls.from_json_dict(json.loads(text), config)
-
-
-def scm_oracle(model: ScmModel, config: OracleConfig | None = None) -> ScmOracle:
-    return ScmOracle(model, config)
-
-
-def linear_oracle(weights: np.ndarray, config: OracleConfig | None = None, **kwargs) -> LinearOracle:
-    return LinearOracle(weights, config, **kwargs)
 
 
 class ClassifierHead:
@@ -415,7 +264,3 @@ class ClassifierHead:
             probs = e / e.sum(axis=-1, keepdims=True)
         return probs[0] if single else probs
 
-
-def classify(head: ClassifierHead, latent: LatentVector | np.ndarray) -> np.ndarray:
-    values = latent.values if isinstance(latent, LatentVector) else latent
-    return head.probabilities(values)

@@ -1,10 +1,11 @@
 """Synthetic structural causal models over morphological digit features.
 
-Each model is an ordered list of structural equations x_v = f_v(parents) + eps_v
-with explicitly parameterized noise, supporting ancestral sampling,
+Each model holds one structural equation x_v = f_v(parents) + eps_v per
+node, with explicitly parameterized noise, supporting ancestral sampling,
 fixed-noise counterfactuals (abduction over the additive noise), and
 ground-truth DAG export. Four builtin models cover the thickness /
-intensity / slant / width worlds used throughout the test suite.
+intensity / slant / width worlds used throughout the test suite, and
+ScmModel.linear builds a linear SEM from a weight matrix.
 """
 from __future__ import annotations
 
@@ -76,7 +77,8 @@ class Mechanism:
 
     Covers the three expression tags used by the builtin models:
     "affine" (no sigmoid term), "affine-of-sigmoid" (sigmoid term only),
-    and "composite" (both).
+    and "composite" (both). Pure data: ScmModel compiles its mechanisms
+    into dense coefficient arrays and evaluates those.
     """
 
     const: float = 0.0
@@ -101,25 +103,6 @@ class Mechanism:
 
     def arity(self) -> int:
         return max(len(self.linear), len(self.sig_linear))
-
-    def evaluate(self, parent_values: np.ndarray) -> np.ndarray:
-        """parent_values: (..., n, k) columns in parent order; returns (..., n).
-
-        Leading axes stack independent (n, k) blocks; each block's
-        contraction is its own matmul, so a block's result does not depend
-        on what it is stacked with.
-        """
-        parent_values = np.asarray(parent_values, dtype=float)
-        shape = parent_values.shape[:-1]
-        out = np.full(shape, self.const, dtype=float)
-        if self.linear:
-            out += parent_values[..., : len(self.linear)] @ np.asarray(self.linear)
-        if self.sig_scale != 0.0:
-            arg = np.full(shape, self.sig_bias, dtype=float)
-            if self.sig_linear:
-                arg += parent_values[..., : len(self.sig_linear)] @ np.asarray(self.sig_linear)
-            out += self.sig_scale * expit(arg)
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,11 +137,6 @@ class StructuralEquation:
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
-        if any(p >= self.node for p in self.parents):
-            raise ValueError(
-                f"equation for node {self.node}: parents {self.parents} must "
-                "precede the node in topological order"
-            )
         if self.mechanism.arity() > len(self.parents):
             raise ValueError(
                 f"equation for node {self.node}: mechanism expects "
@@ -177,17 +155,19 @@ class SampleSet:
         if self.values.shape != self.noise.shape:
             raise ValueError("values and noise shapes differ")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
     def row(self, k: int) -> "SampleSet":
         return SampleSet(self.values[k : k + 1].copy(), self.noise[k : k + 1].copy())
 
 
 @dataclass(frozen=True)
 class ScmModel:
-    """Immutable structural causal model with one equation per node."""
+    """Immutable structural causal model with one equation per node.
+
+    Parents may carry any node id, as long as the equations form a DAG. At
+    construction the mechanisms are compiled once into dense coefficient
+    arrays (const, linear matrix, sigmoid scale/bias and sigmoid matrix)
+    plus a topological order, which propagate and abduce evaluate.
+    """
 
     name: str
     labels: tuple[str, ...]
@@ -210,6 +190,34 @@ class ScmModel:
             object.__setattr__(self, "context_count", len(self.labels))
         if not 0 <= self.context_count <= len(self.labels):
             raise ValueError("context_count out of range")
+        order = self.ground_truth_graph().topological_order()  # raises on a cycle
+        d = len(self.labels)
+        const, lin = np.zeros(d), np.zeros((d, d))
+        sig_scale, sig_bias, sig_lin = np.zeros(d), np.zeros(d), np.zeros((d, d))
+        for eq in self.equations:
+            m, v = eq.mechanism, eq.node
+            const[v], sig_scale[v], sig_bias[v] = m.const, m.sig_scale, m.sig_bias
+            for p, c in zip(eq.parents, m.linear):
+                lin[p, v] += c
+            for p, c in zip(eq.parents, m.sig_linear):
+                sig_lin[p, v] += c
+        # per node in topological order: (node, const, linear column,
+        # sigmoid (scale, bias, column)); zero terms are None and skipped
+        steps = tuple(
+            (
+                v,
+                float(const[v]),
+                lin[:, v] if lin[:, v].any() else None,
+                (sig_scale[v], sig_bias[v], sig_lin[:, v]) if sig_scale[v] != 0 else None,
+            )
+            for v in order
+        )
+        sig = np.flatnonzero(sig_scale)
+        sig_terms = (sig, sig_scale[sig], sig_bias[sig], sig_lin[:, sig]) if sig.size else None
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_const", const if const.any() else None)
+        object.__setattr__(self, "_lin", lin if lin.any() else None)
+        object.__setattr__(self, "_sig", sig_terms)
 
     @property
     def n_nodes(self) -> int:
@@ -225,18 +233,6 @@ class ScmModel:
             raise ValueError(f"node index {node} out of range for {self.n_nodes} nodes")
         return node
 
-    def _normalize_do(self, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Turn {node: scalar | (n,) array} into a (mask, values) pair."""
-        if not do:
-            return None
-        mask = np.zeros((n, self.n_nodes), dtype=bool)
-        values = np.zeros((n, self.n_nodes), dtype=float)
-        for key, val in do.items():
-            idx = self.node_index(key)
-            mask[:, idx] = True
-            values[:, idx] = np.broadcast_to(np.asarray(val, dtype=float), (n,))
-        return mask, values
-
     def propagate(
         self,
         noise: np.ndarray,
@@ -245,18 +241,26 @@ class ScmModel:
     ) -> np.ndarray:
         """Evaluate all equations in topological order against given noise.
 
-        noise is (..., n, d): leading axes stack independent blocks of rows.
-        Intervened entries (do_mask True) are clamped to do_values and their
-        descendants see the clamped value.
+        noise is (..., n, d): leading axes stack independent blocks of rows,
+        each contracted on its own. Intervened entries (do_mask True) are
+        clamped to do_values and their descendants see the clamped value.
         """
         noise = np.asarray(noise, dtype=float)
-        out = np.empty_like(noise)
-        for eq in self.equations:
-            mech = eq.mechanism.evaluate(out[..., list(eq.parents)]) + noise[..., eq.node]
+        # zeros, not empty: columns not yet evaluated meet zero coefficients,
+        # and NaN * 0 would still be NaN
+        out = np.zeros_like(noise)
+        for v, const, lin, sig in self._steps:
+            mech = None if lin is None else out @ lin
+            if const:
+                mech = const if mech is None else const + mech
+            if sig is not None:
+                scale, bias, coef = sig
+                term = scale * expit(bias + out @ coef)
+                mech = term if mech is None else mech + term
+            mech = noise[..., v] if mech is None else mech + noise[..., v]
             if do_mask is not None:
-                out[..., eq.node] = np.where(do_mask[..., eq.node], do_values[..., eq.node], mech)
-            else:
-                out[..., eq.node] = mech
+                mech = np.where(do_mask[..., v], do_values[..., v], mech)
+            out[..., v] = mech
         return out
 
     def draw_noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -275,14 +279,16 @@ class ScmModel:
         """Recover exogenous noise exactly from observed rows (additive noise).
 
         values is (n, d) or a (..., n, d) stack of blocks, as in propagate.
+        Every equation is evaluated at once on the observed parents.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        noise = np.empty_like(values)
-        for eq in self.equations:
-            noise[..., eq.node] = values[..., eq.node] - eq.mechanism.evaluate(
-                values[..., list(eq.parents)]
-            )
-        return SampleSet(values.copy(), noise)
+        mech = np.zeros_like(values) if self._lin is None else values @ self._lin
+        if self._const is not None:
+            mech = self._const + mech
+        if self._sig is not None:
+            cols, scale, bias, coef = self._sig
+            mech[..., cols] += scale * expit(bias + values @ coef)
+        return SampleSet(values.copy(), values - mech)
 
     def counterfactual(self, base: SampleSet, do: Mapping | None = None) -> np.ndarray:
         """Clamp intervened nodes, recompute descendants reusing stored noise.
@@ -291,8 +297,12 @@ class ScmModel:
         """
         if not do:
             return base.values.copy()
-        norm = self._normalize_do(do, base.n)
-        mask, values = norm
+        mask = np.zeros(base.values.shape, dtype=bool)
+        values = np.zeros(base.values.shape)
+        for key, val in do.items():
+            idx = self.node_index(key)
+            mask[:, idx] = True
+            values[:, idx] = val  # a scalar or an (n,) array
         return self.propagate(base.noise, mask, values)
 
     def ground_truth_graph(self) -> CausalGraph:
@@ -345,6 +355,31 @@ class ScmModel:
     @classmethod
     def from_json(cls, text: str) -> "ScmModel":
         return cls.from_json_dict(json.loads(text))
+
+    @classmethod
+    def linear(cls, weights, noise_std: float = 1.0, labels=None) -> "ScmModel":
+        """Linear SEM x_j = sum_k weights[k, j] x_k + normal(noise_std) noise.
+
+        weights must be a square DAG matrix with a zero diagonal; node ids
+        need not follow the topological order. Labels default to x0, x1, ...
+        """
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError("weights must be a square matrix")
+        d = w.shape[0]
+        if np.any(np.diag(w) != 0):
+            raise ValueError("self-weights must be zero")
+        labels = tuple(labels) if labels is not None else tuple(f"x{k}" for k in range(d))
+        if len(labels) != d:
+            raise ValueError("labels length must match dimension")
+        noise = NoiseSpec("normal", (noise_std,))
+        equations = []
+        for j in range(d):
+            parents = np.flatnonzero(w[:, j])
+            equations.append(
+                StructuralEquation(j, tuple(parents), Mechanism(linear=tuple(w[parents, j])), noise)
+            )
+        return cls(name="linear", labels=labels, equations=tuple(equations))
 
 
 def _builtin_table() -> dict[str, tuple[tuple[str, ...], tuple[StructuralEquation, ...]]]:

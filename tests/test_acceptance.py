@@ -18,9 +18,9 @@ from causalprobe import (
     ClassifierHead,
     DiscoveryConfig,
     EvaluationConfig,
-    LinearOracle,
+    Oracle,
     OracleConfig,
-    ScmOracle,
+    ScmModel,
     alignment_loss,
     builtin,
     correctness_index,
@@ -44,11 +44,15 @@ def report(criterion: int, text: str) -> None:
     print(f"\nACCEPTANCE {criterion}: PASS - {text}")
 
 
-def linear(entries, d, exo=1.0, config=NOISELESS):
+def weights(entries, d):
     w = np.zeros((d, d))
     for (i, j), v in entries.items():
         w[i, j] = v
-    return LinearOracle(w, config, exo_noise_std=exo)
+    return w
+
+
+def linear(entries, d, exo=1.0, config=NOISELESS):
+    return Oracle(ScmModel.linear(weights(entries, d), exo), config)
 
 
 def path_product_total(weights, i, j):
@@ -120,7 +124,7 @@ def test_criterion_3_edge_weight_correctness():
         for i in range(d):
             for j in range(d):
                 if i != j:
-                    expected = path_product_total(oracle.weights, i, j)
+                    expected = path_product_total(weights(entries, d), i, j)
                     got = edge_weight(oracle, i, j, base, cfg)
                     assert abs(got - expected) < 1e-9, (entries, i, j, got, expected)
                     checked += 1
@@ -130,7 +134,7 @@ def test_criterion_3_edge_weight_correctness():
     cfg = DiscoveryConfig(n_samples=1024, seed=0)
     base = noisy.sample_latents(cfg.n_samples, 3)
     for (i, j), _ in entries.items():
-        expected = path_product_total(noisy.weights, i, j)
+        expected = path_product_total(weights(entries, 3), i, j)
         got = edge_weight(noisy, i, j, base, cfg)
         assert abs(got - expected) / abs(expected) < 0.05
     got = edge_weight(noisy, 0, 2, base, cfg)
@@ -250,7 +254,7 @@ def test_criterion_7_faithfulness_ordering():
 
 
 def test_criterion_8_interventional_vs_independent():
-    oracle = ScmOracle(builtin("TI"), OracleConfig())
+    oracle = Oracle(builtin("TI"), OracleConfig())
     head = ClassifierHead(np.array([0.0, 1.0]), bias=-1.0)
     graph = discover(oracle, DiscoveryConfig(seed=0))
     latent = oracle.sample_latents(4, 3)[0]

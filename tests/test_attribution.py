@@ -11,9 +11,9 @@ from causalprobe import (
     AttributionConfig,
     ClassifierHead,
     DiscoveryConfig,
-    LinearOracle,
+    Oracle,
     OracleConfig,
-    ScmOracle,
+    ScmModel,
     builtin,
     confidence_delta,
     counterfactual_diff,
@@ -27,11 +27,11 @@ NOISELESS = OracleConfig(roundtrip_noise_std=0.0, standardize=False)
 
 
 def zero_oracle(d=3):
-    return LinearOracle(np.zeros((d, d)), NOISELESS, exo_noise_std=1.0)
+    return Oracle(ScmModel.linear(np.zeros((d, d))), NOISELESS)
 
 
 def ti_setup(noise=0.1):
-    oracle = ScmOracle(builtin("TI"), OracleConfig(roundtrip_noise_std=noise))
+    oracle = Oracle(builtin("TI"), OracleConfig(roundtrip_noise_std=noise))
     head = ClassifierHead(np.array([0.0, 1.0]), bias=-1.0)
     graph = discover(oracle, DiscoveryConfig(seed=0))
     return oracle, head, graph
@@ -166,7 +166,7 @@ def test_confidence_delta_sign_tracks_classifier_weight():
 
 
 def test_confidence_delta_not_antisymmetric_on_saturating_mechanism():
-    oracle = ScmOracle(builtin("TI"), NOISELESS)
+    oracle = Oracle(builtin("TI"), NOISELESS)
     head = ClassifierHead(np.array([0.0, 0.05]), bias=-10.0)
     latent = np.array([4.0, 64 + 191 * 0.95])  # deep in the sigmoid's flat top
     up = confidence_delta(oracle, head, latent, {"t": 5.0}, seed=1)
@@ -183,7 +183,7 @@ def test_counterfactual_diff_empty_do():
 
 
 def test_counterfactual_diff_support_is_descendant_closed():
-    oracle = ScmOracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.0))
+    oracle = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.0))
     latent = oracle.sample_latents(1, 5)[0]
     lab = {name: k for k, name in enumerate(oracle.labels)}
     _, diff = counterfactual_diff(oracle, latent, {"t": latent[lab["t"]] + 1.0}, seed=0)
@@ -206,12 +206,12 @@ def test_attribution_config_validation():
 def batch_setup(kind, policy):
     config = OracleConfig(noise_policy=policy)
     if kind == "TSWI":
-        oracle = ScmOracle(builtin(kind), config)
+        oracle = Oracle(builtin(kind), config)
     else:
         # d = 9 reaches the BLAS kernels that round a row by its position
         rng = np.random.default_rng(11)
         w = np.triu(rng.uniform(-1.0, 1.0, (9, 9)), k=1) * (rng.random((9, 9)) < 0.4)
-        oracle = LinearOracle(w, config)
+        oracle = Oracle(ScmModel.linear(w), replace(config, standardize=False))
     return oracle, discover(oracle, DiscoveryConfig(n_samples=64, seed=0))
 
 

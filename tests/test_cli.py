@@ -189,6 +189,40 @@ def test_explain_rejects_non_finite_intervention(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "base,section,key,command",
+    [
+        (TI_CFG, None, "discovry", "discover"),
+        (TI_CFG, "oracle", "modle", "sample"),
+        (TI_CFG, "sample", "nn", "sample"),
+        (TI_CFG, "sample", "nn", "discover"),  # checked whatever the command reads
+        (TI_CFG, "classifier", "wieghts", "explain"),
+        (TI_CFG, "explain", "indx", "explain"),
+        (TI_CFG, "evaluate", "n_explanation", "evaluate"),
+        (TI_CFG, "attribution", "n_perturbation", "sample"),
+        (ZERO_CFG, "oracle", "model", "discover"),  # an scm key in a linear spec
+        (ZERO_CFG, "oracle", "noise", "sample"),
+    ],
+)
+def test_unknown_config_keys_rejected(tmp_path, capsys, base, section, key, command):
+    cfg = json.loads(json.dumps(base))
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = 1
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    name = key if section is None else f"{section}.{key}"
+    assert err["error"] == "ValueError" and f"unknown config key '{name}'" in err["message"]
+    assert not out.exists()
+
+
+def test_sample_linear_config(tmp_path):
+    out = tmp_path / "lin"
+    assert main(["sample", "--config", write_cfg(tmp_path, ZERO_CFG), "--out", str(out)]) == 0
+    lines = (out / "samples.csv").read_text().strip().splitlines()
+    assert lines[0] == "x0,x1,x2"
+    assert len(lines) == 101  # header + the default 100 rows
+
+
+@pytest.mark.parametrize(
     "command,extra",
     [
         ("sample", []),

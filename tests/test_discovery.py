@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalprobe import (
     CausalGraph,
     DiscoveryConfig,
-    LinearOracle,
+    Oracle,
     OracleConfig,
-    ScmOracle,
+    ScmModel,
     builtin,
     correctness_index,
     discover,
@@ -15,7 +17,6 @@ from causalprobe import (
     prune_indirect,
     resolve_cycles,
 )
-from causalprobe.oracle import Oracle
 
 NOISELESS = OracleConfig(roundtrip_noise_std=0.0, standardize=False)
 
@@ -24,7 +25,7 @@ def linear(weight_entries, d, exo=1.0, config=NOISELESS):
     w = np.zeros((d, d))
     for (i, j), v in weight_entries.items():
         w[i, j] = v
-    return LinearOracle(w, config, exo_noise_std=exo)
+    return Oracle(ScmModel.linear(w, exo), config)
 
 
 def path_product_total(weights, i, j):
@@ -41,21 +42,6 @@ def path_product_total(weights, i, j):
                     total += acc * w
                 stack.append((nxt, acc * w))
     return total
-
-
-class IgnoresInterventions(Oracle):
-    """Stub whose query never honors the do-set (degenerate denominator)."""
-
-    def __init__(self):
-        self.labels = ("a", "b")
-        self.observed_count = 2
-        self.config = NOISELESS
-
-    def sample_latents(self, n, seed):
-        return np.zeros((n, 2))
-
-    def _propagate(self, base, do_mask, do_values, rng):
-        return np.asarray(base, dtype=float).copy()
 
 
 def test_edge_weight_single_edge_exact():
@@ -87,7 +73,7 @@ def test_edge_weight_matches_path_products_on_random_dag():
     d = 5
     w = np.triu(rng.uniform(0.3, 1.0, (d, d)), k=1)
     w[w < 0.5] = 0.0
-    oracle = LinearOracle(w, NOISELESS, exo_noise_std=1.0)
+    oracle = Oracle(ScmModel.linear(w), NOISELESS)
     cfg = DiscoveryConfig(n_samples=64, seed=3)
     base = oracle.sample_latents(cfg.n_samples, 2)
     for i in range(d):
@@ -107,11 +93,12 @@ def test_edge_weight_same_feature_rejected():
 
 
 def test_edge_weight_degenerate_flag():
-    oracle = IgnoresInterventions()
+    # a zero-magnitude sweep leaves every source unchanged: no usable denominator
+    oracle = linear({(0, 1): 2.0}, 2)
     cfg = DiscoveryConfig(n_samples=8, seed=0)
     base = oracle.sample_latents(8, 0)
     with pytest.warns(RuntimeWarning, match="denominator"):
-        assert edge_weight(oracle, 0, 1, base, cfg) == 0.0
+        assert edge_weight(oracle, 0, 1, base, cfg, magnitude=0.0) == 0.0
 
 
 def test_propose_edges_chain_candidates():
@@ -133,7 +120,7 @@ def test_propose_edges_empty_mechanism():
 
 
 def test_propose_edges_ti_direction():
-    oracle = ScmOracle(builtin("TI"), OracleConfig(roundtrip_noise_std=0.0))
+    oracle = Oracle(builtin("TI"), OracleConfig(roundtrip_noise_std=0.0))
     cfg = DiscoveryConfig(n_samples=128, seed=0)
     base = oracle.sample_latents(cfg.n_samples, 1)
     candidates, _ = propose_edges(oracle, base, cfg)
@@ -190,7 +177,7 @@ def test_resolve_cycles_three_cycle():
 
 
 def test_discover_ti_exact():
-    oracle = ScmOracle(builtin("TI"), OracleConfig())
+    oracle = Oracle(builtin("TI"), OracleConfig())
     graph = discover(oracle, DiscoveryConfig(seed=0))
     assert graph.edge_set() == {(0, 1)}
     assert graph.labels == ["t", "i"]
@@ -203,14 +190,14 @@ def test_discover_zero_matrix_empty():
 
 
 def test_discover_tswi_correctness_over_runs():
-    oracle = ScmOracle(builtin("TSWI"), OracleConfig())
+    oracle = Oracle(builtin("TSWI"), OracleConfig())
     truth = oracle.ground_truth_graph()
     graphs = [discover(oracle, DiscoveryConfig(seed=s)) for s in range(5)]
     assert correctness_index(graphs, truth) >= 0.94
 
 
 def test_discover_deterministic():
-    oracle = ScmOracle(builtin("TSWI"), OracleConfig(seed=4))
+    oracle = Oracle(builtin("TSWI"), OracleConfig(seed=4))
     a = discover(oracle, DiscoveryConfig(seed=11))
     b = discover(oracle, DiscoveryConfig(seed=11))
     assert a.edges == b.edges
@@ -220,10 +207,23 @@ def test_discover_deterministic():
 
 def test_discover_output_is_dag():
     for seed in range(3):
-        oracle = ScmOracle(builtin("TSWI"), OracleConfig(seed=seed))
+        oracle = Oracle(builtin("TSWI"), OracleConfig(seed=seed))
         g = discover(oracle, DiscoveryConfig(seed=seed))
         assert g.is_dag()
         assert all(i != j for (i, j) in g.edges)
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.integers(2, 6), noise=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**16))
+def test_discover_output_is_dag_on_random_linear_sems(d, noise, seed):
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(-1.0, 1.0, (d, d)), k=1) * (rng.random((d, d)) < 0.6)
+    perm = rng.permutation(d)  # node ids away from topological order
+    config = OracleConfig(roundtrip_noise_std=noise, standardize=False)
+    oracle = Oracle(ScmModel.linear(w[np.ix_(perm, perm)]), config)
+    g = discover(oracle, DiscoveryConfig(n_samples=32, threshold=0.02, seed=seed))
+    assert g.is_dag()
+    assert all(i != j for (i, j) in g.edges)
 
 
 def test_discover_recovers_exact_diamond():

@@ -1,18 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalprobe import (
-    ClassifierHead,
-    LatentVector,
-    LinearOracle,
-    OracleConfig,
-    ScmOracle,
-    builtin,
-    classify,
-)
-from causalprobe.scm import ZERO_NOISE
+from causalprobe import ClassifierHead, NoiseSpec, Oracle, OracleConfig, ScmModel, builtin
+from causalprobe.cli import build_oracle
 
 NOISELESS = OracleConfig(roundtrip_noise_std=0.0, standardize=False)
 
@@ -25,18 +19,18 @@ def chain_weights(a=0.5, b=0.8, d=3):
 
 
 def test_noiseless_identity_round_trip():
-    oracle = ScmOracle(builtin("TSWI"), NOISELESS)
+    oracle = Oracle(builtin("TSWI"), NOISELESS)
     base = oracle.sample_latents(8, 3)
     assert np.array_equal(oracle.query(base, None, seed=0), base)
     # the standardized chart is also self-consistent
-    std_oracle = ScmOracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.0))
+    std_oracle = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.0))
     zbase = std_oracle.sample_latents(8, 3)
     assert np.allclose(std_oracle.query(zbase, None, seed=0), zbase)
 
 
 def test_scm_oracle_matches_model_counterfactual():
     model = builtin("TSWI")
-    oracle = ScmOracle(model, NOISELESS)
+    oracle = Oracle(model, NOISELESS)
     base = model.sample(16, 5)
     out = oracle.query(base.values, {"t": base.values[:, 0] + 1.0}, seed=0)
     expected = model.counterfactual(base, {"t": base.values[:, 0] + 1.0})
@@ -45,7 +39,7 @@ def test_scm_oracle_matches_model_counterfactual():
 
 def test_standardized_chart_is_affine_conjugation():
     model = builtin("TSWI")
-    oracle = ScmOracle(model, OracleConfig(roundtrip_noise_std=0.0, standardize=True))
+    oracle = Oracle(model, OracleConfig(roundtrip_noise_std=0.0, standardize=True))
     base_raw = model.sample(16, 5)
     chart = oracle.to_chart(base_raw.values)
     do_chart = {"t": chart[:, 0] + 1.0}
@@ -56,7 +50,7 @@ def test_standardized_chart_is_affine_conjugation():
 
 
 def test_ti_intervention_moves_only_intensity():
-    oracle = ScmOracle(builtin("TI"), NOISELESS)
+    oracle = Oracle(builtin("TI"), NOISELESS)
     base = oracle.sample_latents(8, 1)
     out = oracle.query(base, {"t": base[:, 0] + 1.0}, seed=0)
     from scipy.special import expit
@@ -67,7 +61,7 @@ def test_ti_intervention_moves_only_intensity():
 
 
 def test_roundtrip_noise_variance():
-    oracle = ScmOracle(builtin("TI"), OracleConfig(roundtrip_noise_std=0.1, standardize=False))
+    oracle = Oracle(builtin("TI"), OracleConfig(roundtrip_noise_std=0.1, standardize=False))
     base = np.tile(oracle.sample_latents(1, 2), (10_000, 1))
     out = oracle.query(base, None, seed=42)
     var = (out - base).var(axis=0)
@@ -75,7 +69,7 @@ def test_roundtrip_noise_variance():
 
 
 def test_query_purity():
-    oracle = ScmOracle(builtin("TI"), OracleConfig(roundtrip_noise_std=0.1))
+    oracle = Oracle(builtin("TI"), OracleConfig(roundtrip_noise_std=0.1))
     base = oracle.sample_latents(4, 9)
     a = oracle.query(base, {"t": 1.0}, seed=77)
     b = oracle.query(base, {"t": 1.0}, seed=77)
@@ -85,7 +79,7 @@ def test_query_purity():
 
 
 def test_do_out_of_range_rejected():
-    oracle = ScmOracle(builtin("TI"), NOISELESS)
+    oracle = Oracle(builtin("TI"), NOISELESS)
     base = oracle.sample_latents(2, 0)
     with pytest.raises(ValueError, match="out of range"):
         oracle.query(base, {5: 1.0}, seed=0)
@@ -95,7 +89,7 @@ def test_do_out_of_range_rejected():
 
 def test_resample_policy_redraws_noise():
     cfg = OracleConfig(roundtrip_noise_std=0.0, noise_policy="resample", standardize=False)
-    oracle = ScmOracle(builtin("TI"), cfg)
+    oracle = Oracle(builtin("TI"), cfg)
     base = oracle.sample_latents(32, 4)
     out = oracle.query(base, None, seed=5)
     # fresh exogenous noise: re-encoded rows differ from the base draw
@@ -107,21 +101,21 @@ def test_resample_policy_redraws_noise():
 def test_linear_oracle_single_edge():
     w = np.zeros((2, 2))
     w[0, 1] = 2.0
-    oracle = LinearOracle(w, NOISELESS, exo_noise_std=0.0)
+    oracle = Oracle(ScmModel.linear(w, noise_std=0.0), NOISELESS)
     base = oracle.sample_latents(4, 0)
     out = oracle.query(base, {0: base[:, 0] + 1.0}, seed=0)
     assert np.allclose(out[:, 1] - base[:, 1], 2.0)
 
 
 def test_linear_oracle_zero_matrix_disentangled():
-    oracle = LinearOracle(np.zeros((3, 3)), NOISELESS, exo_noise_std=1.0)
+    oracle = Oracle(ScmModel.linear(np.zeros((3, 3))), NOISELESS)
     base = oracle.sample_latents(16, 8)
     out = oracle.query(base, {1: base[:, 1] + 1.0}, seed=0)
     assert np.allclose(out[:, [0, 2]], base[:, [0, 2]])
 
 
 def test_linear_oracle_chain_path_product():
-    oracle = LinearOracle(chain_weights(0.5, 0.8), NOISELESS, exo_noise_std=1.0)
+    oracle = Oracle(ScmModel.linear(chain_weights(0.5, 0.8)), NOISELESS)
     base = oracle.sample_latents(16, 2)
     out = oracle.query(base, {0: base[:, 0] + 1.0}, seed=0)
     assert np.allclose(out[:, 2] - base[:, 2], 0.5 * 0.8)
@@ -132,19 +126,32 @@ def test_linear_oracle_cyclic_rejected():
     w[0, 1] = 1.0
     w[1, 0] = 1.0
     with pytest.raises(ValueError, match="cycle"):
-        LinearOracle(w, NOISELESS)
+        ScmModel.linear(w)
+    with pytest.raises(ValueError, match="self-weights"):
+        ScmModel.linear(np.eye(2))
+    with pytest.raises(ValueError, match="square"):
+        ScmModel.linear(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="labels"):
+        ScmModel.linear(np.zeros((2, 2)), labels=("a",))
 
 
-def test_linear_oracle_json_round_trip():
+def test_linear_oracle_json_round_trip(tmp_path):
     doc = {
         "dim": 3,
         "edges": [{"from": 0, "to": 1, "weight": 0.5}, {"from": 1, "to": 2, "weight": 0.8}],
         "noise_std": 0.7,
     }
-    oracle = LinearOracle.from_json_dict(doc, NOISELESS)
-    assert oracle.exo_noise_std == 0.7
-    assert oracle.weights[0, 1] == 0.5
-    assert oracle.ground_truth_graph().edge_set() == {(0, 1), (1, 2)}
+    path = tmp_path / "sem.json"
+    path.write_text(json.dumps(doc))
+    for spec in (dict(doc, kind="linear"), {"kind": "linear", "file": str(path)}):
+        oracle = build_oracle({"oracle": spec}, seed=0)
+        eq = oracle.model.equations[1]
+        assert eq.noise == NoiseSpec("normal", (0.7,))
+        assert (eq.parents, eq.mechanism.linear) == ((0,), (0.5,))
+        assert oracle.ground_truth_graph().edge_set() == {(0, 1), (1, 2)}
+        assert not oracle.config.standardize  # the linear default: the raw chart
+    cfg = {"oracle": dict(doc, kind="linear"), "oracle_config": {"standardize": True}}
+    assert build_oracle(cfg, seed=0).config.standardize  # an explicit value holds
 
 
 def test_classifier_zero_weights_symmetric():
@@ -181,22 +188,6 @@ def test_classifier_dimension_mismatch():
         head.probabilities(np.zeros(4))
 
 
-def test_latent_vector_partition():
-    lv = LatentVector(np.arange(5.0), observed_count=2)
-    assert np.array_equal(lv.observed, [0.0, 1.0])
-    assert np.array_equal(lv.unobserved, [2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        LatentVector(np.arange(3.0), observed_count=4)
-
-
-def test_query_latent_wrapper():
-    oracle = ScmOracle(builtin("TI"), NOISELESS)
-    lv = LatentVector(oracle.sample_latents(1, 0)[0], oracle.observed_count)
-    out = oracle.query_latent(lv, None, seed=0)
-    assert np.array_equal(out.values, lv.values)
-    assert np.allclose(classify(ClassifierHead(np.zeros(2)), out), [0.5, 0.5])
-
-
 def random_dag_weights(d, rng):
     w = np.triu(rng.uniform(-1.0, 1.0, (d, d)), k=1) * (rng.random((d, d)) < 0.5)
     perm = rng.permutation(d)  # node ids away from topological order
@@ -215,12 +206,13 @@ def random_dag_weights(d, rng):
 )
 def test_query_stacked_blocks_equal_solo_queries(kind, policy, noise, m, n, shared_seed, seed):
     rng = np.random.default_rng(seed)
-    config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy)
-    if kind.startswith("linear"):
+    linear = kind.startswith("linear")
+    config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy, standardize=not linear)
+    if linear:
         # d = 9 reaches the BLAS kernels that round a row by its position
-        oracle = LinearOracle(random_dag_weights(int(kind[6:]), rng), config)
+        oracle = Oracle(ScmModel.linear(random_dag_weights(int(kind[6:]), rng)), config)
     else:
-        oracle = ScmOracle(builtin(kind), config)
+        oracle = Oracle(builtin(kind), config)
     base = oracle.sample_latents(m * n, seed).reshape(m, n, oracle.dim)
     mask = rng.random(base.shape) < 0.4
     mask[rng.random(m) < 0.3] = False  # blocks without an intervention
@@ -235,7 +227,7 @@ def test_query_stacked_blocks_equal_solo_queries(kind, policy, noise, m, n, shar
 
 
 def test_query_stacked_rejects_bad_shapes():
-    oracle = ScmOracle(builtin("TI"), NOISELESS)
+    oracle = Oracle(builtin("TI"), NOISELESS)
     with pytest.raises(ValueError, match="shape"):
         oracle.query_stacked(np.zeros((4, 2)), None, [0] * 4)
     with pytest.raises(ValueError, match="seeds"):

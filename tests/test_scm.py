@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
-from causalprobe import Mechanism, NoiseSpec, ScmModel, StructuralEquation, builtin
+from causalprobe import (
+    Mechanism,
+    NoiseSpec,
+    Oracle,
+    OracleConfig,
+    ScmModel,
+    StructuralEquation,
+    builtin,
+)
 from causalprobe.scm import ZERO_NOISE
 
 ZERO = {"t": ZERO_NOISE, "i": ZERO_NOISE, "s": ZERO_NOISE, "w": ZERO_NOISE}
@@ -64,8 +74,9 @@ def test_tswi_zero_noise_propagation():
 
 
 def test_sigmoid_mechanism_at_zero():
-    mech = Mechanism(sig_scale=1.0)
-    assert mech.evaluate(np.zeros((1, 0)))[0] == 0.5
+    eq = StructuralEquation(0, (), Mechanism(sig_scale=1.0), ZERO_NOISE)
+    model = ScmModel(name="sig", labels=("a",), equations=(eq,))
+    assert model.sample(1, 0).values[0, 0] == 0.5
 
 
 def test_sampling_deterministic():
@@ -166,8 +177,23 @@ def test_noise_spec_validation():
 
 
 def test_equation_ordering_validation():
-    with pytest.raises(ValueError, match="precede"):
-        StructuralEquation(0, (1,), Mechanism(linear=(1.0,)), ZERO_NOISE)
+    def model(*equations):
+        return ScmModel(name="m", labels=("a", "b", "c")[: len(equations)], equations=equations)
+
+    with pytest.raises(ValueError, match="cycle"):
+        model(
+            StructuralEquation(0, (1,), Mechanism(linear=(1.0,)), ZERO_NOISE),
+            StructuralEquation(1, (0,), Mechanism(linear=(1.0,)), ZERO_NOISE),
+        )
+    with pytest.raises(ValueError, match="self-loop"):
+        model(StructuralEquation(0, (0,), Mechanism(linear=(1.0,)), ZERO_NOISE))
+    # ids out of topological order: c -> a -> b
+    chain = model(
+        StructuralEquation(0, (2,), Mechanism(const=1.0, linear=(2.0,)), ZERO_NOISE),
+        StructuralEquation(1, (0,), Mechanism(linear=(3.0,)), ZERO_NOISE),
+        StructuralEquation(2, (), Mechanism(const=5.0), ZERO_NOISE),
+    )
+    assert chain.sample(2, 0).values.tolist() == [[11.0, 33.0, 5.0]] * 2
     with pytest.raises(ValueError, match="ordered"):
         ScmModel(
             name="bad",
@@ -214,3 +240,31 @@ def test_single_row_counterfactual():
     out = model.counterfactual(row, {"t": row.values[0, 0] + 1.0})
     assert out.shape == (1, 4)
     assert out[0, 0] == row.values[0, 0] + 1.0
+
+
+def random_dag_weights(d, rng):
+    w = np.triu(rng.uniform(-1.5, 1.5, (d, d)), k=1) * (rng.random((d, d)) < 0.5)
+    perm = rng.permutation(d)  # node ids away from topological order
+    return w[np.ix_(perm, perm)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 8), n=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_linear_engine_properties(d, n, seed):
+    rng = np.random.default_rng(seed)
+    w = random_dag_weights(d, rng)
+    model = ScmModel.linear(w, noise_std=rng.uniform(0.0, 2.0))
+    # abduction round trip on arbitrary rows
+    x = rng.normal(size=(n, d))
+    np.testing.assert_allclose(model.propagate(model.abduce(x).noise), x, rtol=1e-9, atol=1e-9)
+    # noiseless propagation against the closed form x = e (I - W)^-1
+    e = rng.normal(size=(n, d))
+    reference = e @ np.linalg.inv(np.eye(d) - w)
+    np.testing.assert_allclose(model.propagate(e), reference, rtol=1e-9, atol=1e-9)
+    # an empty intervention changes nothing
+    base = model.sample(n, seed)
+    assert np.array_equal(model.counterfactual(base, {}), base.values)
+    oracle = Oracle(model, OracleConfig(roundtrip_noise_std=0.0, standardize=False))
+    assert np.array_equal(oracle.query(base.values, {}, seed=seed), base.values)
+    no_do = (np.zeros((n, d), dtype=bool), rng.normal(size=(n, d)))
+    assert np.array_equal(oracle.query(base.values, no_do, seed=seed), base.values)
