@@ -75,6 +75,12 @@ def _jsonable(obj):
     return obj
 
 
+# sections that configure one stage's dataclass; the run derives its seed
+_STAGE_SECTIONS = {
+    "discovery": DiscoveryConfig,
+    "attribution": AttributionConfig,
+    "evaluation": EvaluationConfig,
+}
 # the keys each config section may hold; the oracle section's depend on its
 # kind and are checked where the model is built
 _SECTION_KEYS = {
@@ -83,9 +89,10 @@ _SECTION_KEYS = {
     "oracle": None,
     "oracle_config": [f.name for f in fields(OracleConfig)],
     "classifier": ("weights", "bias", "n_classes"),
-    "discovery": [f.name for f in fields(DiscoveryConfig)],
-    "attribution": [f.name for f in fields(AttributionConfig)],
-    "evaluation": [f.name for f in fields(EvaluationConfig)],
+    **{
+        name: [f.name for f in fields(cls) if f.name != "seed"]
+        for name, cls in _STAGE_SECTIONS.items()
+    },
     "sample": ("n",),
     "explain": ("index", "interventions"),
     "evaluate": ("n_explanations", "stability_index", "deterministic_seed"),
@@ -171,24 +178,9 @@ def build_head(cfg: dict) -> ClassifierHead:
     )
 
 
-def build_discovery_config(cfg: dict, seed: int) -> DiscoveryConfig:
-    args = dict(cfg.get("discovery", {}))
-    args.pop("seed", None)
-    return DiscoveryConfig(seed=seed, **args)
-
-
-def build_attribution_config(cfg: dict, seed: int, policy: str | None = None) -> AttributionConfig:
-    args = dict(cfg.get("attribution", {}))
-    args.pop("seed", None)
-    if policy is not None:
-        args["perturbation_policy"] = policy
-    return AttributionConfig(seed=seed, **args)
-
-
-def build_evaluation_config(cfg: dict, seed: int) -> EvaluationConfig:
-    args = dict(cfg.get("evaluation", {}))
-    args.pop("seed", None)
-    return EvaluationConfig(seed=seed, **args)
+def build_stage_config(cfg: dict, section: str, seed: int):
+    """The stage dataclass of a config section, seeded by the run."""
+    return _STAGE_SECTIONS[section](seed=seed, **cfg.get(section, {}))
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, seed: int, outputs) -> None:
@@ -213,7 +205,7 @@ def _parse_intervention(spec: str, oracle, latent: np.ndarray) -> tuple[str, int
                 value = float(raw)
             except ValueError as exc:
                 raise ValueError(f"bad intervention value in {spec!r}") from exc
-            idx = oracle.index_of(name)
+            idx = oracle.model.node_index(name)
             if op == "+=":
                 value = float(latent[idx] + value)
             elif op == "-=":
@@ -261,8 +253,8 @@ def _consensus(runs: list[CausalGraph], labels) -> CausalGraph:
 
 def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     oracle = build_oracle(cfg, seed)
-    dcfg = build_discovery_config(cfg, seed)
-    ecfg = build_evaluation_config(cfg, seed)
+    dcfg = build_stage_config(cfg, "discovery", seed)
+    ecfg = build_stage_config(cfg, "evaluation", seed)
     pool_size = int(cfg.get("pool_size", 1024))
     if pool_size < dcfg.n_samples:
         raise ValueError("pool_size must be at least discovery n_samples")
@@ -385,10 +377,12 @@ def run_explain(
 ) -> dict:
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg)
-    dcfg = build_discovery_config(cfg, _derive_seed(seed, 13))
+    dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
     graph = discover(oracle, dcfg)
     latent = _resolve_latent(cfg, oracle, seed, index, latent_csv)
-    acfg = build_attribution_config(cfg, _derive_seed(seed, 14), policy)
+    acfg = build_stage_config(cfg, "attribution", _derive_seed(seed, 14))
+    if policy is not None:
+        acfg = replace(acfg, perturbation_policy=policy)
     explanation = lime_latent(oracle, head, graph, latent, acfg)
 
     specs = list(cfg.get("explain", {}).get("interventions", [])) + list(do_specs)
@@ -451,10 +445,10 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     det = bool(ev.get("deterministic_seed", True))
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg)
-    dcfg = build_discovery_config(cfg, _derive_seed(seed, 13))
+    dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
     graph = discover(oracle, dcfg)
-    acfg = build_attribution_config(cfg, 0)
-    ecfg = build_evaluation_config(cfg, seed)
+    acfg = build_stage_config(cfg, "attribution", 0)
+    ecfg = build_stage_config(cfg, "evaluation", seed)
     fixed_seed = _derive_seed(seed, 14)
 
     latents = oracle.sample_latents(n_expl, [seed, 16])

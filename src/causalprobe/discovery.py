@@ -79,8 +79,8 @@ def edge_weight(
     """
     if i == j:
         raise ValueError("edge weight needs distinct features")
-    i = oracle.index_of(i)
-    j = oracle.index_of(j)
+    i = oracle.model.node_index(i)
+    j = oracle.model.node_index(j)
     mag = config.intervention_magnitude if magnitude is None else magnitude
     if seed is None:
         seed = [config.seed, 1, i, 0 if mag >= 0 else 1]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .graph import CausalGraph
 
@@ -114,7 +113,16 @@ def _as_columns(x: np.ndarray) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError("samples must be a vector or a matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must be finite")
     return arr
+
+
+def _average_ranks(col: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the rank of each group's last member
+    return (last - 0.5 * (counts - 1))[inverse]
 
 
 def _bin_codes(x: np.ndarray, bins: int) -> np.ndarray:
@@ -125,7 +133,7 @@ def _bin_codes(x: np.ndarray, bins: int) -> np.ndarray:
         raise ValueError(f"need at least {bins} rows for {bins} bins, got {n}")
     codes = np.empty(arr.shape, dtype=np.int64)
     for c in range(arr.shape[1]):
-        u = rankdata(arr[:, c], method="average") / n
+        u = _average_ranks(arr[:, c]) / n
         codes[:, c] = np.minimum((u * bins).astype(np.int64), bins - 1)
     return codes
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CausalGraph
-from .scm import ScmModel
+from .scm import ScmModel, logistic
 
 _STANDARDIZE_DRAWS = 4096
 
@@ -79,41 +79,6 @@ class Oracle:
     def dim(self) -> int:
         return len(self.labels)
 
-    def index_of(self, feature) -> int:
-        if isinstance(feature, str):
-            if feature not in self.labels:
-                raise ValueError(
-                    f"unknown feature {feature!r}; known features: {list(self.labels)}"
-                )
-            return self.labels.index(feature)
-        idx = int(feature)
-        if not 0 <= idx < self.dim:
-            raise ValueError(f"feature index {idx} out of range for dimension {self.dim}")
-        return idx
-
-    def normalize_do(
-        self, do, n: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Accepts None, {feature: scalar | (n,) array}, or a (mask, values) pair."""
-        if do is None:
-            return None
-        if isinstance(do, tuple):
-            mask, values = do
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), (n, self.dim)).copy()
-            values = np.broadcast_to(np.asarray(values, dtype=float), (n, self.dim)).copy()
-            if not mask.any():
-                return None
-            return mask, values
-        if not do:
-            return None
-        mask = np.zeros((n, self.dim), dtype=bool)
-        values = np.zeros((n, self.dim), dtype=float)
-        for key, val in do.items():
-            idx = self.index_of(key)
-            mask[:, idx] = True
-            values[:, idx] = val  # a scalar or an (n,) array
-        return mask, values
-
     def to_chart(self, raw: np.ndarray) -> np.ndarray:
         raw = np.asarray(raw, dtype=float)
         if not self.config.standardize:
@@ -132,14 +97,15 @@ class Oracle:
     def query(self, base: np.ndarray, do=None, seed=0) -> np.ndarray:
         """Re-encode base rows under an optional intervention.
 
-        base: (d,) or (n, d) latent rows in the oracle's chart. Returns the
-        intervened, noise-perturbed rows with matching shape. This is
-        query_stacked with a single block.
+        base: (d,) or (n, d) latent rows in the oracle's chart; do: any
+        intervention ScmModel.normalize_do accepts, its values in the chart.
+        Returns the intervened, noise-perturbed rows with matching shape.
+        This is query_stacked with a single block.
         """
         arr = np.asarray(base, dtype=float)
         single = arr.ndim == 1
         rows = np.atleast_2d(arr)
-        norm = self.normalize_do(do, rows.shape[0])
+        norm = self.model.normalize_do(do, rows.shape[0])
         stacked_do = None if norm is None else (norm[0][None], norm[1][None])
         out = self.query_stacked(rows[None], stacked_do, [seed])[0]
         return out[0] if single else out
@@ -252,10 +218,7 @@ class ClassifierHead:
         if rows.shape[-1] != self.dim:
             raise ValueError(f"latent dimension {rows.shape[-1]} != head dimension {self.dim}")
         if self.weights.ndim == 1:
-            z = rows @ self.weights + self.bias[0]
-            # numerically stable logistic pair
-            znorm = np.clip(z, -700, 700)
-            p = 1.0 / (1.0 + np.exp(-znorm))
+            p = logistic(rows @ self.weights + self.bias[0])
             probs = np.stack([1.0 - p, p], axis=-1)
         else:
             z = rows @ self.weights.T + self.bias

@@ -14,11 +14,19 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from .graph import CausalGraph
 
 BUILTIN_NAMES = ("TI", "IT", "TS", "TSWI")
+
+
+def logistic(z):
+    """The logistic sigmoid 1 / (1 + exp(-z)), elementwise.
+
+    z is clipped to [-700, 700] first, so exp never overflows and the result
+    is finite and within [0, 1] for every finite z.
+    """
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
 
 
 @dataclass(frozen=True)
@@ -224,14 +232,38 @@ class ScmModel:
         return len(self.labels)
 
     def node_index(self, node) -> int:
+        """Column of a node given by label or by integer id."""
         if isinstance(node, str):
             if node not in self.labels:
-                raise ValueError(f"unknown node {node!r}; known nodes: {list(self.labels)}")
+                raise ValueError(f"unknown node {node!r}; known features: {list(self.labels)}")
             return self.labels.index(node)
         node = int(node)
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node index {node} out of range for {self.n_nodes} nodes")
         return node
+
+    def normalize_do(self, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(mask, values) arrays of shape (n, d) for an intervention, or None
+        when it clamps nothing.
+
+        do is None, {node: scalar | (n,) array} with nodes given as in
+        node_index, or a (mask, values) pair broadcastable to (n, d).
+        """
+        if do is None:
+            return None
+        shape = (n, self.n_nodes)
+        if isinstance(do, tuple):
+            mask = np.broadcast_to(np.asarray(do[0], dtype=bool), shape).copy()
+            values = np.broadcast_to(np.asarray(do[1], dtype=float), shape).copy()
+            return (mask, values) if mask.any() else None
+        if not do:
+            return None
+        mask, values = np.zeros(shape, dtype=bool), np.zeros(shape)
+        for key, val in do.items():
+            idx = self.node_index(key)
+            mask[:, idx] = True
+            values[:, idx] = val  # a scalar or an (n,) array
+        return mask, values
 
     def propagate(
         self,
@@ -255,7 +287,7 @@ class ScmModel:
                 mech = const if mech is None else const + mech
             if sig is not None:
                 scale, bias, coef = sig
-                term = scale * expit(bias + out @ coef)
+                term = scale * logistic(bias + out @ coef)
                 mech = term if mech is None else mech + term
             mech = noise[..., v] if mech is None else mech + noise[..., v]
             if do_mask is not None:
@@ -287,23 +319,19 @@ class ScmModel:
             mech = self._const + mech
         if self._sig is not None:
             cols, scale, bias, coef = self._sig
-            mech[..., cols] += scale * expit(bias + values @ coef)
+            mech[..., cols] += scale * logistic(bias + values @ coef)
         return SampleSet(values.copy(), values - mech)
 
-    def counterfactual(self, base: SampleSet, do: Mapping | None = None) -> np.ndarray:
+    def counterfactual(self, base: SampleSet, do=None) -> np.ndarray:
         """Clamp intervened nodes, recompute descendants reusing stored noise.
 
-        With an empty intervention set this is the identity on base.values.
+        do takes any form normalize_do accepts. With an empty intervention
+        set this is the identity on base.values.
         """
-        if not do:
+        norm = self.normalize_do(do, base.values.shape[0])
+        if norm is None:
             return base.values.copy()
-        mask = np.zeros(base.values.shape, dtype=bool)
-        values = np.zeros(base.values.shape)
-        for key, val in do.items():
-            idx = self.node_index(key)
-            mask[:, idx] = True
-            values[:, idx] = val  # a scalar or an (n,) array
-        return self.propagate(base.noise, mask, values)
+        return self.propagate(base.noise, *norm)
 
     def ground_truth_graph(self) -> CausalGraph:
         edges = {}

@@ -1,8 +1,14 @@
+import csv
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import causalprobe
 from causalprobe.cli import main
 
 TI_CFG = {
@@ -201,6 +207,10 @@ def test_explain_rejects_non_finite_intervention(tmp_path, capsys):
         (TI_CFG, "attribution", "n_perturbation", "sample"),
         (ZERO_CFG, "oracle", "model", "discover"),  # an scm key in a linear spec
         (ZERO_CFG, "oracle", "noise", "sample"),
+        # the run derives every stage seed from its own seed
+        (TI_CFG, "discovery", "seed", "discover"),
+        (TI_CFG, "attribution", "seed", "explain"),
+        (TI_CFG, "evaluation", "seed", "evaluate"),
     ],
 )
 def test_unknown_config_keys_rejected(tmp_path, capsys, base, section, key, command):
@@ -247,3 +257,76 @@ def test_seed_changes_outputs(tmp_path):
     assert main(["sample", "--config", cfg, "--out", str(out_a)]) == 0
     assert main(["sample", "--config", cfg, "--out", str(out_b), "--seed", "8"]) == 0
     assert (out_a / "samples.csv").read_bytes() != (out_b / "samples.csv").read_bytes()
+
+
+# runs every subcommand with scipy unimportable: numpy is the only runtime
+# dependency
+_WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"blocked import of {name}")
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy imported despite the block")
+from causalprobe.cli import main
+
+config, out = sys.argv[1:]
+for command in ("sample", "discover", "explain", "evaluate"):
+    code = main([command, "--config", config, "--out", f"{out}/{command}"])
+    if code:
+        sys.exit(f"{command} exited {code}")
+"""
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        return [v for item in doc.values() for v in _numbers(item)]
+    if isinstance(doc, list):
+        return [v for item in doc for v in _numbers(item)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def _csv_numbers(path):
+    cells = [cell for row in csv.reader(path.open()) for cell in row]
+    numbers = []
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass  # a label, a header or an empty cell
+    return numbers
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = str(Path(causalprobe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cfg = write_cfg(tmp_path, dict(TI_CFG, explain={"interventions": ["t+=1"]}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, cfg, str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outputs = {
+        "sample": ["samples.csv"],
+        "discover": ["graph.json", "report.json", "report.csv"],
+        "explain": ["explanation.json", "explanation.csv", "confidence_delta.csv",
+                    "counterfactual_diff.csv"],
+        "evaluate": ["metrics.json", "metrics.csv"],
+    }
+    for command, names in outputs.items():
+        for name in names:
+            path = tmp_path / "runs" / command / name
+            numbers = (
+                _numbers(json.loads(path.read_text())) if name.endswith(".json")
+                else _csv_numbers(path)
+            )
+            assert numbers and all(math.isfinite(v) for v in numbers), (command, name)

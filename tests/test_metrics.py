@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from causalprobe import (
     CausalGraph,
@@ -11,6 +14,7 @@ from causalprobe import (
     mutual_information,
     stability,
 )
+from causalprobe.metrics import _average_ranks, joint_feasible
 
 CFG = EvaluationConfig()
 
@@ -202,3 +206,84 @@ def test_metrics_report_field_invariants():
         MetricsReport(correctness_index=None, stability=0.1, faithfulness_index=0.5, details={})
     with pytest.raises(ValueError):
         MetricsReport(correctness_index=None, stability=0.0, faithfulness_index=1.5, details={})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_non_finite_samples(bad):
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(400, 2))
+    y = x + rng.normal(size=(400, 2))
+    x[17, 1] = bad
+    calls = [
+        lambda: entropy(x, CFG),
+        lambda: mutual_information(x, y, CFG),
+        lambda: mutual_information(y, x, CFG),
+        lambda: faithfulness_index(x, y, CFG),
+        lambda: faithfulness_index(y, x, CFG),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+# small integers give ties, other floats (signed zeros included) mostly none
+_COLUMN = st.lists(
+    st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=_COLUMN)
+def test_average_ranks_match_rankdata(values):
+    col = np.asarray(values, dtype=float)
+    ranks = _average_ranks(col)
+    assert ranks.tobytes() == rankdata(col, method="average").tobytes()
+
+
+_INCREASING = {
+    "exp": np.exp,
+    "cube": lambda v: v**3,
+    "affine": lambda v: 2.0 * v - 7.0,
+    "tanh": np.tanh,
+}
+
+
+def _coupled_pair(seed, n, dx, dy, tie_grid):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, dx))
+    y = x.mean(axis=1, keepdims=True) + rng.normal(size=(n, dy))
+    if tie_grid:  # rounding to a grid ties many values
+        x, y = np.round(x / tie_grid) * tie_grid, np.round(y / tie_grid) * tie_grid
+    return x, y
+
+
+# (rows, x columns, y columns, bins): the joint histogram is sampled in the
+# first and undersampled in the second, which takes the pairwise reduction
+MI_REGIMES = {"joint": (300, 1, 2, 4), "reduced": (300, 2, 3, 4)}
+
+
+def _per_column(maps, a):
+    return np.column_stack([_INCREASING[m](col) for m, col in zip(maps, a.T)])
+
+
+@pytest.mark.parametrize("regime", list(MI_REGIMES))
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tie_grid=st.sampled_from([0.0, 0.5]),
+    maps=st.lists(st.sampled_from(list(_INCREASING)), min_size=5, max_size=5),
+)
+def test_mi_symmetric_and_monotone_invariant(regime, seed, tie_grid, maps):
+    n, dx, dy, bins = MI_REGIMES[regime]
+    assert joint_feasible(n, dx + dy, bins) == (regime == "joint")
+    cfg = EvaluationConfig(mi_bins=bins)
+    x, y = _coupled_pair(seed, n, dx, dy, tie_grid)
+    mi = mutual_information(x, y, cfg)
+    assert mutual_information(y, x, cfg) == pytest.approx(mi, abs=1e-12)
+    mapped = mutual_information(_per_column(maps[:dx], x), _per_column(maps[dx:], y), cfg)
+    assert mapped == mi

@@ -13,7 +13,7 @@ from causalprobe import (
     StructuralEquation,
     builtin,
 )
-from causalprobe.scm import ZERO_NOISE
+from causalprobe.scm import ZERO_NOISE, logistic
 
 ZERO = {"t": ZERO_NOISE, "i": ZERO_NOISE, "s": ZERO_NOISE, "w": ZERO_NOISE}
 
@@ -268,3 +268,17 @@ def test_linear_engine_properties(d, n, seed):
     assert np.array_equal(oracle.query(base.values, {}, seed=seed), base.values)
     no_do = (np.zeros((n, d), dtype=bool), rng.normal(size=(n, d)))
     assert np.array_equal(oracle.query(base.values, no_do, seed=seed), base.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=st.lists(st.floats(-700, 700), min_size=1, max_size=20))
+def test_logistic_matches_expit(z):
+    z = np.asarray(z)
+    np.testing.assert_allclose(logistic(z), expit(z), rtol=1e-14, atol=0)
+
+
+def test_logistic_saturates_finite_without_overflow():
+    with np.errstate(all="raise"):
+        out = logistic(np.array([-800.0, -745.0, 0.0, 745.0, 800.0]))
+    assert np.all(np.isfinite(out)) and np.all((out >= 0) & (out <= 1))
+    assert out[2] == 0.5 and out[-1] == 1.0 and out[0] < 1e-300
