@@ -49,10 +49,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# rows per bulk write of a float block: bounds the text held in memory
+_CSV_CHUNK_ROWS = 4096
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            # the bytes writerow would give: %r of a Python float is _fmt's
+            # repr (tolist first: numpy 2 reprs np.float64 as "np.float64(..)"),
+            # no float repr needs quoting, and rows end in csv's "\r\n"
+            line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
+            for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+                block = rows[lo : lo + _CSV_CHUNK_ROWS].tolist()
+                fh.write("".join([line % tuple(row) for row in block]))
+            return
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
@@ -66,6 +79,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -122,12 +137,23 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _config_value(cfg: dict, key: str, default, kind: type):
+    """The value of config key 'section.key' (or top-level 'key'), default
+    when absent. It must be a JSON integer (kind int: not a bool, float or
+    string) or a JSON boolean (kind bool); nothing is coerced."""
+    section, _, name = key.rpartition(".")
+    value = (cfg.get(section, {}) if section else cfg).get(name, default)
+    if type(value) is not kind:
+        expected = "an integer" if kind is int else "a boolean"
+        raise ValueError(f"config key '{key}' must be {expected}, got {value!r}")
+    return value
+
+
 def resolve_seed(cfg: dict, flag_seed) -> int:
+    seed = _config_value(cfg, "seed", None, int) if "seed" in cfg else None
     if flag_seed is not None:
         seed = int(flag_seed)
-    elif "seed" in cfg:
-        seed = int(cfg["seed"])
-    else:
+    if seed is None:
         raise ValueError("a seed is mandatory: set config key 'seed' or pass --seed")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -220,7 +246,9 @@ def _parse_intervention(spec: str, oracle, latent: np.ndarray) -> tuple[str, int
 
 def run_sample(cfg: dict, out_dir: str, seed: int, n_override: int | None = None) -> dict:
     model = build_scm_model(cfg)
-    n = n_override if n_override is not None else cfg.get("sample", {}).get("n", 100)
+    n = _config_value(cfg, "sample.n", 100, int)
+    if n_override is not None:
+        n = n_override
     if n < 1:
         raise ValueError("sample count must be >= 1")
     samples = model.sample(n, [seed, 1])
@@ -255,7 +283,7 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     oracle = build_oracle(cfg, seed)
     dcfg = build_stage_config(cfg, "discovery", seed)
     ecfg = build_stage_config(cfg, "evaluation", seed)
-    pool_size = int(cfg.get("pool_size", 1024))
+    pool_size = _config_value(cfg, "pool_size", 1024, int)
     if pool_size < dcfg.n_samples:
         raise ValueError("pool_size must be at least discovery n_samples")
     pool = oracle.sample_latents(pool_size, [seed, 10])
@@ -358,9 +386,11 @@ def _resolve_latent(cfg: dict, oracle, seed: int, index: int | None, latent_csv:
         if not np.all(np.isfinite(values)):
             raise ValueError(f"latent vector must be finite, got {latent_csv!r}")
         return values
-    pool_size = int(cfg.get("pool_size", 1024))
+    pool_size = _config_value(cfg, "pool_size", 1024, int)
     pool = oracle.sample_latents(pool_size, [seed, 10])
-    k = index if index is not None else int(cfg.get("explain", {}).get("index", 0))
+    k = _config_value(cfg, "explain.index", 0, int)
+    if index is not None:
+        k = index
     if not 0 <= k < pool_size:
         raise ValueError(f"sample index {k} out of range for pool of {pool_size}")
     return pool[k]
@@ -435,14 +465,13 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     seed per run instead, exposing the explainer's Monte-Carlo variance.
     Shuffled pairings define no stability baseline, so that entry is None.
     """
-    ev = cfg.get("evaluate", {})
-    n_expl = int(ev.get("n_explanations", 400))
-    stability_index = int(ev.get("stability_index", 0))
+    n_expl = _config_value(cfg, "evaluate.n_explanations", 400, int)
+    stability_index = _config_value(cfg, "evaluate.stability_index", 0, int)
     if not 0 <= stability_index < n_expl:
         raise ValueError(
             f"evaluate.stability_index must lie in [0, {n_expl}), got {stability_index}"
         )
-    det = bool(ev.get("deterministic_seed", True))
+    det = _config_value(cfg, "evaluate.deterministic_seed", True, bool)
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg)
     dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))

@@ -122,10 +122,13 @@ class Oracle:
         - every row contraction runs per block with the block's own shape
           (BLAS rounds a row differently with the number of rows it gets);
         - a block whose mask is empty takes the no-intervention path.
+        Base rows and the do values under the mask must be finite.
         """
         base = np.ascontiguousarray(base, dtype=float)
         if base.ndim != 3 or base.shape[2] != self.dim:
             raise ValueError(f"stacked base must have shape (m, n, {self.dim}), got {base.shape}")
+        if not np.isfinite(base).all():
+            raise ValueError("oracle query base rows must be finite")
         m, n, d = base.shape
         seeds = list(seeds)
         if len(seeds) != m:
@@ -136,6 +139,9 @@ class Oracle:
             values = np.asarray(do[1], dtype=float)
             if mask.shape != base.shape or values.shape != base.shape:
                 raise ValueError(f"do mask and values must have the base shape {base.shape}")
+            # one pass over values unless some value, masked or not, is non-finite
+            if not (np.isfinite(values).all() or np.isfinite(values[mask]).all()):
+                raise ValueError("oracle query do values must be finite where the mask is set")
             active = mask.any(axis=(1, 2))
             n_active = np.count_nonzero(active)
             if not n_active:

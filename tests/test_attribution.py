@@ -301,10 +301,23 @@ def test_lime_batch_unsolvable_item_raises_like_lime_latent():
     head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
     latents = oracle.sample_latents(3, 0)
     latents[1, 2] = np.nan
-    cfg = AttributionConfig(n_perturbations=20, seed=1)
+    # the independent policy makes no oracle query, so the NaN reaches the ridge solve
+    cfg = AttributionConfig(n_perturbations=20, seed=1, perturbation_policy="independent")
     with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
         lime_batch(oracle, head, graph, latents, cfg)
     with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
+        lime_latent(oracle, head, graph, latents[1], cfg)
+
+
+def test_interventional_non_finite_latent_rejected_at_the_oracle():
+    oracle, graph = batch_setup("TSWI", "fixed")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents = oracle.sample_latents(3, 0)
+    latents[1, 2] = np.nan
+    cfg = AttributionConfig(n_perturbations=20, seed=1)
+    with pytest.raises(ValueError, match="base rows must be finite"):
+        lime_batch(oracle, head, graph, latents, cfg)
+    with pytest.raises(ValueError, match="base rows must be finite"):
         lime_latent(oracle, head, graph, latents[1], cfg)
 
 

@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causalprobe
+from causalprobe import CausalGraph, builtin, cli
 from causalprobe.cli import main
 
 TI_CFG = {
@@ -162,6 +166,9 @@ def test_evaluate_outputs(tmp_path):
     assert metrics["correctness_index"] is None
     # shuffled pairings define no stability baseline: null, not a copied value
     assert metrics["details"]["stability"]["shuffled_baseline"] is None
+    # flags are JSON booleans, not integers
+    assert metrics["details"]["deterministic_seed"] is True
+    assert isinstance(metrics["details"]["joint_histogram"], bool)
     rows = (out / "metrics.csv").read_text().strip().splitlines()
     assert rows[0] == "method,faithfulness,stability"
     assert rows[1].startswith("engine,")
@@ -222,6 +229,124 @@ def test_unknown_config_keys_rejected(tmp_path, capsys, base, section, key, comm
     name = key if section is None else f"{section}.{key}"
     assert err["error"] == "ValueError" and f"unknown config key '{name}'" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value,command",
+    [
+        ("evaluate", "deterministic_seed", "false", "evaluate"),
+        ("evaluate", "deterministic_seed", 0, "evaluate"),
+        ("evaluate", "n_explanations", 40.9, "evaluate"),
+        ("evaluate", "n_explanations", "150", "evaluate"),
+        ("evaluate", "stability_index", True, "evaluate"),
+        (None, "pool_size", 1024.7, "discover"),
+        (None, "pool_size", "512", "explain"),
+        ("explain", "index", 3.9, "explain"),
+        ("sample", "n", "100", "sample"),
+        ("sample", "n", 100.0, "sample"),
+        ("sample", "n", True, "sample"),
+        (None, "seed", "7", "sample"),
+        (None, "seed", 7.0, "discover"),
+        (None, "seed", False, "evaluate"),
+    ],
+)
+def test_config_values_must_have_json_types(tmp_path, capsys, section, key, value, command):
+    cfg = json.loads(json.dumps(TI_CFG))
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    name = key if section is None else f"{section}.{key}"
+    assert err["error"] == "ValueError" and f"config key '{name}' must be" in err["message"]
+    assert not out.exists()
+
+
+def test_config_types_checked_for_in_process_callers(tmp_path):
+    with pytest.raises(ValueError, match="config key 'pool_size' must be an integer"):
+        cli.run_discover({**TI_CFG, "pool_size": 512.0}, str(tmp_path / "d"), 7)
+    evaluate = {"n_explanations": 150, "deterministic_seed": "false"}
+    with pytest.raises(ValueError, match="'evaluate.deterministic_seed' must be a boolean"):
+        cli.evaluate_explainer({**TI_CFG, "evaluate": evaluate}, 7)
+
+
+def test_manifest_embeds_the_loaded_config(tmp_path):
+    cfg = json.loads(json.dumps(TI_CFG))
+    cfg["oracle_config"] = {"standardize": True}
+    cfg["evaluate"]["deterministic_seed"] = True
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "s"
+    assert main(["sample", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    # compared as JSON text: 1 == True in Python, not in the file
+    loaded = cli.load_config(path)
+    assert json.dumps(manifest["config"], sort_keys=True) == json.dumps(loaded, sort_keys=True)
+
+
+def reference_csv(path, header, rows):
+    """The per-cell writer: csv.writer over repr(float(v)) of every cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+_CRAFTED = [-0.0, 0.0, 5e-324, -5e-324, 0.1, 1e16, 1e-5, -2.5, 1 / 3, -1e-300,
+            1.7976931348623157e308, 2.2250738585072014e-308, 123456789.0, -7.0]
+
+
+def crafted_block(n, d=4):
+    rng = np.random.default_rng(n)
+    block = rng.choice(np.array(_CRAFTED), (n, d))
+    block[:, 0] = -np.arange(n) * 0.1  # every row distinct
+    return block
+
+
+def check_csv_matches_reference(tmp_path, block):
+    header = [f"x{j}" for j in range(block.shape[1])]
+    cli._write_csv(tmp_path / "bulk.csv", header, block)
+    reference_csv(tmp_path / "ref.csv", header, block)
+    data = (tmp_path / "bulk.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    assert data.count(b"\r\n") == len(block) + 1 and data.count(b"\n") == len(block) + 1
+    with open(tmp_path / "bulk.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    parsed = np.array([[float(v) for v in row] for row in rows[1:]]).reshape(block.shape)
+    assert np.array_equal(parsed.view(np.uint64), block.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 10, 11, 16])
+def test_float_csv_matches_reference_writer_across_chunks(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 5)
+    check_csv_matches_reference(tmp_path, crafted_block(n))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_float_csv_matches_reference_writer_at_chunk_size(tmp_path, offset):
+    check_csv_matches_reference(tmp_path, crafted_block(cli._CSV_CHUNK_ROWS + offset, d=3))
+
+
+def test_samples_csv_matches_reference_writer(tmp_path):
+    n = cli._CSV_CHUNK_ROWS + 1
+    cli.run_sample(TI_CFG, str(tmp_path / "s"), 7, n_override=n)
+    model = builtin("TI")
+    reference_csv(tmp_path / "ref.csv", model.labels, model.sample(n, [7, 1]).values)
+    assert (tmp_path / "s" / "samples.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_edges = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: e[0] != e[1]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(runs=st.lists(_edges, min_size=1, max_size=6))
+def test_consensus_edges_are_within_the_union_of_runs(runs):
+    graphs = [CausalGraph(list("abcd"), edges) for edges in runs]
+    consensus = cli._consensus(graphs, "abcd")
+    assert consensus.edge_set() <= set().union(*(g.edge_set() for g in graphs))
 
 
 def test_sample_linear_config(tmp_path):

@@ -53,6 +53,19 @@ def test_correctness_averages_over_runs():
     assert correctness_index(runs, truth) == pytest.approx(0.5)
 
 
+edge_sets = st.sets(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: e[0] != e[1])
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(truth=edge_sets.filter(bool), runs=st.lists(edge_sets, min_size=1, max_size=5))
+def test_correctness_at_most_one_with_equality_iff_edge_sets_match(truth, runs):
+    score = correctness_index([g("abcd", r) for r in runs], g("abcd", truth))
+    assert score <= 1.0
+    assert (score == 1.0) == all(r == truth for r in runs)
+
+
 def test_stability_identical_explanations():
     sets = [[np.array([1.0, 2.0])] * 4 for _ in range(3)]
     assert stability(sets) == 0.0

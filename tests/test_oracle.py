@@ -232,3 +232,47 @@ def test_query_stacked_rejects_bad_shapes():
         oracle.query_stacked(np.zeros((4, 2)), None, [0] * 4)
     with pytest.raises(ValueError, match="seeds"):
         oracle.query_stacked(np.zeros((3, 4, 2)), None, [0, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_query_rejects_non_finite_inputs(bad):
+    oracle = Oracle(builtin("TSWI"), OracleConfig())
+    base = oracle.sample_latents(4, 0)
+    nan_latent = base.copy()
+    nan_latent[1, 3] = bad  # feature i of one row; the other rows stay finite
+    with pytest.raises(ValueError, match="base rows must be finite"):
+        oracle.query(nan_latent, {"t": 1.0}, seed=0)
+    with pytest.raises(ValueError, match="base rows must be finite"):
+        oracle.query(nan_latent, None, seed=0)
+    with pytest.raises(ValueError, match="do values must be finite"):
+        oracle.query(base, {"t": bad}, seed=0)
+    # a non-finite value under a cleared mask entry is never used
+    mask = np.zeros(base.shape, dtype=bool)
+    mask[:, 0] = True
+    values = base.copy()
+    values[:, 1] = bad
+    assert np.array_equal(
+        oracle.query(base, (mask, values), seed=0), oracle.query(base, {"t": base[:, 0]}, seed=0)
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kind=st.sampled_from(["TSWI", "linear5"]),
+    policy=st.sampled_from(["fixed", "resample"]),
+    n=st.integers(1, 12),
+    intervene=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_query_purity_across_fresh_oracles(kind, policy, n, intervene, seed):
+    rng = np.random.default_rng(seed)
+    linear = kind.startswith("linear")
+    model = ScmModel.linear(random_dag_weights(5, rng)) if linear else builtin(kind)
+    config = OracleConfig(noise_policy=policy, standardize=not linear, seed=seed)
+    first, second = Oracle(model, config), Oracle(model, config)
+    base = first.sample_latents(n, [seed, 1])
+    do = (rng.random(base.shape) < 0.3, rng.normal(size=base.shape)) if intervene else None
+    query_seed = [seed, 2]
+    out = first.query(base, do, seed=query_seed)
+    again = second.query(base, do, seed=query_seed)
+    assert np.array_equal(out.view(np.uint64), again.view(np.uint64))
