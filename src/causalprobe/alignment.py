@@ -9,7 +9,6 @@ with the running mean frozen.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -71,9 +70,6 @@ class AlignmentState:
             "alpha": self.alpha,
             "running_eig": None if self.running_eig is None else self.running_eig.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AlignmentState":

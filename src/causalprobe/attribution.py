@@ -10,7 +10,6 @@ deltas and latent counterfactual diffs round out the local views.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +69,6 @@ class Explanation:
                 for k, w in enumerate(self.weights)
             ],
         }
-
-    def to_json(self, labels) -> str:
-        return json.dumps(self.to_json_dict(labels), sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self, labels) -> str:
-        """Plot-ready bar-chart table: one feature,label,weight row each."""
-        lines = ["feature,label,weight"]
-        for k, w in enumerate(self.weights):
-            lines.append(f"{k},{labels[k]},{float(w)!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _reach_matrix(graph: CausalGraph) -> np.ndarray:

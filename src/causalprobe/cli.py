@@ -10,9 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -96,63 +99,88 @@ _STAGE_SECTIONS = {
     "attribution": AttributionConfig,
     "evaluation": EvaluationConfig,
 }
-# the keys each config section may hold; the oracle section's depend on its
-# kind and are checked where the model is built
-_SECTION_KEYS = {
-    "seed": None,
-    "pool_size": None,
-    "oracle": None,
-    "oracle_config": [f.name for f in fields(OracleConfig)],
-    "classifier": ("weights", "bias", "n_classes"),
+# Every config key and its JSON kind: a dict is an object with those optional
+# keys, list[kind] a list of that kind, float a finite JSON number, and int,
+# bool, str and None exactly those JSON values. A stage section's keys and
+# kinds are its dataclass fields; an oracle spec's keys depend on its kind.
+_LINEAR_SPEC = {
+    "dim": int, "edges": list[{"from": int, "to": int, "weight": float}], "noise_std": float,
+}
+_ORACLE_SPECS = {
+    "scm": {"kind": str, "model": str, "model_file": str},
+    "linear": {"kind": str, "file": str, **_LINEAR_SPEC},
+}
+_SCHEMA = {
+    "seed": int,
+    "pool_size": int,
+    "oracle": _ORACLE_SPECS,
+    "oracle_config": get_type_hints(OracleConfig),
+    "classifier": {
+        "weights": list[float] | list[list[float]], "bias": float | list[float],
+        "n_classes": int | None,
+    },
     **{
-        name: [f.name for f in fields(cls) if f.name != "seed"]
+        name: {k: v for k, v in get_type_hints(cls).items() if k != "seed"}
         for name, cls in _STAGE_SECTIONS.items()
     },
-    "sample": ("n",),
-    "explain": ("index", "interventions"),
-    "evaluate": ("n_explanations", "stability_index", "deterministic_seed"),
+    "sample": {"n": int},
+    "explain": {"index": int, "interventions": list[str]},
+    "evaluate": {"n_explanations": int, "stability_index": int, "deterministic_seed": bool},
 }
-_ORACLE_KEYS = {
-    "scm": ("kind", "model", "model_file"),
-    "linear": ("kind", "dim", "edges", "noise_std", "file"),
-}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string",
+               type(None): "null"}
 
 
-def _check_keys(doc: dict, known, where: str) -> None:
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown config key '{where}{key}'; known keys: {sorted(known)}")
+def _describe(kind) -> str:
+    if get_origin(kind) is UnionType:
+        return " or ".join(map(_describe, get_args(kind)))
+    if get_origin(kind) is list:
+        return f"a list of ({_describe(get_args(kind)[0])})"
+    return "an object" if isinstance(kind, dict) else _KIND_NAMES[kind]
+
+
+def check_config(value, kind=_SCHEMA, key: str = "") -> None:
+    """Raise ValueError naming the key unless value (by default a whole
+    config) is of kind: no unknown key at any level, nothing coerced."""
+    if kind is _ORACLE_SPECS and type(value) is dict:  # the spec's kind picks its keys
+        kind = _ORACLE_SPECS.get(str(value.get("kind", "scm")))
+        if kind is None:
+            raise ValueError(f"config key '{key}.kind' must be one of {list(_ORACLE_SPECS)}")
+    if isinstance(kind, dict) and type(value) is dict:
+        for name, item in value.items():
+            path = f"{key}.{name}" if key else name
+            if name not in kind:
+                raise ValueError(f"unknown config key '{path}'; known keys: {sorted(kind)}")
+            check_config(item, kind[name], path)
+    elif get_origin(kind) is list and type(value) is list:
+        for k, item in enumerate(value):
+            check_config(item, get_args(kind)[0], f"{key}[{k}]")
+    elif (
+        type(value) is not kind if kind is not float
+        else type(value) is not int and not (type(value) is float and math.isfinite(value))
+    ):
+        options = get_args(kind) if get_origin(kind) is UnionType else ()
+        for option in options:
+            try:
+                return check_config(value, option, key)
+            except ValueError:
+                pass
+        what = f"config key '{key}'" if key else "the config"
+        raise ValueError(f"{what} must be {_describe(kind)}, got {value!r}")
 
 
 def load_config(path: str) -> dict:
-    """Read a JSON config, rejecting unknown keys at every level."""
+    """Read and check a JSON config."""
     try:
         cfg = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
-    _check_keys(cfg, _SECTION_KEYS, "")
-    for name, known in _SECTION_KEYS.items():
-        if known is not None and name in cfg:
-            _check_keys(cfg[name], known, f"{name}.")
+    check_config(cfg)
     return cfg
 
 
-def _config_value(cfg: dict, key: str, default, kind: type):
-    """The value of config key 'section.key' (or top-level 'key'), default
-    when absent. It must be a JSON integer (kind int: not a bool, float or
-    string) or a JSON boolean (kind bool); nothing is coerced."""
-    section, _, name = key.rpartition(".")
-    value = (cfg.get(section, {}) if section else cfg).get(name, default)
-    if type(value) is not kind:
-        expected = "an integer" if kind is int else "a boolean"
-        raise ValueError(f"config key '{key}' must be {expected}, got {value!r}")
-    return value
-
-
 def resolve_seed(cfg: dict, flag_seed) -> int:
-    seed = _config_value(cfg, "seed", None, int) if "seed" in cfg else None
-    if flag_seed is not None:
-        seed = int(flag_seed)
+    seed = cfg.get("seed") if flag_seed is None else int(flag_seed)
     if seed is None:
         raise ValueError("a seed is mandatory: set config key 'seed' or pass --seed")
     if seed < 0:
@@ -160,22 +188,35 @@ def resolve_seed(cfg: dict, flag_seed) -> int:
     return seed
 
 
+def _linear_model(doc: dict, where: str) -> ScmModel:
+    d = doc["dim"]
+    weights, seen = np.zeros((d, d)), set()
+    for k, edge in enumerate(doc.get("edges", [])):
+        for end in ("from", "to"):
+            if not 0 <= edge[end] < d:
+                raise ValueError(f"config key '{where}.edges[{k}].{end}' must lie in [0, {d})")
+        pair = (edge["from"], edge["to"])
+        if pair in seen:
+            raise ValueError(f"config key '{where}.edges[{k}]' repeats edge {pair}")
+        seen.add(pair)
+        weights[pair] = edge["weight"]
+    return ScmModel.linear(weights, doc.get("noise_std", 1.0))
+
+
 def build_scm_model(cfg: dict) -> ScmModel:
+    """The model of a checked config's oracle section."""
     spec = cfg.get("oracle")
     if not spec:
         raise ValueError("config is missing the 'oracle' section")
-    kind = spec.get("kind", "scm")
-    if kind not in _ORACLE_KEYS:
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    _check_keys(spec, _ORACLE_KEYS[kind], "oracle.")
-    if kind == "linear":
-        doc = json.loads(Path(spec["file"]).read_text()) if "file" in spec else spec
-        d = int(doc["dim"])
-        weights = np.zeros((d, d))
-        for e in doc.get("edges", []):
-            weights[int(e["from"]), int(e["to"])] = float(e["weight"])
-        return ScmModel.linear(weights, float(doc.get("noise_std", 1.0)))
+    if spec.get("kind", "scm") == "linear":
+        if "file" not in spec:
+            return _linear_model(spec, "oracle")
+        doc = json.loads(Path(spec["file"]).read_text())
+        check_config(doc, _LINEAR_SPEC, "oracle.file")
+        return _linear_model(doc, "oracle.file")
     if "model_file" in spec:
+        if "model" in spec:
+            raise ValueError("set only one of config keys 'oracle.model' and 'oracle.model_file'")
         return ScmModel.from_json(Path(spec["model_file"]).read_text())
     name = spec.get("model")
     if name not in BUILTIN_NAMES:
@@ -187,21 +228,15 @@ def build_oracle(cfg: dict, seed: int) -> Oracle:
     """The config's model behind an Oracle; standardize defaults to on for
     an scm model and off for a linear SEM."""
     model = build_scm_model(cfg)
-    oc_args = dict(cfg.get("oracle_config", {}))
-    oc_args.setdefault("seed", seed)
-    oc_args.setdefault("standardize", cfg["oracle"].get("kind", "scm") == "scm")
-    return Oracle(model, OracleConfig(**oc_args))
+    defaults = {"seed": seed, "standardize": cfg["oracle"].get("kind", "scm") == "scm"}
+    return Oracle(model, OracleConfig(**{**defaults, **cfg.get("oracle_config", {})}))
 
 
 def build_head(cfg: dict) -> ClassifierHead:
     spec = cfg.get("classifier")
     if not spec:
         raise ValueError("config is missing the 'classifier' section")
-    return ClassifierHead(
-        np.asarray(spec["weights"], dtype=float),
-        bias=spec.get("bias", 0.0),
-        n_classes=spec.get("n_classes"),
-    )
+    return ClassifierHead(spec["weights"], spec.get("bias", 0.0), spec.get("n_classes"))
 
 
 def build_stage_config(cfg: dict, section: str, seed: int):
@@ -245,10 +280,9 @@ def _parse_intervention(spec: str, oracle, latent: np.ndarray) -> tuple[str, int
 
 
 def run_sample(cfg: dict, out_dir: str, seed: int, n_override: int | None = None) -> dict:
+    check_config(cfg)
     model = build_scm_model(cfg)
-    n = _config_value(cfg, "sample.n", 100, int)
-    if n_override is not None:
-        n = n_override
+    n = cfg.get("sample", {}).get("n", 100) if n_override is None else n_override
     if n < 1:
         raise ValueError("sample count must be >= 1")
     samples = model.sample(n, [seed, 1])
@@ -280,10 +314,11 @@ def _consensus(runs: list[CausalGraph], labels) -> CausalGraph:
 
 
 def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
+    check_config(cfg)
     oracle = build_oracle(cfg, seed)
     dcfg = build_stage_config(cfg, "discovery", seed)
     ecfg = build_stage_config(cfg, "evaluation", seed)
-    pool_size = _config_value(cfg, "pool_size", 1024, int)
+    pool_size = cfg.get("pool_size", 1024)
     if pool_size < dcfg.n_samples:
         raise ValueError("pool_size must be at least discovery n_samples")
     pool = oracle.sample_latents(pool_size, [seed, 10])
@@ -304,14 +339,14 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
             run_cfg = replace(dcfg, seed=_derive_seed(seed, 12, p, q))
             g = discover(oracle, run_cfg, base=subset)
             name = f"graph_p{p}_q{q}.json"
-            (graphs_dir / name).write_text(g.to_json())
+            _write_json(graphs_dir / name, g.to_json_dict())
             outputs.append(f"graphs/{name}")
             runs.append(g)
             group.append(g)
         per_subset.append(group)
 
     consensus = _consensus(runs, oracle.labels)
-    (out / "graph.json").write_text(consensus.to_json())
+    _write_json(out / "graph.json", consensus.to_json_dict())
     (out / "graph.dot").write_text(consensus.to_dot())
     outputs += ["graph.json", "graph.dot"]
 
@@ -386,11 +421,9 @@ def _resolve_latent(cfg: dict, oracle, seed: int, index: int | None, latent_csv:
         if not np.all(np.isfinite(values)):
             raise ValueError(f"latent vector must be finite, got {latent_csv!r}")
         return values
-    pool_size = _config_value(cfg, "pool_size", 1024, int)
+    pool_size = cfg.get("pool_size", 1024)
     pool = oracle.sample_latents(pool_size, [seed, 10])
-    k = _config_value(cfg, "explain.index", 0, int)
-    if index is not None:
-        k = index
+    k = cfg.get("explain", {}).get("index", 0) if index is None else index
     if not 0 <= k < pool_size:
         raise ValueError(f"sample index {k} out of range for pool of {pool_size}")
     return pool[k]
@@ -405,6 +438,7 @@ def run_explain(
     do_specs=(),
     policy: str | None = None,
 ) -> dict:
+    check_config(cfg)
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg)
     dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
@@ -423,7 +457,8 @@ def run_explain(
     doc = explanation.to_json_dict(oracle.labels)
     doc["latent"] = _jsonable(latent)
     _write_json(out / "explanation.json", doc)
-    (out / "explanation.csv").write_text(explanation.to_csv(oracle.labels))
+    rows = [[k, label, w] for k, (label, w) in enumerate(zip(oracle.labels, explanation.weights))]
+    _write_csv(out / "explanation.csv", ["feature", "label", "weight"], rows)
 
     class_cols = [f"class_{c}" for c in range(head.n_classes)]
     base_probs = head.probabilities(latent)
@@ -465,13 +500,15 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     seed per run instead, exposing the explainer's Monte-Carlo variance.
     Shuffled pairings define no stability baseline, so that entry is None.
     """
-    n_expl = _config_value(cfg, "evaluate.n_explanations", 400, int)
-    stability_index = _config_value(cfg, "evaluate.stability_index", 0, int)
+    check_config(cfg)
+    evaluate = cfg.get("evaluate", {})
+    n_expl = evaluate.get("n_explanations", 400)
+    stability_index = evaluate.get("stability_index", 0)
     if not 0 <= stability_index < n_expl:
         raise ValueError(
             f"evaluate.stability_index must lie in [0, {n_expl}), got {stability_index}"
         )
-    det = _config_value(cfg, "evaluate.deterministic_seed", True, bool)
+    det = evaluate.get("deterministic_seed", True)
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg)
     dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))

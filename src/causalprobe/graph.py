@@ -1,7 +1,6 @@
 """Directed weighted graphs over latent-feature nodes, with DOT/JSON export."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -47,9 +46,6 @@ class CausalGraph:
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges)
-
-    def parents(self, j: int) -> list[int]:
-        return sorted(i for (i, k) in self.edges if k == j)
 
     def children(self, i: int) -> list[int]:
         return sorted(j for (k, j) in self.edges if k == i)
@@ -133,9 +129,6 @@ class CausalGraph:
                 {"from": i, "to": j, "ew": w} for i, j, w in self.sorted_edges()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CausalGraph":

@@ -8,7 +8,6 @@ estimates unchanged). All information quantities are in bits.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,9 +58,6 @@ class MetricsReport:
             "faithfulness_index": self.faithfulness_index,
             "details": self.details,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def correctness_index(predicted: Sequence[CausalGraph], truth: CausalGraph) -> float:

@@ -163,9 +163,6 @@ class SampleSet:
         if self.values.shape != self.noise.shape:
             raise ValueError("values and noise shapes differ")
 
-    def row(self, k: int) -> "SampleSet":
-        return SampleSet(self.values[k : k + 1].copy(), self.noise[k : k + 1].copy())
-
 
 @dataclass(frozen=True)
 class ScmModel:
@@ -180,7 +177,6 @@ class ScmModel:
     name: str
     labels: tuple[str, ...]
     equations: tuple[StructuralEquation, ...]
-    context_count: int = -1  # -1 means all features observed
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -194,10 +190,6 @@ class ScmModel:
                 raise ValueError(
                     f"equations must be ordered by node id; position {k} holds node {eq.node}"
                 )
-        if self.context_count == -1:
-            object.__setattr__(self, "context_count", len(self.labels))
-        if not 0 <= self.context_count <= len(self.labels):
-            raise ValueError("context_count out of range")
         order = self.ground_truth_graph().topological_order()  # raises on a cycle
         d = len(self.labels)
         const, lin = np.zeros(d), np.zeros((d, d))
@@ -344,7 +336,6 @@ class ScmModel:
         return {
             "name": self.name,
             "nodes": [{"id": k, "label": lab} for k, lab in enumerate(self.labels)],
-            "context_count": self.context_count,
             "equations": [
                 {
                     "node": eq.node,
@@ -373,12 +364,7 @@ class ScmModel:
             )
             for e in sorted(doc["equations"], key=lambda d: d["node"])
         )
-        return cls(
-            name=doc["name"],
-            labels=labels,
-            equations=equations,
-            context_count=doc.get("context_count", -1),
-        )
+        return cls(name=doc["name"], labels=labels, equations=equations)
 
     @classmethod
     def from_json(cls, text: str) -> "ScmModel":

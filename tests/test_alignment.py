@@ -221,7 +221,7 @@ def test_gradient_fd_validates_step():
 def test_state_json_round_trip():
     rng = np.random.default_rng(9)
     state = make_state(alpha=0.3, iteration=30, running_eig=rng.normal(size=(3, 2)))
-    back = AlignmentState.from_json_dict(json.loads(state.to_json()))
+    back = AlignmentState.from_json_dict(json.loads(json.dumps(state.to_json_dict())))
     assert back.alpha == state.alpha
     assert back.iteration == state.iteration
     assert np.allclose(back.running_eig, state.running_eig)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,73 @@ def test_unknown_config_keys_rejected(tmp_path, capsys, base, section, key, comm
     assert not out.exists()
 
 
+LINEAR_SPEC = {"dim": 2, "edges": [{"from": 0, "to": 1, "weight": 0.5}], "noise_std": 1.0}
+
+
+def config_with(tmp_path, section, key, value):
+    """TI_CFG with value at section.key, where section is a dotted path whose
+    digits index lists. A path into the oracle section, other than to an scm
+    spec key, gets a linear oracle; a path through 'oracle.file' sets the
+    key in a linear spec file that the oracle section names."""
+    cfg = json.loads(json.dumps(TI_CFG))
+    path = [] if section is None else section.split(".")
+    if path[:1] == ["oracle"] and key not in ("kind", "model", "model_file"):
+        cfg["oracle"] = {"kind": "linear", **json.loads(json.dumps(LINEAR_SPEC))}
+    root = cfg
+    if path[:2] == ["oracle", "file"]:
+        root, path = json.loads(json.dumps(LINEAR_SPEC)), path[2:]
+        cfg["oracle"] = {"kind": "linear", "file": str(tmp_path / "sem.json")}
+    node = root
+    for part in path:
+        node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
+    node[key] = value
+    if root is not cfg:
+        (tmp_path / "sem.json").write_text(json.dumps(root))
+    return cfg
+
+
+NAN, INF = float("nan"), float("inf")
+# the wrong JSON values tried against each scalar kind
+_WRONG = {int: [True, 2.5, "2"], float: [True, "0.5", NAN, INF], bool: ["true", 1], str: [1]}
+# the config keys the dedicated cases below do not cover, with their kind
+# and a command that reads them
+_KEY_KINDS = [
+    ("oracle_config", "roundtrip_noise_std", float, "discover"),
+    ("oracle_config", "noise_policy", str, "discover"),
+    ("oracle_config", "standardize", bool, "discover"),
+    ("oracle_config", "seed", int, "discover"),
+    ("discovery", "threshold", float, "discover"),
+    ("discovery", "prune_eps", float, "discover"),
+    ("discovery", "intervention_magnitude", float, "discover"),
+    ("discovery", "n_samples", int, "discover"),
+    ("discovery", "denom_guard_delta", float, "discover"),
+    ("attribution", "n_perturbations", int, "explain"),
+    ("attribution", "kernel_width", float, "explain"),  # null is valid too
+    ("attribution", "ridge_lambda", float, "explain"),
+    ("attribution", "perturbation_policy", str, "explain"),
+    ("attribution", "perturbation_std", float, "explain"),
+    ("evaluation", "p_subsets", int, "discover"),
+    ("evaluation", "q_repetitions", int, "discover"),
+    ("evaluation", "noise_std", float, "evaluate"),
+    ("evaluation", "mi_bins", int, "evaluate"),
+    ("classifier", "n_classes", int, "explain"),  # null is valid too
+    ("oracle", "kind", str, "sample"),
+    ("oracle", "model", str, "sample"),
+    ("oracle", "model_file", str, "sample"),
+    ("oracle", "file", str, "sample"),
+    ("oracle", "dim", int, "sample"),
+    ("oracle", "noise_std", float, "sample"),
+    ("oracle.edges.0", "from", int, "sample"),
+    ("oracle.edges.0", "to", int, "sample"),
+    ("oracle.edges.0", "weight", float, "sample"),
+    ("oracle.file", "dim", int, "sample"),
+    ("oracle.file", "noise_std", float, "sample"),
+    ("oracle.file.edges.0", "from", int, "sample"),
+    ("oracle.file.edges.0", "to", int, "sample"),
+    ("oracle.file.edges.0", "weight", float, "discover"),
+]
+
+
 @pytest.mark.parametrize(
     "section,key,value,command",
     [
@@ -248,16 +316,63 @@ def test_unknown_config_keys_rejected(tmp_path, capsys, base, section, key, comm
         (None, "seed", "7", "sample"),
         (None, "seed", 7.0, "discover"),
         (None, "seed", False, "evaluate"),
+        # lists and their items; a union names the whole key
+        ("classifier", "weights", 1.0, "explain"),
+        ("classifier", "weights", ["0", "1"], "explain"),
+        ("classifier", "weights", [[0.0, NAN], [1.0, 0.0]], "explain"),
+        ("classifier", "bias", "-1", "explain"),
+        ("classifier", "bias", True, "explain"),
+        ("classifier", "bias", NAN, "explain"),
+        ("classifier", "bias", [INF, 0.0], "explain"),
+        ("explain", "interventions", "t+=1", "explain"),
+        ("oracle", "edges", {"from": 0, "to": 1, "weight": 0.5}, "sample"),
+        ("oracle.file", "edges", {"from": 0, "to": 1, "weight": 0.5}, "sample"),
+        *[
+            (section, key, value, command)
+            for section, key, kind, command in _KEY_KINDS
+            for value in _WRONG[kind]
+        ],
     ],
 )
 def test_config_values_must_have_json_types(tmp_path, capsys, section, key, value, command):
-    cfg = json.loads(json.dumps(TI_CFG))
-    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    cfg = config_with(tmp_path, section, key, value)
     out = tmp_path / "o"
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     name = key if section is None else f"{section}.{key}"
+    name = re.sub(r"\.(\d+)", r"[\1]", name)  # list indices as in the message
     assert err["error"] == "ValueError" and f"config key '{name}' must be" in err["message"]
+    assert not out.exists()
+
+
+_EDGE = {"from": 0, "to": 1, "weight": 0.5}
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("oracle.edges.0", "from", -1, "config key 'oracle.edges[0].from' must lie in [0, 2)"),
+        ("oracle.edges.0", "to", 2, "config key 'oracle.edges[0].to' must lie in [0, 2)"),
+        ("oracle.file.edges.0", "to", 5, "config key 'oracle.file.edges[0].to' must lie in [0, 2)"),
+        ("oracle", "edges", [_EDGE, dict(_EDGE, weight=-0.5)],
+         "config key 'oracle.edges[1]' repeats edge (0, 1)"),
+        ("oracle.file", "edges", [_EDGE, _EDGE], "config key 'oracle.file.edges[1]' repeats edge"),
+        ("oracle", "model_file", "model.json", "'oracle.model' and 'oracle.model_file'"),
+        (None, None, 3, "the config must be an object, got 3"),
+        (None, None, [TI_CFG], "the config must be an object"),
+    ],
+)
+def test_malformed_configs_rejected(tmp_path, capsys, section, key, value, message):
+    if key == "model_file":  # a TI model file beside the TSWI model
+        value = str(tmp_path / value)
+        Path(value).write_text(builtin("TI").to_json())
+        cfg = dict(TI_CFG, oracle={"kind": "scm", "model": "TSWI", "model_file": value})
+    else:
+        cfg = value if key is None else config_with(tmp_path, section, key, value)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and message in err["message"]
     assert not out.exists()
 
 
