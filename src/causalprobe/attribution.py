@@ -71,16 +71,6 @@ class Explanation:
         }
 
 
-def _reach_matrix(graph: CausalGraph) -> np.ndarray:
-    """reach[c] = boolean row over {c} union descendants(c)."""
-    d = graph.n_nodes
-    reach = np.eye(d, dtype=bool)
-    for c in range(d):
-        for dsc in graph.descendants(c):
-            reach[c, dsc] = True
-    return reach
-
-
 def _perturbations(seed: int, n: int, d: int, std: float) -> tuple[np.ndarray, np.ndarray]:
     """Random feature subsets (at least one feature each) and Gaussian deltas."""
     rng = np.random.default_rng([seed, 7])
@@ -169,7 +159,7 @@ def lime_batch(
         classes = head.probabilities(values[:, None, :])[:, 0].argmax(axis=1)
     else:
         classes = np.full(m, target_class)
-    reach = _reach_matrix(graph) if config.perturbation_policy == "interventional" else None
+    reach = graph.reach() if config.perturbation_policy == "interventional" else None
     width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
 
     explanations: list[Explanation] = []

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -99,16 +99,43 @@ _STAGE_SECTIONS = {
     "attribution": AttributionConfig,
     "evaluation": EvaluationConfig,
 }
-# Every config key and its JSON kind: a dict is an object with those optional
-# keys, list[kind] a list of that kind, float a finite JSON number, and int,
-# bool, str and None exactly those JSON values. A stage section's keys and
-# kinds are its dataclass fields; an oracle spec's keys depend on its kind.
+
+
+@dataclass(frozen=True)
+class _Required:
+    """Schema marker: the object must hold this key."""
+
+    kind: object
+
+
+# Every config key and its JSON kind: a dict is an object with those keys,
+# optional unless marked _Required, list[kind] a list of that kind, float a
+# finite JSON number, and int, bool, str and None exactly those JSON values.
+# A stage section's keys and kinds are its dataclass fields; an oracle
+# spec's keys depend on its kind.
 _LINEAR_SPEC = {
-    "dim": int, "edges": list[{"from": int, "to": int, "weight": float}], "noise_std": float,
+    "dim": int,  # required by _linear_model: a linear spec may name a file instead
+    "edges": list[{"from": _Required(int), "to": _Required(int), "weight": _Required(float)}],
+    "noise_std": float,
 }
 _ORACLE_SPECS = {
     "scm": {"kind": str, "model": str, "model_file": str},
     "linear": {"kind": str, "file": str, **_LINEAR_SPEC},
+}
+# an scm model file, as ScmModel.to_json writes it
+_MODEL_FILE = {
+    "name": _Required(str),
+    "nodes": _Required(list[{"id": _Required(int), "label": _Required(str)}]),
+    "equations": _Required(list[{
+        "node": _Required(int), "parents": _Required(list[int]),
+        "mechanism": str,  # the kind tag; loading derives it from the coeffs
+        "coeffs": _Required({
+            **dict.fromkeys(["const", "sig_scale", "sig_bias"], _Required(float)),
+            **dict.fromkeys(["linear", "sig_linear"], _Required(list[float])),
+        }),
+        "noise": _Required({"family": _Required(str), "params": _Required(list[float])}),
+    }]),
+    "context_count": int,  # legacy, ignored
 }
 _SCHEMA = {
     "seed": int,
@@ -116,7 +143,8 @@ _SCHEMA = {
     "oracle": _ORACLE_SPECS,
     "oracle_config": get_type_hints(OracleConfig),
     "classifier": {
-        "weights": list[float] | list[list[float]], "bias": float | list[float],
+        "weights": _Required(list[float] | list[list[float]]),
+        "bias": float | list[float],
         "n_classes": int | None,
     },
     **{
@@ -141,17 +169,23 @@ def _describe(kind) -> str:
 
 def check_config(value, kind=_SCHEMA, key: str = "") -> None:
     """Raise ValueError naming the key unless value (by default a whole
-    config) is of kind: no unknown key at any level, nothing coerced."""
+    config) is of kind: no unknown or missing key at any level, nothing
+    coerced."""
+    if isinstance(kind, _Required):
+        kind = kind.kind
     if kind is _ORACLE_SPECS and type(value) is dict:  # the spec's kind picks its keys
         kind = _ORACLE_SPECS.get(str(value.get("kind", "scm")))
         if kind is None:
             raise ValueError(f"config key '{key}.kind' must be one of {list(_ORACLE_SPECS)}")
     if isinstance(kind, dict) and type(value) is dict:
-        for name, item in value.items():
+        missing = [k for k in kind if isinstance(kind[k], _Required) and k not in value]
+        for name in [*value, *missing]:
             path = f"{key}.{name}" if key else name
             if name not in kind:
                 raise ValueError(f"unknown config key '{path}'; known keys: {sorted(kind)}")
-            check_config(item, kind[name], path)
+            if name not in value:
+                raise ValueError(f"config key '{path}' is required")
+            check_config(value[name], kind[name], path)
     elif get_origin(kind) is list and type(value) is list:
         for k, item in enumerate(value):
             check_config(item, get_args(kind)[0], f"{key}[{k}]")
@@ -189,13 +223,19 @@ def resolve_seed(cfg: dict, flag_seed) -> int:
 
 
 def _linear_model(doc: dict, where: str) -> ScmModel:
+    if "dim" not in doc:
+        raise ValueError(f"config key '{where}.dim' is required")
     d = doc["dim"]
+    if d < 1:
+        raise ValueError(f"config key '{where}.dim' must be at least 1, got {d}")
     weights, seen = np.zeros((d, d)), set()
     for k, edge in enumerate(doc.get("edges", [])):
         for end in ("from", "to"):
             if not 0 <= edge[end] < d:
                 raise ValueError(f"config key '{where}.edges[{k}].{end}' must lie in [0, {d})")
         pair = (edge["from"], edge["to"])
+        if pair[0] == pair[1]:
+            raise ValueError(f"config key '{where}.edges[{k}]' is a self-loop on node {pair[0]}")
         if pair in seen:
             raise ValueError(f"config key '{where}.edges[{k}]' repeats edge {pair}")
         seen.add(pair)
@@ -217,7 +257,9 @@ def build_scm_model(cfg: dict) -> ScmModel:
     if "model_file" in spec:
         if "model" in spec:
             raise ValueError("set only one of config keys 'oracle.model' and 'oracle.model_file'")
-        return ScmModel.from_json(Path(spec["model_file"]).read_text())
+        doc = json.loads(Path(spec["model_file"]).read_text())
+        check_config(doc, _MODEL_FILE, "oracle.model_file")
+        return ScmModel.from_json_dict(doc)
     name = spec.get("model")
     if name not in BUILTIN_NAMES:
         raise ValueError(f"oracle.model must be one of {BUILTIN_NAMES}, got {name!r}")
@@ -236,7 +278,10 @@ def build_head(cfg: dict) -> ClassifierHead:
     spec = cfg.get("classifier")
     if not spec:
         raise ValueError("config is missing the 'classifier' section")
-    return ClassifierHead(spec["weights"], spec.get("bias", 0.0), spec.get("n_classes"))
+    weights, bias = spec["weights"], spec.get("bias", 0.0)
+    if isinstance(bias, list) and not (weights and isinstance(weights[0], list)):
+        raise ValueError("config key 'classifier.bias' must be a number for vector weights")
+    return ClassifierHead(weights, bias, spec.get("n_classes"))
 
 
 def build_stage_config(cfg: dict, section: str, seed: int):

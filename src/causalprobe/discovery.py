@@ -9,7 +9,7 @@ DAG without self-loops.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,6 @@ class DiscoveryConfig:
             raise ValueError("n_samples must be >= 1")
         if self.denom_guard_delta <= 0:
             raise ValueError("denom_guard_delta must be > 0")
-
-
-@dataclass
-class SweepRecord:
-    """Per-source intervened sample matrices kept for the pruning stage."""
-
-    base: np.ndarray                                 # (n, d)
-    intervened: dict[int, np.ndarray] = field(default_factory=dict)  # src -> (n, d)
 
 
 def _sweep(oracle: Oracle, src: int, base: np.ndarray, magnitude: float, seed) -> np.ndarray:
@@ -98,24 +90,24 @@ def edge_weight(
 
 def propose_edges(
     oracle: Oracle, base: np.ndarray, config: DiscoveryConfig
-) -> tuple[CausalGraph, SweepRecord]:
+) -> tuple[CausalGraph, tuple[np.ndarray, np.ndarray]]:
     """Run ±magnitude sweeps on every feature and emit candidate edges.
 
     An ordered pair (i, j) becomes a candidate when the mean of |EW| over
     both sweep directions exceeds the threshold. The stored edge weight is
-    the signed mean of the two directions. The +magnitude sweep results are
-    recorded per source for the pruning stage.
+    the signed mean of the two directions. Returns the candidates and the
+    sweeps the pruning stage reuses, (base, plus): plus[i] (n, d) is
+    feature i's +magnitude sweep.
     """
     base = np.asarray(base, dtype=float)
     d = oracle.dim
     graph = CausalGraph(list(oracle.labels))
-    record = SweepRecord(base=base)
+    plus = np.empty((d,) + base.shape)
     mag = config.intervention_magnitude
     for i in range(d):
-        plus = _sweep(oracle, i, base, mag, [config.seed, 1, i, 0])
+        plus[i] = _sweep(oracle, i, base, mag, [config.seed, 1, i, 0])
         minus = _sweep(oracle, i, base, -mag, [config.seed, 1, i, 1])
-        record.intervened[i] = plus
-        ew_plus, deg_p = _ratio_means(base, plus, i, config.denom_guard_delta)
+        ew_plus, deg_p = _ratio_means(base, plus[i], i, config.denom_guard_delta)
         ew_minus, deg_m = _ratio_means(base, minus, i, config.denom_guard_delta)
         if deg_p and deg_m:
             warnings.warn(
@@ -128,47 +120,46 @@ def propose_edges(
         for j in range(d):
             if j != i and strength[j] > config.threshold:
                 graph.add_edge(i, j, signed[j])
-    return graph, record
+    return graph, (base, plus)
 
 
 def prune_indirect(
     oracle: Oracle,
     candidates: CausalGraph,
-    record: SweepRecord,
+    sweeps: tuple[np.ndarray, np.ndarray],
     config: DiscoveryConfig,
 ) -> CausalGraph:
     """Remove candidate direct edges that their mediators fully explain.
 
-    For a candidate edge i -> j its mediators are every k with candidate
-    edges i -> k and k -> j. The mediators are jointly clamped to the
-    per-sample values they took under the i-intervention; if the mean
-    resulting value of j reproduces the i-intervention value of j within
+    sweeps is propose_edges' (base, plus). For a candidate edge i -> j its
+    mediators are every node k other than i and j on a directed path
+    i ~> k ~> j in the current graph. They are jointly clamped to the
+    per-sample values they took under the +magnitude i-sweep, plus[i]; if
+    the mean resulting value of j reproduces plus[i]'s value of j within
     prune_eps, the direct edge i -> j is deleted. (Joint clamping is what
     the single-mediator check becomes on chains; it is required when the
     indirect effect splits across parallel mediators.) Direct edges are
     processed in ascending |EW| order and removals update the mediator
-    sets of later edges.
+    sets of later edges. In a DAG a removed edge has a path around it, so
+    the reachability closure only needs recomputing while a cycle remains.
     """
+    base, plus = sweeps
     graph = candidates.copy()
     ordered = sorted(graph.sorted_edges(), key=lambda e: (abs(e[2]), e[0], e[1]))
+    reach = graph.reach()
     for i, j, _w in ordered:
         if not graph.has_edge(i, j):
             continue
-        v_i = record.intervened.get(i)
-        if v_i is None:
+        on_path = reach[i] & reach[:, j]
+        on_path[[i, j]] = False
+        if not on_path.any():
             continue
-        mediators = [
-            k
-            for k in range(graph.n_nodes)
-            if k not in (i, j) and graph.has_edge(i, k) and graph.has_edge(k, j)
-        ]
-        if not mediators:
-            continue
-        do = {k: v_i[:, k] for k in mediators}
-        out = oracle.query(record.base, do, seed=[config.seed, 2, i, j])
-        diff = float(np.mean(out[:, j] - v_i[:, j]))
+        out = oracle.query(base, (on_path, plus[i]), seed=[config.seed, 2, i, j])
+        diff = float(np.mean(out[:, j] - plus[i][:, j]))
         if abs(diff) < config.prune_eps:
             graph.remove_edge(i, j)
+            if (reach & reach.T).sum() > graph.n_nodes:  # a cycle: paths may change
+                reach = graph.reach()
     return graph
 
 
@@ -197,6 +188,6 @@ def discover(
     """
     if base is None:
         base = oracle.sample_latents(config.n_samples, [config.seed, 0])
-    candidates, record = propose_edges(oracle, base, config)
-    pruned = prune_indirect(oracle, candidates, record, config)
+    candidates, sweeps = propose_edges(oracle, base, config)
+    pruned = prune_indirect(oracle, candidates, sweeps, config)
     return resolve_cycles(pruned)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CausalGraph:
@@ -50,39 +52,27 @@ class CausalGraph:
     def children(self, i: int) -> list[int]:
         return sorted(j for (k, j) in self.edges if k == i)
 
-    def descendants(self, i: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [i]
-        while stack:
-            node = stack.pop()
-            for child in self.children(node):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
+    def reach(self) -> np.ndarray:
+        """Boolean transitive closure, (d, d): reach[i, j] is True when j is
+        i or a descendant of i. Well defined on cyclic graphs too."""
+        reach = np.eye(self.n_nodes, dtype=bool)
+        for i, j in self.edges:
+            reach[i, j] = True
+        for k in range(self.n_nodes):  # Warshall: admit paths through node k
+            reach |= np.outer(reach[:, k], reach[k])
+        return reach
 
     def is_dag(self) -> bool:
         return self.find_cycle() is None
 
     def topological_order(self) -> list[int]:
-        """Kahn's algorithm; raises ValueError if the graph has a cycle."""
-        indeg = [0] * self.n_nodes
-        for _, j in self.edges:
-            indeg[j] += 1
-        ready = sorted(v for v in range(self.n_nodes) if indeg[v] == 0)
-        order: list[int] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for child in self.children(v):
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    # keep the frontier sorted so the order is deterministic
-                    ready.append(child)
-                    ready.sort()
-        if len(order) != self.n_nodes:
+        """Nodes sorted by (ancestor count, id); raises ValueError if the
+        graph has a cycle."""
+        reach = self.reach()
+        if (reach & reach.T).sum() > self.n_nodes:
             raise ValueError("graph contains a cycle")
-        return order
+        ancestors = reach.sum(axis=0)
+        return sorted(range(self.n_nodes), key=lambda v: (ancestors[v], v))
 
     def find_cycle(self) -> list[tuple[int, int]] | None:
         """Return one directed cycle as a list of edges, or None."""

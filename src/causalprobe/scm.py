@@ -71,10 +71,6 @@ class NoiseSpec:
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "NoiseSpec":
-        return cls(doc["family"], tuple(doc["params"]))
-
 
 ZERO_NOISE = NoiseSpec("degenerate-zero")
 
@@ -123,17 +119,6 @@ class Mechanism:
                 "sig_linear": list(self.sig_linear),
             },
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Mechanism":
-        c = doc["coeffs"]
-        return cls(
-            const=c["const"],
-            linear=tuple(c["linear"]),
-            sig_scale=c["sig_scale"],
-            sig_bias=c["sig_bias"],
-            sig_linear=tuple(c["sig_linear"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -354,21 +339,17 @@ class ScmModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScmModel":
         nodes = sorted(doc["nodes"], key=lambda d: d["id"])
-        labels = tuple(str(d["label"]) for d in nodes)
+        labels = tuple(d["label"] for d in nodes)
         equations = tuple(
             StructuralEquation(
                 node=e["node"],
-                parents=tuple(e["parents"]),
-                mechanism=Mechanism.from_json_dict({"coeffs": e["coeffs"]}),
-                noise=NoiseSpec.from_json_dict(e["noise"]),
+                parents=e["parents"],
+                mechanism=Mechanism(**e["coeffs"]),
+                noise=NoiseSpec(**e["noise"]),
             )
             for e in sorted(doc["equations"], key=lambda d: d["node"])
         )
         return cls(name=doc["name"], labels=labels, equations=equations)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScmModel":
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def linear(cls, weights, noise_std: float = 1.0, labels=None) -> "ScmModel":

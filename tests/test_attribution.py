@@ -265,9 +265,14 @@ def reference_lime(oracle, head, graph, latent, cfg):
     base = np.broadcast_to(latent, (n, d))
     if cfg.perturbation_policy == "interventional":
         realized = oracle.query(base, (masks, base + deltas), seed=[cfg.seed, 8])
+        # its own closure, not graph.reach(): follow edges until nothing grows
         reach = np.eye(d, dtype=bool)
-        for c in range(d):
-            reach[c, list(graph.descendants(c))] = True
+        grown = True
+        while grown:
+            wider = reach.copy()
+            for i, j in graph.edges:
+                wider[:, j] |= wider[:, i]
+            grown, reach = (wider != reach).any(), wider
         realized = np.where(masks @ reach > 0, realized, base)
     else:
         realized = np.where(masks, base + deltas, base)

@@ -376,6 +376,105 @@ def test_malformed_configs_rejected(tmp_path, capsys, section, key, value, messa
     assert not out.exists()
 
 
+DROP = object()  # a set_at value that deletes the key
+
+
+def set_at(doc, path, value):
+    """Set (or with DROP delete) the key at a dotted path whose digits index lists."""
+    *parents, last = path.split(".")
+    for part in parents:
+        doc = doc[int(part)] if part.isdigit() else doc[part]
+    if value is DROP:
+        del doc[int(last) if last.isdigit() else last]
+    else:
+        doc[int(last) if last.isdigit() else last] = value
+
+
+def config_for(tmp_path, base, path, value):
+    """TI_CFG edited at path: in the config itself ("ti"), in a config with an
+    inline linear oracle ("linear"), or in the file its oracle names: a linear
+    spec file ("file") or a TI model file ("model_file")."""
+    cfg = json.loads(json.dumps(TI_CFG))
+    if base == "linear":
+        cfg["oracle"] = {"kind": "linear", **json.loads(json.dumps(LINEAR_SPEC))}
+    if base in ("ti", "linear"):
+        set_at(cfg, path, value)
+        return cfg
+    doc = json.loads(json.dumps(LINEAR_SPEC if base == "file" else builtin("TI").to_json_dict()))
+    set_at(doc, path, value)
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    cfg["oracle"] = (
+        {"kind": "linear", "file": str(tmp_path / "spec.json")}
+        if base == "file"
+        else {"kind": "scm", "model_file": str(tmp_path / "spec.json")}
+    )
+    return cfg
+
+
+_LOOP = {"from": 1, "to": 1, "weight": 0.0}
+_MF = "oracle.model_file"
+
+
+@pytest.mark.parametrize(
+    "base,path,value,command,message",
+    [
+        # required keys
+        ("linear", "oracle.dim", DROP, "sample", "config key 'oracle.dim' is required"),
+        ("file", "dim", DROP, "discover", "config key 'oracle.file.dim' is required"),
+        ("linear", "oracle.edges.0.weight", DROP, "sample",
+         "config key 'oracle.edges[0].weight' is required"),
+        ("file", "edges.0.from", DROP, "sample", "config key 'oracle.file.edges[0].from' is required"),
+        ("ti", "classifier.weights", DROP, "explain", "config key 'classifier.weights' is required"),
+        ("ti", "classifier.weights", DROP, "evaluate", "config key 'classifier.weights' is required"),
+        # ranges
+        ("linear", "oracle.dim", 0, "sample", "config key 'oracle.dim' must be at least 1, got 0"),
+        ("linear", "oracle.dim", -1, "discover", "config key 'oracle.dim' must be at least 1"),
+        ("file", "dim", 0, "sample", "config key 'oracle.file.dim' must be at least 1"),
+        ("linear", "oracle.edges.0", _LOOP, "sample",
+         "config key 'oracle.edges[0]' is a self-loop on node 1"),
+        ("linear", "oracle.edges.0", dict(_LOOP, weight=0.5), "discover",
+         "config key 'oracle.edges[0]' is a self-loop on node 1"),
+        ("file", "edges.0", _LOOP, "sample", "config key 'oracle.file.edges[0]' is a self-loop"),
+        # a list bias needs a weight matrix
+        ("ti", "classifier.bias", [-1.0], "explain",
+         "config key 'classifier.bias' must be a number for vector weights"),
+        ("ti", "classifier.bias", [-1.0, 0.0], "evaluate",
+         "config key 'classifier.bias' must be a number for vector weights"),
+        # model files
+        ("model_file", "equations.1.coeffs.const", "64", "sample",
+         f"config key '{_MF}.equations[1].coeffs.const' must be a finite number"),
+        ("model_file", "equations.0.noise.params", ["10", 5], "sample",
+         f"config key '{_MF}.equations[0].noise.params[0]' must be a finite number"),
+        ("model_file", "equations.1.coeffs.sig_scal", 191, "sample",
+         f"unknown config key '{_MF}.equations[1].coeffs.sig_scal'"),
+        ("model_file", "equations.1.coeffs.sig_bias", DROP, "discover",
+         f"config key '{_MF}.equations[1].coeffs.sig_bias' is required"),
+        ("model_file", "equations.1.parents", [0.0], "sample",
+         f"config key '{_MF}.equations[1].parents[0]' must be an integer"),
+        ("model_file", "nodes.1.label", 1, "sample", f"config key '{_MF}.nodes[1].label' must be"),
+        ("model_file", "name", DROP, "sample", f"config key '{_MF}.name' is required"),
+        ("model_file", "equations", {}, "sample", f"config key '{_MF}.equations' must be a list"),
+    ],
+)
+def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
+    cfg = config_for(tmp_path, base, path, value)
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert not out.exists()
+
+
+def test_model_file_with_legacy_key_samples_like_the_builtin(tmp_path):
+    cfg = config_for(tmp_path, "model_file", "context_count", 2)
+    for name, config in (("file", cfg), ("builtin", TI_CFG)):
+        out = tmp_path / name
+        assert main(["sample", "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 0
+    assert (tmp_path / "file/samples.csv").read_bytes() == (
+        tmp_path / "builtin/samples.csv"
+    ).read_bytes()
+
+
 def test_config_types_checked_for_in_process_callers(tmp_path):
     with pytest.raises(ValueError, match="config key 'pool_size' must be an integer"):
         cli.run_discover({**TI_CFG, "pool_size": 512.0}, str(tmp_path / "d"), 7)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalprobe import (
@@ -105,10 +105,12 @@ def test_propose_edges_chain_candidates():
     oracle = linear({(0, 1): 0.5, (1, 2): 0.8}, 3)
     cfg = DiscoveryConfig(n_samples=128, seed=0)
     base = oracle.sample_latents(cfg.n_samples, 1)
-    candidates, record = propose_edges(oracle, base, cfg)
+    candidates, (swept_base, plus) = propose_edges(oracle, base, cfg)
     assert candidates.edge_set() == {(0, 1), (0, 2), (1, 2)}
-    assert set(record.intervened) == {0, 1, 2}
-    assert record.intervened[0].shape == base.shape
+    assert np.array_equal(swept_base, base)
+    assert plus.shape == (3,) + base.shape
+    for i in range(3):  # plus[i] is feature i's +magnitude sweep
+        assert np.array_equal(plus[i][:, i], base[:, i] + cfg.intervention_magnitude)
 
 
 def test_propose_edges_empty_mechanism():
@@ -132,9 +134,9 @@ def test_prune_removes_transitive_chain_edge():
     oracle = linear({(0, 1): 0.5, (1, 2): 0.8}, 3)
     cfg = DiscoveryConfig(n_samples=128, seed=0)
     base = oracle.sample_latents(cfg.n_samples, 1)
-    candidates, record = propose_edges(oracle, base, cfg)
+    candidates, sweeps = propose_edges(oracle, base, cfg)
     assert candidates.has_edge(0, 2)
-    pruned = prune_indirect(oracle, candidates, record, cfg)
+    pruned = prune_indirect(oracle, candidates, sweeps, cfg)
     assert pruned.edge_set() == {(0, 1), (1, 2)}
 
 
@@ -142,9 +144,9 @@ def test_prune_keeps_fork():
     oracle = linear({(0, 1): 0.7, (0, 2): 0.9}, 3)
     cfg = DiscoveryConfig(n_samples=128, seed=0)
     base = oracle.sample_latents(cfg.n_samples, 1)
-    candidates, record = propose_edges(oracle, base, cfg)
+    candidates, sweeps = propose_edges(oracle, base, cfg)
     assert candidates.edge_set() == {(0, 1), (0, 2)}
-    pruned = prune_indirect(oracle, candidates, record, cfg)
+    pruned = prune_indirect(oracle, candidates, sweeps, cfg)
     assert pruned.edge_set() == {(0, 1), (0, 2)}
 
 
@@ -152,9 +154,26 @@ def test_prune_no_triples_is_identity():
     oracle = linear({(0, 1): 0.7}, 2)
     cfg = DiscoveryConfig(n_samples=64, seed=0)
     base = oracle.sample_latents(cfg.n_samples, 1)
-    candidates, record = propose_edges(oracle, base, cfg)
-    pruned = prune_indirect(oracle, candidates, record, cfg)
+    candidates, sweeps = propose_edges(oracle, base, cfg)
+    pruned = prune_indirect(oracle, candidates, sweeps, cfg)
     assert pruned.edge_set() == candidates.edge_set()
+
+
+class EchoOracle:
+    """Returns the clamped sweep itself, so any mediator set explains its edge."""
+
+    def query(self, base, do, seed):
+        return np.broadcast_to(do[1], base.shape)
+
+
+def test_prune_recomputes_reach_once_a_cycle_breaks():
+    # b mediates a -> c and c -> a inside the 3-cycle a -> b -> c -> a; once
+    # both are pruned, the chain a -> b -> c leaves a -> b and b -> c without
+    # a mediator, which a closure kept from the cyclic graph would still find
+    candidates = CausalGraph(list("abc"), {(0, 2): 0.1, (2, 0): 0.2, (0, 1): 0.3, (1, 2): 0.4})
+    sweeps = (np.zeros((4, 3)), np.ones((3, 4, 3)))
+    pruned = prune_indirect(EchoOracle(), candidates, sweeps, DiscoveryConfig())
+    assert pruned.edge_set() == {(0, 1), (1, 2)}
 
 
 def test_resolve_cycles_two_cycle():
@@ -224,6 +243,21 @@ def test_discover_output_is_dag_on_random_linear_sems(d, noise, seed):
     g = discover(oracle, DiscoveryConfig(n_samples=32, threshold=0.02, seed=seed))
     assert g.is_dag()
     assert all(i != j for (i, j) in g.edges)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(2, 12), seed=st.integers(0, 2**16))
+@example(d=9, seed=30790)  # two-hop mediators alone leave the shortcut 7 -> 6
+def test_discover_recovers_positive_weight_linear_sems(d, seed):
+    # every path adds, so no effect cancels; a shortcut over a long mediator
+    # chain must still be pruned once the chain's own shortcuts are gone
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.5, 1.0, (d, d)), k=1) * (rng.random((d, d)) < 0.25)
+    perm = rng.permutation(d)
+    w = w[np.ix_(perm, perm)]
+    oracle = Oracle(ScmModel.linear(w), OracleConfig(standardize=False))
+    graph = discover(oracle, DiscoveryConfig(seed=3))
+    assert graph.edge_set() == {(i, j) for i, j in np.argwhere(w != 0).tolist()}
 
 
 def test_discover_recovers_exact_diamond():

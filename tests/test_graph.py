@@ -1,6 +1,10 @@
 import json
+from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalprobe import CausalGraph
 
@@ -13,7 +17,7 @@ def test_add_and_query_edges():
     assert not g.has_edge(1, 0)
     assert g.edges == {(0, 1): 1.5, (1, 2): -0.25}
     assert g.children(0) == [1]
-    assert g.descendants(0) == {1, 2}
+    assert g.reach().tolist() == [[True, True, True], [False, True, True], [False, False, True]]
 
 
 def test_self_loop_rejected():
@@ -51,6 +55,42 @@ def test_topological_order():
     g.add_edge(3, 0, 1.0)
     with pytest.raises(ValueError):
         g.topological_order()
+
+
+def bfs_reach(graph, start):
+    """Independent reference: the nodes a breadth-first walk from start visits."""
+    seen, queue = {start}, deque([start])
+    while queue:
+        node = queue.popleft()
+        for i, j in graph.edges:
+            if i == node and j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return seen
+
+
+@st.composite
+def digraphs(draw):
+    d = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return CausalGraph([f"x{k}" for k in range(d)], {e: 1.0 for e in edges})
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=digraphs())
+def test_reach_matches_bfs_and_orders_topologically(g):
+    reach = g.reach()
+    assert reach.dtype == bool and reach.shape == (g.n_nodes, g.n_nodes)
+    for i in range(g.n_nodes):
+        assert set(np.flatnonzero(reach[i]).tolist()) == bfs_reach(g, i)
+    if g.is_dag():
+        pos = {v: k for k, v in enumerate(g.topological_order())}
+        assert sorted(pos) == list(range(g.n_nodes))
+        assert all(pos[i] < pos[j] for i, j in g.edges)
+    else:
+        with pytest.raises(ValueError, match="cycle"):
+            g.topological_order()
 
 
 def test_json_round_trip():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,12 +141,12 @@ def test_counterfactual_unknown_node_rejected():
 @pytest.mark.parametrize("name", ["TI", "IT", "TS", "TSWI"])
 def test_interventions_touch_only_descendants(name):
     model = builtin(name, noise_overrides=zero_noise_for(name))
-    truth = model.ground_truth_graph()
+    reach = model.ground_truth_graph().reach()
     base = model.sample(4, 5)
     for node in range(model.n_nodes):
         out = model.counterfactual(base, {node: base.values[:, node] + 1.0})
-        changed = set(np.flatnonzero(np.any(out != base.values, axis=0)))
-        assert changed == {node} | truth.descendants(node)
+        changed = np.any(out != base.values, axis=0)
+        assert changed.tolist() == reach[node].tolist()
 
 
 def test_it_sample_mean_matches_uniform():
@@ -213,7 +215,7 @@ def test_sample_size_validation():
 
 def test_json_round_trip():
     model = builtin("TSWI")
-    back = ScmModel.from_json(model.to_json())
+    back = ScmModel.from_json_dict(json.loads(model.to_json()))
     assert back.labels == model.labels
     # model files that still carry the retired context_count key load alike
     assert ScmModel.from_json_dict(dict(model.to_json_dict(), context_count=2)) == back
