@@ -60,30 +60,6 @@ class AlignmentState:
         if self.running_eig is not None and not np.all(np.isfinite(self.running_eig)):
             raise ValueError("running_eig must be finite")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_max": self.lambda_max,
-            "total_iterations": self.total_iterations,
-            "num_steps": self.num_steps,
-            "ema_decay": self.ema_decay,
-            "iteration": self.iteration,
-            "alpha": self.alpha,
-            "running_eig": None if self.running_eig is None else self.running_eig.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AlignmentState":
-        eig = doc.get("running_eig")
-        return cls(
-            lambda_max=doc["lambda_max"],
-            total_iterations=doc["total_iterations"],
-            num_steps=doc.get("num_steps", 10),
-            ema_decay=doc.get("ema_decay", 0.99),
-            iteration=doc.get("iteration", 0),
-            alpha=doc.get("alpha", 0.0),
-            running_eig=None if eig is None else np.asarray(eig, dtype=float),
-        )
-
 
 def thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD with a deterministic sign convention.
@@ -113,10 +89,6 @@ def alpha_schedule(iteration: int, total_iterations: int, num_steps: int = 10) -
     return min(math.floor(frac * num_steps) / num_steps, 1.0)
 
 
-def _orthogonality_target(state: AlignmentState, mean: np.ndarray, sig_norm: float) -> np.ndarray:
-    return state.lambda_max * mean / sig_norm
-
-
 def _scaled_left_vectors(m: np.ndarray) -> np.ndarray:
     """U*s with the rectangular-Sigma convention: zero columns pad U*s up to
     the column count of m when the batch is shorter than the feature count,
@@ -128,23 +100,25 @@ def _scaled_left_vectors(m: np.ndarray) -> np.ndarray:
     return us
 
 
-def frozen_loss(batch: AlignmentBatch, state: AlignmentState) -> float:
-    """Loss with the current running mean held fixed (no state update).
-
-    The singular-value Frobenius norm equals the Frobenius norm of the
-    matrix itself, so no SVD is needed here.
-    """
-    if state.running_eig is None:
-        raise ValueError("frozen_loss needs a materialized running mean")
+def _loss(batch: AlignmentBatch, state: AlignmentState, mean: np.ndarray) -> float:
+    """The two-term loss against the running mean `mean`. The singular values'
+    Frobenius norm is the matrix's own, so no SVD is needed here."""
     term1 = float(((batch.observed - batch.context) ** 2).sum())
     if state.alpha == 0.0:
         return term1
-    sig_norm = float(np.sqrt((batch.unobserved ** 2).sum()))
+    sig_norm = float(np.linalg.norm(batch.unobserved))
     if sig_norm == 0.0:
         return term1
-    target = _orthogonality_target(state, state.running_eig, sig_norm)
+    target = state.lambda_max * mean / sig_norm
     term2 = float(((batch.unobserved - target) ** 2).sum())
     return term1 + state.alpha * term2
+
+
+def frozen_loss(batch: AlignmentBatch, state: AlignmentState) -> float:
+    """Loss with the current running mean held fixed (no state update)."""
+    if state.running_eig is None:
+        raise ValueError("frozen_loss needs a materialized running mean")
+    return _loss(batch, state, state.running_eig)
 
 
 def alignment_loss(batch: AlignmentBatch, state: AlignmentState) -> tuple[float, AlignmentState]:
@@ -162,14 +136,7 @@ def alignment_loss(batch: AlignmentBatch, state: AlignmentState) -> tuple[float,
         if state.running_eig.shape != us.shape:
             raise ValueError("running mean shape disagrees with batch")
         mean = state.ema_decay * state.running_eig + (1.0 - state.ema_decay) * us
-    term1 = float(((batch.observed - batch.context) ** 2).sum())
-    sig_norm = float(np.linalg.norm(batch.unobserved))
-    if state.alpha == 0.0 or sig_norm == 0.0:
-        term2 = 0.0
-    else:
-        target = _orthogonality_target(state, mean, sig_norm)
-        term2 = float(((batch.unobserved - target) ** 2).sum())
-    loss = term1 + state.alpha * term2
+    loss = _loss(batch, state, mean)
     nxt = min(state.iteration + 1, state.total_iterations)
     new_state = replace(
         state,
@@ -194,21 +161,13 @@ def loss_gradient_fd(
     if state.running_eig is None:
         state = replace(state, running_eig=_scaled_left_vectors(batch.unobserved))
 
-    def probe(obs, unobs):
-        return frozen_loss(AlignmentBatch(obs, unobs, batch.context), state)
+    def probe(k, idx, step):
+        blocks = [batch.observed.copy(), batch.unobserved.copy()]
+        blocks[k][idx] += step
+        return frozen_loss(AlignmentBatch(*blocks, batch.context), state)
 
-    g_obs = np.zeros_like(batch.observed)
-    for idx in np.ndindex(batch.observed.shape):
-        plus = batch.observed.copy()
-        minus = batch.observed.copy()
-        plus[idx] += h
-        minus[idx] -= h
-        g_obs[idx] = (probe(plus, batch.unobserved) - probe(minus, batch.unobserved)) / (2 * h)
-    g_unobs = np.zeros_like(batch.unobserved)
-    for idx in np.ndindex(batch.unobserved.shape):
-        plus = batch.unobserved.copy()
-        minus = batch.unobserved.copy()
-        plus[idx] += h
-        minus[idx] -= h
-        g_unobs[idx] = (probe(batch.observed, plus) - probe(batch.observed, minus)) / (2 * h)
-    return g_obs, g_unobs
+    grads = (np.zeros_like(batch.observed), np.zeros_like(batch.unobserved))
+    for k, grad in enumerate(grads):
+        for idx in np.ndindex(grad.shape):
+            grad[idx] = (probe(k, idx, h) - probe(k, idx, -h)) / (2 * h)
+    return grads

@@ -248,22 +248,31 @@ def build_scm_model(cfg: dict) -> ScmModel:
     spec = cfg.get("oracle")
     if not spec:
         raise ValueError("config is missing the 'oracle' section")
-    if spec.get("kind", "scm") == "linear":
-        if "file" not in spec:
+    linear = spec.get("kind", "scm") == "linear"
+    file_key = "file" if linear else "model_file"
+    if file_key not in spec:
+        if linear:
             return _linear_model(spec, "oracle")
-        doc = json.loads(Path(spec["file"]).read_text())
-        check_config(doc, _LINEAR_SPEC, "oracle.file")
-        return _linear_model(doc, "oracle.file")
-    if "model_file" in spec:
-        if "model" in spec:
-            raise ValueError("set only one of config keys 'oracle.model' and 'oracle.model_file'")
-        doc = json.loads(Path(spec["model_file"]).read_text())
-        check_config(doc, _MODEL_FILE, "oracle.model_file")
-        return ScmModel.from_json_dict(doc)
-    name = spec.get("model")
-    if name not in BUILTIN_NAMES:
-        raise ValueError(f"oracle.model must be one of {BUILTIN_NAMES}, got {name!r}")
-    return builtin(name)
+        name = spec.get("model")
+        if name not in BUILTIN_NAMES:
+            raise ValueError(f"oracle.model must be one of {BUILTIN_NAMES}, got {name!r}")
+        return builtin(name)
+    where = f"oracle.{file_key}"
+    inline = [f"'oracle.{k}'" for k in (_LINEAR_SPEC if linear else ["model"]) if k in spec]
+    if inline:
+        raise ValueError(f"set only one of config keys {'/'.join(inline)} and '{where}'")
+    doc = json.loads(Path(spec[file_key]).read_text())
+    check_config(doc, _LINEAR_SPEC if linear else _MODEL_FILE, where)
+    if linear:
+        return _linear_model(doc, where)
+    n = len(doc["nodes"])
+    for section, id_key in (("nodes", "id"), ("equations", "node")):
+        ids = sorted(item[id_key] for item in doc[section])
+        if ids != list(range(n)):
+            raise ValueError(
+                f"config key '{where}.{section}' must hold ids 0..{n - 1} once each, got {ids}"
+            )
+    return ScmModel.from_json_dict(doc)
 
 
 def build_oracle(cfg: dict, seed: int) -> Oracle:
@@ -274,13 +283,29 @@ def build_oracle(cfg: dict, seed: int) -> Oracle:
     return Oracle(model, OracleConfig(**{**defaults, **cfg.get("oracle_config", {})}))
 
 
-def build_head(cfg: dict) -> ClassifierHead:
+def build_head(cfg: dict, dim: int) -> ClassifierHead:
+    """The config's classifier over a dim-dimensional latent space."""
     spec = cfg.get("classifier")
     if not spec:
         raise ValueError("config is missing the 'classifier' section")
     weights, bias = spec["weights"], spec.get("bias", 0.0)
-    if isinstance(bias, list) and not (weights and isinstance(weights[0], list)):
-        raise ValueError("config key 'classifier.bias' must be a number for vector weights")
+    matrix = bool(weights) and isinstance(weights[0], list)
+    rows, n_classes = (weights, len(weights)) if matrix else ([weights], 2)
+    if isinstance(bias, list) and not (matrix and len(bias) == n_classes):
+        raise ValueError(
+            "config key 'classifier.bias' must be a number for vector weights, "
+            f"else one number per weight row ({n_classes}); got {bias}"
+        )
+    if any(len(row) != dim for row in rows):
+        raise ValueError(
+            f"config key 'classifier.weights' needs rows of length {dim}, the "
+            f"oracle dimension; got {[len(row) for row in rows]}"
+        )
+    if spec.get("n_classes") not in (None, n_classes):
+        raise ValueError(
+            f"config key 'classifier.n_classes' must be {n_classes} for these "
+            f"weights, got {spec['n_classes']}"
+        )
     return ClassifierHead(weights, bias, spec.get("n_classes"))
 
 
@@ -485,7 +510,7 @@ def run_explain(
 ) -> dict:
     check_config(cfg)
     oracle = build_oracle(cfg, seed)
-    head = build_head(cfg)
+    head = build_head(cfg, oracle.dim)
     dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
     graph = discover(oracle, dcfg)
     latent = _resolve_latent(cfg, oracle, seed, index, latent_csv)
@@ -555,7 +580,7 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
         )
     det = evaluate.get("deterministic_seed", True)
     oracle = build_oracle(cfg, seed)
-    head = build_head(cfg)
+    head = build_head(cfg, oracle.dim)
     dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
     graph = discover(oracle, dcfg)
     acfg = build_stage_config(cfg, "attribution", 0)

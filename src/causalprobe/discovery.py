@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CausalGraph
+from .graph import CausalGraph, _has_cycle
 from .oracle import Oracle
 
 
@@ -158,24 +158,24 @@ def prune_indirect(
         diff = float(np.mean(out[:, j] - plus[i][:, j]))
         if abs(diff) < config.prune_eps:
             graph.remove_edge(i, j)
-            if (reach & reach.T).sum() > graph.n_nodes:  # a cycle: paths may change
+            if _has_cycle(reach):  # a cycle: paths may change
                 reach = graph.reach()
     return graph
 
 
 def resolve_cycles(graph: CausalGraph) -> CausalGraph:
-    """Break directed cycles by repeatedly dropping the smallest-|EW| edge.
-
-    Two-cycles therefore keep the direction with the larger |EW|. The input
-    is returned untouched (as a copy) when already acyclic.
-    """
+    """Break directed cycles by repeatedly dropping the weakest edge on any
+    cycle: the smallest-|EW| edge (i, j) with a path j ~> i, ties broken by
+    (i, j). With distinct |EW| the result does not depend on node numbering,
+    and two-cycles keep the direction with the larger |EW|. The input is
+    returned untouched (as a copy) when already acyclic."""
     out = graph.copy()
     while True:
-        cycle = out.find_cycle()
-        if cycle is None:
+        reach = out.reach()
+        on_cycle = [e for e in out.edges if reach[e[1], e[0]]]
+        if not on_cycle:
             return out
-        victim = min(cycle, key=lambda e: (abs(out.edges[e]), e[0], e[1]))
-        out.remove_edge(*victim)
+        out.remove_edge(*min(on_cycle, key=lambda e: (abs(out.edges[e]), e)))
 
 
 def discover(

@@ -6,6 +6,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _has_cycle(reach: np.ndarray) -> bool:
+    """The cycle test on a closure: two distinct nodes reach each other."""
+    return bool((reach & reach.T).sum() > len(reach))
+
+
 @dataclass
 class CausalGraph:
     """Directed graph whose nodes are feature positions with display labels.
@@ -49,9 +54,6 @@ class CausalGraph:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges)
 
-    def children(self, i: int) -> list[int]:
-        return sorted(j for (k, j) in self.edges if k == i)
-
     def reach(self) -> np.ndarray:
         """Boolean transitive closure, (d, d): reach[i, j] is True when j is
         i or a descendant of i. Well defined on cyclic graphs too."""
@@ -63,48 +65,18 @@ class CausalGraph:
         return reach
 
     def is_dag(self) -> bool:
-        return self.find_cycle() is None
+        """True when no directed cycle exists, read off the closure: no two
+        distinct nodes reach each other."""
+        return not _has_cycle(self.reach())
 
     def topological_order(self) -> list[int]:
         """Nodes sorted by (ancestor count, id); raises ValueError if the
         graph has a cycle."""
         reach = self.reach()
-        if (reach & reach.T).sum() > self.n_nodes:
+        if _has_cycle(reach):
             raise ValueError("graph contains a cycle")
         ancestors = reach.sum(axis=0)
         return sorted(range(self.n_nodes), key=lambda v: (ancestors[v], v))
-
-    def find_cycle(self) -> list[tuple[int, int]] | None:
-        """Return one directed cycle as a list of edges, or None."""
-        color = [0] * self.n_nodes  # 0 unseen, 1 on stack, 2 done
-        parent: dict[int, int] = {}
-
-        def dfs(u: int) -> list[tuple[int, int]] | None:
-            color[u] = 1
-            for v in self.children(u):
-                if color[v] == 0:
-                    parent[v] = u
-                    found = dfs(v)
-                    if found:
-                        return found
-                elif color[v] == 1:
-                    # back edge u -> v closes the cycle
-                    path = [(u, v)]
-                    cur = u
-                    while cur != v:
-                        path.append((parent[cur], cur))
-                        cur = parent[cur]
-                    path.reverse()
-                    return path
-            color[u] = 2
-            return None
-
-        for start in range(self.n_nodes):
-            if color[start] == 0:
-                found = dfs(start)
-                if found:
-                    return found
-        return None
 
     def copy(self) -> "CausalGraph":
         return CausalGraph(list(self.labels), dict(self.edges))

@@ -1,4 +1,4 @@
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,13 +218,16 @@ def test_gradient_fd_validates_step():
         loss_gradient_fd(batch, make_state(), h=0.0)
 
 
-def test_state_json_round_trip():
+@pytest.mark.parametrize("rows", [2, 6])  # 2 rows pad U*S with a zero column
+def test_alignment_loss_is_the_frozen_loss_at_the_updated_mean(rows):
     rng = np.random.default_rng(9)
-    state = make_state(alpha=0.3, iteration=30, running_eig=rng.normal(size=(3, 2)))
-    back = AlignmentState.from_json_dict(json.loads(json.dumps(state.to_json_dict())))
-    assert back.alpha == state.alpha
-    assert back.iteration == state.iteration
-    assert np.allclose(back.running_eig, state.running_eig)
+    state = make_state(num_steps=4, total_iterations=10)
+    for step in range(12):  # alpha 0, then rising; step 5 has a zero block
+        unobs = np.zeros((rows, 3)) if step == 5 else rng.normal(size=(rows, 3))
+        batch = AlignmentBatch(rng.normal(size=(rows, 2)), unobs, rng.normal(size=(rows, 2)))
+        loss, new = alignment_loss(batch, state)
+        assert loss == frozen_loss(batch, replace(state, running_eig=new.running_eig))
+        state = new
 
 
 def test_batch_shape_validation():

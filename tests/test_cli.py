@@ -454,6 +454,22 @@ _MF = "oracle.model_file"
         ("model_file", "nodes.1.label", 1, "sample", f"config key '{_MF}.nodes[1].label' must be"),
         ("model_file", "name", DROP, "sample", f"config key '{_MF}.name' is required"),
         ("model_file", "equations", {}, "sample", f"config key '{_MF}.equations' must be a list"),
+        # model-file node ids are 0..n-1, once each
+        ("model_file", "nodes.1.id", 0, "sample",
+         f"config key '{_MF}.nodes' must hold ids 0..1 once each, got [0, 0]"),
+        ("model_file", "nodes.1.id", 7, "discover", f"config key '{_MF}.nodes' must hold"),
+        ("model_file", "equations.0.node", 1, "sample",
+         f"config key '{_MF}.equations' must hold ids 0..1 once each, got [1, 1]"),
+        # classifier shapes, checked before discovery
+        ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "bias": [1.0, 2.0]},
+         "explain", "config key 'classifier.bias' must be a number for vector weights, else one "
+         "number per weight row (3); got [1.0, 2.0]"),
+        ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0]]}, "explain",
+         "config key 'classifier.weights' needs rows of length 2"),
+        ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0, 1.0]], "n_classes": 3}, "evaluate",
+         "config key 'classifier.n_classes' must be 2 for these weights, got 3"),
+        ("ti", "classifier", {"weights": [0.0, 1.0, 0.5]}, "evaluate",
+         "config key 'classifier.weights' needs rows of length 2, the oracle dimension"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
@@ -462,6 +478,18 @@ def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, c
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and message in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("dim", 5), ("edges", []), ("noise_std", 0.5)])
+def test_linear_file_excludes_inline_keys(tmp_path, capsys, key, value):
+    cfg = config_for(tmp_path, "file", "dim", 2)
+    cfg["oracle"][key] = value
+    out = tmp_path / "o"
+    assert main(["sample", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert f"config keys 'oracle.{key}' and 'oracle.file'" in err["message"]
     assert not out.exists()
 
 

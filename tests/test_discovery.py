@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +195,60 @@ def test_resolve_cycles_three_cycle():
     out = resolve_cycles(g)
     assert out.edge_set() == {(0, 1), (1, 2)}
     assert out.is_dag()
+
+
+def relabel(g, perm):
+    """g with node k renamed perm[k]."""
+    labels = [""] * g.n_nodes
+    for k, label in enumerate(g.labels):
+        labels[perm[k]] = label
+    return CausalGraph(labels, {(perm[i], perm[j]): w for (i, j), w in g.edges.items()})
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """A digraph, cycles allowed, with distinct |EW|, and a relabelling."""
+    d = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16))
+    weights = draw(st.lists(
+        st.floats(-2.0, 2.0, allow_nan=False), min_size=len(edges), max_size=len(edges),
+        unique_by=abs,
+    ))
+    graph = CausalGraph([f"x{k}" for k in range(d)], dict(zip(edges, weights)))
+    return graph, draw(st.permutations(range(d)))
+
+
+_OVERLAPPING = CausalGraph(list("abcd"), {(0, 1): .1, (1, 2): .2, (2, 0): .9, (2, 3): .8, (3, 1): .7})
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=weighted_digraphs())
+# two cycles share 1 -> 2; a walk that meets 1 -> 2 -> 3 -> 1 first drops
+# only 1 -> 2, one that meets 0 -> 1 -> 2 -> 0 first also drops 0 -> 1
+@example(case=(_OVERLAPPING, [2, 0, 3, 1]))
+def test_resolve_cycles_keeps_a_dag_subgraph_independent_of_numbering(case):
+    g, perm = case
+    out = resolve_cycles(g)
+    assert out.is_dag()
+    assert out.edges.items() <= g.edges.items()
+    reach = g.reach()
+    assert all(out.has_edge(i, j) for i, j in g.edges if not reach[j, i])  # off every cycle
+    assert resolve_cycles(relabel(g, perm)).edges == relabel(out, perm).edges
+
+
+def test_resolve_cycles_overlapping_cycles_lose_each_weakest_edge():
+    # 0 -> 1 is the weakest edge of 0 -> 1 -> 2 -> 0 and 1 -> 2 of 1 -> 2 -> 3 -> 1
+    kept = CausalGraph(list("abcd"), {(2, 0): .9, (2, 3): .8, (3, 1): .7})
+    for perm in itertools.permutations(range(4)):
+        assert resolve_cycles(relabel(_OVERLAPPING, perm)).edges == relabel(kept, perm).edges
+
+
+def test_resolve_cycles_long_ring_loses_its_weakest_edge():
+    n = 1500  # deeper than Python's default recursion limit
+    ring = {(k, (k + 1) % n): 1.0 + ((k - 700) % n) / n for k in range(n)}
+    out = resolve_cycles(CausalGraph([f"x{k}" for k in range(n)], ring))
+    assert out.edge_set() == set(ring) - {(700, 701)}
 
 
 def test_discover_ti_exact():
