@@ -43,7 +43,6 @@ from .metrics import (
 from .oracle import ClassifierHead, Oracle, OracleConfig
 from .scm import (
     BUILTIN_NAMES,
-    Mechanism,
     NoiseSpec,
     SampleSet,
     ScmModel,
@@ -63,7 +62,6 @@ __all__ = [
     "DiscoveryConfig",
     "EvaluationConfig",
     "Explanation",
-    "Mechanism",
     "MetricsReport",
     "NoiseSpec",
     "Oracle",

@@ -44,14 +44,6 @@ def _derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 # rows per bulk write of a float block: bounds the text held in memory
 _CSV_CHUNK_ROWS = 4096
 
@@ -61,36 +53,23 @@ def _write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            # the bytes writerow would give: %r of a Python float is _fmt's
-            # repr (tolist first: numpy 2 reprs np.float64 as "np.float64(..)"),
-            # no float repr needs quoting, and rows end in csv's "\r\n"
+            # the bytes writerow would give: it writes an np.float64 as its
+            # str, which is %r of the Python float (tolist first: numpy 2
+            # reprs np.float64 as "np.float64(..)"), no float repr needs
+            # quoting, and rows end in csv's "\r\n"
             line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
             for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
                 block = rows[lo : lo + _CSV_CHUNK_ROWS].tolist()
                 fh.write("".join([line % tuple(row) for row in block]))
             return
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    # np.float64 is a float and dumps as one; other numpy scalars and arrays
+    # go through tolist
+    text = json.dumps(doc, sort_keys=True, indent=2, default=lambda obj: obj.tolist())
+    path.write_text(text + "\n")
 
 
 # sections that configure one stage's dataclass; the run derives its seed
@@ -128,7 +107,7 @@ _MODEL_FILE = {
     "nodes": _Required(list[{"id": _Required(int), "label": _Required(str)}]),
     "equations": _Required(list[{
         "node": _Required(int), "parents": _Required(list[int]),
-        "mechanism": str,  # the kind tag; loading derives it from the coeffs
+        "mechanism": str,  # legacy kind tag, ignored
         "coeffs": _Required({
             **dict.fromkeys(["const", "sig_scale", "sig_bias"], _Required(float)),
             **dict.fromkeys(["linear", "sig_linear"], _Required(list[float])),
@@ -272,7 +251,16 @@ def build_scm_model(cfg: dict) -> ScmModel:
             raise ValueError(
                 f"config key '{where}.{section}' must hold ids 0..{n - 1} once each, got {ids}"
             )
-    return ScmModel.from_json_dict(doc)
+    for k, eq in enumerate(doc["equations"]):
+        if not all(0 <= p < n for p in eq["parents"]):
+            raise ValueError(
+                f"config key '{where}.equations[{k}].parents' must lie in [0, {n}), "
+                f"got {eq['parents']}"
+            )
+    try:
+        return ScmModel.from_json_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"config key '{where}' holds an invalid model: {exc}") from exc
 
 
 def build_oracle(cfg: dict, seed: int) -> Oracle:
@@ -291,6 +279,11 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
     weights, bias = spec["weights"], spec.get("bias", 0.0)
     matrix = bool(weights) and isinstance(weights[0], list)
     rows, n_classes = (weights, len(weights)) if matrix else ([weights], 2)
+    if n_classes < 2:
+        raise ValueError(
+            "config key 'classifier.weights' needs at least 2 rows, one per class; "
+            f"got {n_classes}"
+        )
     if isinstance(bias, list) and not (matrix and len(bias) == n_classes):
         raise ValueError(
             "config key 'classifier.bias' must be a number for vector weights, "
@@ -319,7 +312,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int, outputs) -> N
         out / "run_manifest.json",
         {
             "command": command,
-            "config": _jsonable(cfg),
+            "config": cfg,
             "seed": seed,
             "outputs": sorted(outputs),
         },
@@ -367,6 +360,12 @@ def _jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0
     return len(a & b) / len(a | b)
+
+
+def _mean_jaccard(sets: list[set]) -> float:
+    """Mean Jaccard index over all pairs of edge sets; 1.0 with fewer than two."""
+    pairs = [_jaccard(a, b) for k, a in enumerate(sets) for b in sets[k + 1 :]]
+    return float(np.mean(pairs)) if pairs else 1.0
 
 
 def _consensus(runs: list[CausalGraph], labels) -> CausalGraph:
@@ -430,25 +429,12 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
 
     consensus_edges = consensus.edge_set()
     agreement = [_jaccard(g.edge_set(), consensus_edges) for g in runs]
-    consistency_vals = []
-    subset_majorities = []
-    for group in per_subset:
-        sets = [g.edge_set() for g in group]
-        pairs = [
-            _jaccard(sets[a], sets[b])
-            for a in range(len(sets))
-            for b in range(a + 1, len(sets))
-        ]
-        consistency_vals.append(np.mean(pairs) if pairs else 1.0)
-        majority = _consensus(group, oracle.labels).edge_set()
-        subset_majorities.append(majority)
-    graph_consistency = float(np.mean(consistency_vals))
-    stab_pairs = [
-        _jaccard(subset_majorities[a], subset_majorities[b])
-        for a in range(len(subset_majorities))
-        for b in range(a + 1, len(subset_majorities))
-    ]
-    graph_stability = float(np.mean(stab_pairs)) if stab_pairs else 1.0
+    graph_consistency = float(
+        np.mean([_mean_jaccard([g.edge_set() for g in group]) for group in per_subset])
+    )
+    graph_stability = _mean_jaccard(
+        [_consensus(group, oracle.labels).edge_set() for group in per_subset]
+    )
 
     report = {
         "correctness_index": correctness,
@@ -466,7 +452,7 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
             for q in range(ecfg.q_repetitions)
         ],
     }
-    _write_json(out / "report.json", _jsonable(report))
+    _write_json(out / "report.json", report)
     _write_csv(
         out / "report.csv",
         ["metric", "value"],
@@ -525,7 +511,7 @@ def run_explain(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = explanation.to_json_dict(oracle.labels)
-    doc["latent"] = _jsonable(latent)
+    doc["latent"] = latent.tolist()
     _write_json(out / "explanation.json", doc)
     rows = [[k, label, w] for k, (label, w) in enumerate(zip(oracle.labels, explanation.weights))]
     _write_csv(out / "explanation.csv", ["feature", "label", "weight"], rows)
@@ -628,7 +614,7 @@ def run_evaluate(cfg: dict, out_dir: str, seed: int) -> dict:
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "metrics.json", _jsonable(headline.to_json_dict()))
+    _write_json(out / "metrics.json", headline.to_json_dict())
     _write_csv(
         out / "metrics.csv",
         ["method", "faithfulness", "stability"],

@@ -152,26 +152,24 @@ def joint_feasible(n_rows: int, dims: int, bins: int) -> bool:
     return n_rows >= bins**dims
 
 
+def _regime_columns(codes: np.ndarray, dims: int, bins: int) -> list[np.ndarray]:
+    """The code columns an estimate averages over: the joint code of all
+    columns when a histogram over dims binned columns is adequately sampled,
+    else each column on its own (the reduced regime)."""
+    if joint_feasible(codes.shape[0], dims, bins):
+        return [_joint_code(codes, bins)]
+    return list(codes.T)
+
+
 def entropy(x: np.ndarray, config: EvaluationConfig) -> float:
     """Plug-in entropy (bits) on the equal-frequency binning.
 
     Multi-column inputs use the joint histogram when adequately sampled and
     fall back to the mean of per-column entropies otherwise.
     """
-    arr = _as_columns(x)
-    codes = _bin_codes(arr, config.mi_bins)
-    if arr.shape[1] == 1 or joint_feasible(arr.shape[0], arr.shape[1], config.mi_bins):
-        return _entropy_from_codes(_joint_code(codes, config.mi_bins))
-    return float(np.mean([_entropy_from_codes(codes[:, c]) for c in range(arr.shape[1])]))
-
-
-def _mi_from_codes(cx: np.ndarray, cy: np.ndarray) -> tuple[float, float, float]:
-    """(MI, H(x), H(y)) of two code vectors."""
-    hx = _entropy_from_codes(cx)
-    hy = _entropy_from_codes(cy)
-    pair = cx * (cy.max() + 1) + cy
-    hxy = _entropy_from_codes(pair)
-    return hx + hy - hxy, hx, hy
+    codes = _bin_codes(x, config.mi_bins)
+    columns = _regime_columns(codes, codes.shape[1], config.mi_bins)
+    return float(np.mean([_entropy_from_codes(c) for c in columns]))
 
 
 def _mi_regime(x: np.ndarray, y: np.ndarray, bins: int) -> tuple[float, float, float]:
@@ -182,14 +180,17 @@ def _mi_regime(x: np.ndarray, y: np.ndarray, bins: int) -> tuple[float, float, f
     otherwise MI is the mean pairwise MI over all column pairs and each
     entropy the mean of its per-column entropies.
     """
-    cx = _bin_codes(x, bins)
-    cy = _bin_codes(y, bins)
-    if joint_feasible(cx.shape[0], cx.shape[1] + cy.shape[1], bins):
-        return _mi_from_codes(_joint_code(cx, bins), _joint_code(cy, bins))
-    mi = float(np.mean([_mi_from_codes(a, b)[0] for a in cx.T for b in cy.T]))
-    hx = float(np.mean([_entropy_from_codes(a) for a in cx.T]))
-    hy = float(np.mean([_entropy_from_codes(b) for b in cy.T]))
-    return mi, hx, hy
+    cx, cy = _bin_codes(x, bins), _bin_codes(y, bins)
+    dims = cx.shape[1] + cy.shape[1]
+    xs, ys = _regime_columns(cx, dims, bins), _regime_columns(cy, dims, bins)
+    hx = [_entropy_from_codes(a) for a in xs]
+    hy = [_entropy_from_codes(b) for b in ys]
+    mi = [
+        hx[i] + hy[j] - _entropy_from_codes(a * (b.max() + 1) + b)
+        for i, a in enumerate(xs)
+        for j, b in enumerate(ys)
+    ]
+    return float(np.mean(mi)), float(np.mean(hx)), float(np.mean(hy))
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray, config: EvaluationConfig) -> float:

@@ -10,8 +10,7 @@ ScmModel.linear builds a linear SEM from a weight matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,15 +75,17 @@ ZERO_NOISE = NoiseSpec("degenerate-zero")
 
 
 @dataclass(frozen=True)
-class Mechanism:
-    """Closed-form mechanism: const + linear.parents + sig_scale*sigmoid(affine).
+class StructuralEquation:
+    """x_node = const + linear.parents + sig_scale*logistic(sig_bias + sig_linear.parents) + noise.
 
-    Covers the three expression tags used by the builtin models:
-    "affine" (no sigmoid term), "affine-of-sigmoid" (sigmoid term only),
-    and "composite" (both). Pure data: ScmModel compiles its mechanisms
-    into dense coefficient arrays and evaluates those.
+    linear and sig_linear each hold no coefficient (the term is absent) or
+    one per parent, in the order of parents. Pure data: ScmModel compiles
+    its equations into dense coefficient arrays and evaluates those.
     """
 
+    node: int
+    parents: tuple[int, ...]
+    noise: NoiseSpec
     const: float = 0.0
     linear: tuple[float, ...] = ()
     sig_scale: float = 0.0
@@ -92,49 +93,21 @@ class Mechanism:
     sig_linear: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", tuple(float(c) for c in self.linear))
-        object.__setattr__(self, "sig_linear", tuple(float(c) for c in self.sig_linear))
-
-    @property
-    def kind(self) -> str:
-        has_lin = any(c != 0.0 for c in self.linear)
-        has_sig = self.sig_scale != 0.0
-        if has_sig and has_lin:
-            return "composite"
-        if has_sig:
-            return "affine-of-sigmoid"
-        return "affine"
-
-    def arity(self) -> int:
-        return max(len(self.linear), len(self.sig_linear))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "coeffs": {
-                "const": self.const,
-                "linear": list(self.linear),
-                "sig_scale": self.sig_scale,
-                "sig_bias": self.sig_bias,
-                "sig_linear": list(self.sig_linear),
-            },
-        }
-
-
-@dataclass(frozen=True)
-class StructuralEquation:
-    node: int
-    parents: tuple[int, ...]
-    mechanism: Mechanism
-    noise: NoiseSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
-        if self.mechanism.arity() > len(self.parents):
+        parents = tuple(int(p) for p in self.parents if isinstance(p, (int, np.integer)))
+        if len(parents) != len(self.parents) or len(set(parents)) != len(parents):
             raise ValueError(
-                f"equation for node {self.node}: mechanism expects "
-                f"{self.mechanism.arity()} parents, got {len(self.parents)}"
+                f"equation for node {self.node}: parents must be distinct integers, "
+                f"got {list(self.parents)}"
             )
+        object.__setattr__(self, "parents", parents)
+        for field in ("linear", "sig_linear"):
+            coeffs = tuple(float(c) for c in getattr(self, field))
+            if coeffs and len(coeffs) != len(parents):
+                raise ValueError(
+                    f"equation for node {self.node}: {field} must hold no coefficient or one "
+                    f"per parent ({len(parents)}), got {len(coeffs)}"
+                )
+            object.__setattr__(self, field, coeffs)
 
 
 @dataclass(frozen=True)
@@ -154,7 +127,7 @@ class ScmModel:
     """Immutable structural causal model with one equation per node.
 
     Parents may carry any node id, as long as the equations form a DAG. At
-    construction the mechanisms are compiled once into dense coefficient
+    construction the equations are compiled once into dense coefficient
     arrays (const, linear matrix, sigmoid scale/bias and sigmoid matrix)
     plus a topological order, which propagate and abduce evaluate.
     """
@@ -180,11 +153,11 @@ class ScmModel:
         const, lin = np.zeros(d), np.zeros((d, d))
         sig_scale, sig_bias, sig_lin = np.zeros(d), np.zeros(d), np.zeros((d, d))
         for eq in self.equations:
-            m, v = eq.mechanism, eq.node
-            const[v], sig_scale[v], sig_bias[v] = m.const, m.sig_scale, m.sig_bias
-            for p, c in zip(eq.parents, m.linear):
+            v = eq.node
+            const[v], sig_scale[v], sig_bias[v] = eq.const, eq.sig_scale, eq.sig_bias
+            for p, c in zip(eq.parents, eq.linear):
                 lin[p, v] += c
-            for p, c in zip(eq.parents, m.sig_linear):
+            for p, c in zip(eq.parents, eq.sig_linear):
                 sig_lin[p, v] += c
         # per node in topological order: (node, const, linear column,
         # sigmoid (scale, bias, column)); zero terms are None and skipped
@@ -325,8 +298,13 @@ class ScmModel:
                 {
                     "node": eq.node,
                     "parents": list(eq.parents),
-                    "mechanism": eq.mechanism.to_json_dict()["kind"],
-                    "coeffs": eq.mechanism.to_json_dict()["coeffs"],
+                    "coeffs": {
+                        "const": eq.const,
+                        "linear": list(eq.linear),
+                        "sig_scale": eq.sig_scale,
+                        "sig_bias": eq.sig_bias,
+                        "sig_linear": list(eq.sig_linear),
+                    },
                     "noise": eq.noise.to_json_dict(),
                 }
                 for eq in self.equations
@@ -341,12 +319,7 @@ class ScmModel:
         nodes = sorted(doc["nodes"], key=lambda d: d["id"])
         labels = tuple(d["label"] for d in nodes)
         equations = tuple(
-            StructuralEquation(
-                node=e["node"],
-                parents=e["parents"],
-                mechanism=Mechanism(**e["coeffs"]),
-                noise=NoiseSpec(**e["noise"]),
-            )
+            StructuralEquation(e["node"], e["parents"], NoiseSpec(**e["noise"]), **e["coeffs"])
             for e in sorted(doc["equations"], key=lambda d: d["node"])
         )
         return cls(name=doc["name"], labels=labels, equations=equations)
@@ -372,7 +345,7 @@ class ScmModel:
         for j in range(d):
             parents = np.flatnonzero(w[:, j])
             equations.append(
-                StructuralEquation(j, tuple(parents), Mechanism(linear=tuple(w[parents, j])), noise)
+                StructuralEquation(j, tuple(parents), noise, linear=tuple(w[parents, j]))
             )
         return cls(name="linear", labels=labels, equations=tuple(equations))
 
@@ -380,95 +353,49 @@ class ScmModel:
 def _builtin_table() -> dict[str, tuple[tuple[str, ...], tuple[StructuralEquation, ...]]]:
     # thickness/intensity/slant/width worlds; root thickness noise is
     # gamma(10, 5) in every variant that draws it
+    Eq, gamma = StructuralEquation, NoiseSpec("gamma", (10, 5))
     ti = (
         ("t", "i"),
         (
-            StructuralEquation(0, (), Mechanism(const=0.5), NoiseSpec("gamma", (10, 5))),
-            StructuralEquation(
-                1,
-                (0,),
-                Mechanism(const=64, sig_scale=191, sig_bias=-5.0, sig_linear=(2.0,)),
-                NoiseSpec("normal", (1.0,)),
-            ),
+            Eq(0, (), gamma, const=0.5),
+            Eq(1, (0,), NoiseSpec("normal", (1.0,)),
+               const=64, sig_scale=191, sig_bias=-5.0, sig_linear=(2.0,)),
         ),
     )
     it = (
         ("i", "t"),
         (
-            StructuralEquation(0, (), Mechanism(), NoiseSpec("uniform", (60, 255))),
-            StructuralEquation(
-                1,
-                (0,),
-                Mechanism(const=3, sig_scale=1, sig_bias=0.0, sig_linear=(1 / 255,)),
-                NoiseSpec("normal", (0.5,)),
-            ),
+            Eq(0, (), NoiseSpec("uniform", (60, 255))),
+            Eq(1, (0,), NoiseSpec("normal", (0.5,)),
+               const=3, sig_scale=1, sig_bias=0.0, sig_linear=(1 / 255,)),
         ),
     )
     ts = (
         ("t", "s"),
         (
-            StructuralEquation(0, (), Mechanism(), NoiseSpec("gamma", (10, 5))),
-            StructuralEquation(
-                1,
-                (0,),
-                Mechanism(const=10, sig_scale=5, sig_bias=-5.0, sig_linear=(2.0,)),
-                NoiseSpec("normal", (0.5,)),
-            ),
+            Eq(0, (), gamma),
+            Eq(1, (0,), NoiseSpec("normal", (0.5,)),
+               const=10, sig_scale=5, sig_bias=-5.0, sig_linear=(2.0,)),
         ),
     )
     tswi = (
         ("t", "s", "w", "i"),
         (
-            StructuralEquation(0, (), Mechanism(), NoiseSpec("gamma", (10, 5))),
-            StructuralEquation(
-                1, (0,), Mechanism(const=10, linear=(20.0,)), NoiseSpec("normal", (5.0,))
-            ),
-            StructuralEquation(
-                2,
-                (0, 1),
-                Mechanism(
-                    const=10,
-                    linear=(0.0, -0.25),
-                    sig_scale=15,
-                    sig_bias=0.0,
-                    sig_linear=(0.5, 0.0),
-                ),
-                NoiseSpec("normal", (1.0,)),
-            ),
-            StructuralEquation(
-                3,
-                (2,),
-                Mechanism(const=64, sig_scale=191, sig_bias=0.0, sig_linear=(1 / 25,)),
-                NoiseSpec("normal", (1.0,)),
-            ),
+            Eq(0, (), gamma),
+            Eq(1, (0,), NoiseSpec("normal", (5.0,)), const=10, linear=(20.0,)),
+            Eq(2, (0, 1), NoiseSpec("normal", (1.0,)),
+               const=10, linear=(0.0, -0.25), sig_scale=15, sig_bias=0.0, sig_linear=(0.5, 0.0)),
+            Eq(3, (2,), NoiseSpec("normal", (1.0,)),
+               const=64, sig_scale=191, sig_bias=0.0, sig_linear=(1 / 25,)),
         ),
     )
     return {"TI": ti, "IT": it, "TS": ts, "TSWI": tswi}
 
 
-def builtin(
-    name: str,
-    noise_overrides: Mapping[str, NoiseSpec] | None = None,
-    mechanism_overrides: Mapping[str, Mechanism] | None = None,
-) -> ScmModel:
-    """Construct one of the four builtin models (TI, IT, TS, TSWI).
-
-    Distribution and mechanism parameters are overridable per node label so
-    alternate parameterizations can be exercised without code changes.
-    """
+def builtin(name: str) -> ScmModel:
+    """Construct one of the four builtin models (TI, IT, TS, TSWI)."""
     table = _builtin_table()
     if name not in table:
         raise ValueError(f"unknown builtin model {name!r}; choose one of {BUILTIN_NAMES}")
     labels, equations = table[name]
-    eqs = list(equations)
-    for key, spec in (noise_overrides or {}).items():
-        idx = labels.index(key) if key in labels else -1
-        if idx < 0:
-            raise ValueError(f"noise override for unknown node {key!r}")
-        eqs[idx] = replace(eqs[idx], noise=spec)
-    for key, mech in (mechanism_overrides or {}).items():
-        idx = labels.index(key) if key in labels else -1
-        if idx < 0:
-            raise ValueError(f"mechanism override for unknown node {key!r}")
-        eqs[idx] = replace(eqs[idx], mechanism=mech)
-    return ScmModel(name=name, labels=labels, equations=tuple(eqs))
+    return ScmModel(name=name, labels=labels, equations=equations)

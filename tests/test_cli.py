@@ -413,6 +413,12 @@ def config_for(tmp_path, base, path, value):
 
 _LOOP = {"from": 1, "to": 1, "weight": 0.0}
 _MF = "oracle.model_file"
+# the TI intensity equation with its parent repeated and a linear term
+_REPEATED_PARENT = dict(
+    builtin("TI").to_json_dict()["equations"][1],
+    parents=[0, 0],
+    coeffs={"const": 64, "linear": [1.0], "sig_scale": 191, "sig_bias": -5.0, "sig_linear": [2.0]},
+)
 
 
 @pytest.mark.parametrize(
@@ -470,6 +476,17 @@ _MF = "oracle.model_file"
          "config key 'classifier.n_classes' must be 2 for these weights, got 3"),
         ("ti", "classifier", {"weights": [0.0, 1.0, 0.5]}, "evaluate",
          "config key 'classifier.weights' needs rows of length 2, the oracle dimension"),
+        ("ti", "classifier", {"weights": [[0.0, 1.0]]}, "explain",
+         "config key 'classifier.weights' needs at least 2 rows, one per class; got 1"),
+        # model-file parents lie in 0..n-1, once each, with one coefficient each
+        ("model_file", "equations.1.parents", [7], "sample",
+         f"config key '{_MF}.equations[1].parents' must lie in [0, 2), got [7]"),
+        ("model_file", "equations.1", _REPEATED_PARENT, "sample",
+         f"config key '{_MF}' holds an invalid model: equation for node 1: parents must be "
+         "distinct integers, got [0, 0]"),
+        ("model_file", "equations.1.coeffs.sig_linear", [2.0, 1.0], "discover",
+         f"config key '{_MF}' holds an invalid model: equation for node 1: sig_linear must "
+         "hold no coefficient or one per parent (1), got 2"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
@@ -494,13 +511,16 @@ def test_linear_file_excludes_inline_keys(tmp_path, capsys, key, value):
 
 
 def test_model_file_with_legacy_key_samples_like_the_builtin(tmp_path):
-    cfg = config_for(tmp_path, "model_file", "context_count", 2)
-    for name, config in (("file", cfg), ("builtin", TI_CFG)):
-        out = tmp_path / name
-        assert main(["sample", "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 0
-    assert (tmp_path / "file/samples.csv").read_bytes() == (
-        tmp_path / "builtin/samples.csv"
-    ).read_bytes()
+    # context_count and the mechanism kind tags are no longer written, but
+    # files that still carry them load
+    for path, value in (("context_count", 2), ("equations.1.mechanism", "affine-of-sigmoid")):
+        cfg = config_for(tmp_path, "model_file", path, value)
+        for name, config in (("file", cfg), ("builtin", TI_CFG)):
+            out = str(tmp_path / path / name)
+            assert main(["sample", "--config", write_cfg(tmp_path, config), "--out", out]) == 0
+        assert (tmp_path / path / "file/samples.csv").read_bytes() == (
+            tmp_path / path / "builtin/samples.csv"
+        ).read_bytes()
 
 
 def test_config_types_checked_for_in_process_callers(tmp_path):

@@ -147,7 +147,7 @@ def test_linear_oracle_json_round_trip(tmp_path):
         oracle = build_oracle({"oracle": spec}, seed=0)
         eq = oracle.model.equations[1]
         assert eq.noise == NoiseSpec("normal", (0.7,))
-        assert (eq.parents, eq.mechanism.linear) == ((0,), (0.5,))
+        assert (eq.parents, eq.linear) == ((0,), (0.5,))
         assert oracle.ground_truth_graph().edge_set() == {(0, 1), (1, 2)}
         assert not oracle.config.standardize  # the linear default: the raw chart
     cfg = {"oracle": dict(doc, kind="linear"), "oracle_config": {"standardize": True}}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from causalprobe import (
-    Mechanism,
     NoiseSpec,
     Oracle,
     OracleConfig,
@@ -18,16 +18,16 @@ from causalprobe import (
 )
 from causalprobe.scm import ZERO_NOISE, logistic
 
-ZERO = {"t": ZERO_NOISE, "i": ZERO_NOISE, "s": ZERO_NOISE, "w": ZERO_NOISE}
 
-# saturated variant of the TI intensity mechanism (sigmoid pinned near its
-# ceiling at observational thickness); constructible via mechanism overrides
-TI_SATURATED_INTENSITY = Mechanism(const=64, sig_scale=191, sig_bias=5.0, sig_linear=(2.0,))
-
-
-def zero_noise_for(model_name):
-    labels = builtin(model_name).labels
-    return {lab: ZERO_NOISE for lab in labels}
+def variant(name, saturated=False):
+    """A builtin with zero noise on every node; saturated moves the TI
+    intensity sigmoid's bias from -5 to +5, pinning it near its ceiling at
+    observational thickness."""
+    model = builtin(name)
+    equations = [replace(eq, noise=ZERO_NOISE) for eq in model.equations]
+    if saturated:
+        equations[1] = replace(equations[1], sig_bias=5.0)
+    return ScmModel(model.name, model.labels, equations)
 
 
 def test_builtin_dags():
@@ -53,11 +53,7 @@ def test_builtin_unknown_name_rejected():
 def test_ti_saturated_variant_value():
     # zero noise puts t exactly at its 0.5 offset; the saturated sigmoid
     # argument is then 2*0.5 + 5 = 6
-    model = builtin(
-        "TI",
-        noise_overrides=zero_noise_for("TI"),
-        mechanism_overrides={"i": TI_SATURATED_INTENSITY},
-    )
+    model = variant("TI", saturated=True)
     s = model.sample(1, 0)
     t, i = s.values[0]
     assert t == 0.5
@@ -66,7 +62,7 @@ def test_ti_saturated_variant_value():
 
 
 def test_tswi_zero_noise_propagation():
-    model = builtin("TSWI", noise_overrides=zero_noise_for("TSWI"))
+    model = variant("TSWI")
     s = model.sample(1, 0)
     t, sl, w, i = s.values[0]
     assert t == 0.0
@@ -77,7 +73,7 @@ def test_tswi_zero_noise_propagation():
 
 
 def test_sigmoid_mechanism_at_zero():
-    eq = StructuralEquation(0, (), Mechanism(sig_scale=1.0), ZERO_NOISE)
+    eq = StructuralEquation(0, (), ZERO_NOISE, sig_scale=1.0)
     model = ScmModel(name="sig", labels=("a",), equations=(eq,))
     assert model.sample(1, 0).values[0, 0] == 0.5
 
@@ -110,7 +106,7 @@ def test_counterfactual_sink_node_only_changes_itself():
 
 
 def test_counterfactual_ti_closed_form():
-    model = builtin("TI", noise_overrides=zero_noise_for("TI"))
+    model = variant("TI")
     base = model.sample(5, 11)
     t = base.values[:, 0]
     out = model.counterfactual(base, {"t": t + 1})
@@ -119,11 +115,7 @@ def test_counterfactual_ti_closed_form():
 
 
 def test_counterfactual_ti_saturated_closed_form():
-    model = builtin(
-        "TI",
-        noise_overrides=zero_noise_for("TI"),
-        mechanism_overrides={"i": TI_SATURATED_INTENSITY},
-    )
+    model = variant("TI", saturated=True)
     base = model.sample(5, 11)
     t = base.values[:, 0]
     out = model.counterfactual(base, {"t": t + 1})
@@ -140,7 +132,7 @@ def test_counterfactual_unknown_node_rejected():
 
 @pytest.mark.parametrize("name", ["TI", "IT", "TS", "TSWI"])
 def test_interventions_touch_only_descendants(name):
-    model = builtin(name, noise_overrides=zero_noise_for(name))
+    model = variant(name)
     reach = model.ground_truth_graph().reach()
     base = model.sample(4, 5)
     for node in range(model.n_nodes):
@@ -161,8 +153,8 @@ def test_ground_truth_graph_empty_model():
         name="lonely",
         labels=("a", "b"),
         equations=(
-            StructuralEquation(0, (), Mechanism(), NoiseSpec("normal", (1.0,))),
-            StructuralEquation(1, (), Mechanism(), NoiseSpec("normal", (1.0,))),
+            StructuralEquation(0, (), NoiseSpec("normal", (1.0,))),
+            StructuralEquation(1, (), NoiseSpec("normal", (1.0,))),
         ),
     )
     assert model.ground_truth_graph().edge_set() == set()
@@ -185,16 +177,16 @@ def test_equation_ordering_validation():
 
     with pytest.raises(ValueError, match="cycle"):
         model(
-            StructuralEquation(0, (1,), Mechanism(linear=(1.0,)), ZERO_NOISE),
-            StructuralEquation(1, (0,), Mechanism(linear=(1.0,)), ZERO_NOISE),
+            StructuralEquation(0, (1,), ZERO_NOISE, linear=(1.0,)),
+            StructuralEquation(1, (0,), ZERO_NOISE, linear=(1.0,)),
         )
     with pytest.raises(ValueError, match="self-loop"):
-        model(StructuralEquation(0, (0,), Mechanism(linear=(1.0,)), ZERO_NOISE))
+        model(StructuralEquation(0, (0,), ZERO_NOISE, linear=(1.0,)))
     # ids out of topological order: c -> a -> b
     chain = model(
-        StructuralEquation(0, (2,), Mechanism(const=1.0, linear=(2.0,)), ZERO_NOISE),
-        StructuralEquation(1, (0,), Mechanism(linear=(3.0,)), ZERO_NOISE),
-        StructuralEquation(2, (), Mechanism(const=5.0), ZERO_NOISE),
+        StructuralEquation(0, (2,), ZERO_NOISE, const=1.0, linear=(2.0,)),
+        StructuralEquation(1, (0,), ZERO_NOISE, linear=(3.0,)),
+        StructuralEquation(2, (), ZERO_NOISE, const=5.0),
     )
     assert chain.sample(2, 0).values.tolist() == [[11.0, 33.0, 5.0]] * 2
     with pytest.raises(ValueError, match="ordered"):
@@ -202,8 +194,8 @@ def test_equation_ordering_validation():
             name="bad",
             labels=("a", "b"),
             equations=(
-                StructuralEquation(1, (), Mechanism(), ZERO_NOISE),
-                StructuralEquation(1, (), Mechanism(), ZERO_NOISE),
+                StructuralEquation(1, (), ZERO_NOISE),
+                StructuralEquation(1, (), ZERO_NOISE),
             ),
         )
 
@@ -214,20 +206,48 @@ def test_sample_size_validation():
 
 
 def test_json_round_trip():
-    model = builtin("TSWI")
-    back = ScmModel.from_json_dict(json.loads(model.to_json()))
-    assert back.labels == model.labels
-    # model files that still carry the retired context_count key load alike
-    assert ScmModel.from_json_dict(dict(model.to_json_dict(), context_count=2)) == back
-    a = model.sample(32, 99).values
-    b = back.sample(32, 99).values
-    assert np.array_equal(a, b)
+    for name in ("TI", "IT", "TS", "TSWI"):
+        model = builtin(name)
+        doc = json.loads(model.to_json())
+        back = ScmModel.from_json_dict(doc)
+        assert back == model
+        # model files that still carry the retired context_count key or
+        # mechanism kind tags load alike
+        assert ScmModel.from_json_dict(dict(doc, context_count=2)) == back
+        tagged = [dict(eq, mechanism="affine") for eq in doc["equations"]]
+        assert ScmModel.from_json_dict(dict(doc, equations=tagged)) == back
+        a = model.sample(32, 99).values
+        b = back.sample(32, 99).values
+        assert np.array_equal(a, b)
 
 
-def test_mechanism_kind_tags():
-    assert Mechanism(const=1.0, linear=(2.0,)).kind == "affine"
-    assert Mechanism(const=64, sig_scale=191, sig_linear=(2.0,)).kind == "affine-of-sigmoid"
-    assert Mechanism(linear=(1.0,), sig_scale=5.0).kind == "composite"
+def test_equation_record_rejects_non_integer_parents():
+    with pytest.raises(ValueError, match=r"0: parents must be distinct integers, got \[1.0\]"):
+        StructuralEquation(0, (1.0,), ZERO_NOISE)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    parents=st.lists(st.integers(0, 5), max_size=4),
+    n_linear=st.integers(0, 5),
+    n_sig_linear=st.integers(0, 5),
+)
+def test_equation_record_checks_parents_and_coefficients(parents, n_linear, n_sig_linear):
+    def make():
+        return StructuralEquation(
+            9, parents, ZERO_NOISE, linear=[1.0] * n_linear, sig_linear=[2.0] * n_sig_linear
+        )
+
+    valid = len(set(parents)) == len(parents) and all(
+        n in (0, len(parents)) for n in (n_linear, n_sig_linear)
+    )
+    if valid:
+        eq = make()
+        assert eq.parents == tuple(parents)
+        assert (len(eq.linear), len(eq.sig_linear)) == (n_linear, n_sig_linear)
+    else:
+        with pytest.raises(ValueError, match="equation for node 9: (parents|linear|sig_linear) "):
+            make()
 
 
 def test_abduce_recovers_noise():
