@@ -33,7 +33,6 @@ from .discovery import (
 from .graph import CausalGraph
 from .metrics import (
     EvaluationConfig,
-    MetricsReport,
     correctness_index,
     entropy,
     faithfulness_index,
@@ -62,7 +61,6 @@ __all__ = [
     "DiscoveryConfig",
     "EvaluationConfig",
     "Explanation",
-    "MetricsReport",
     "NoiseSpec",
     "Oracle",
     "OracleConfig",

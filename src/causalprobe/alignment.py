@@ -73,12 +73,9 @@ def thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    for k in range(u.shape[1]):
-        pivot = np.argmax(np.abs(u[:, k]))
-        if u[pivot, k] < 0:
-            u[:, k] = -u[:, k]
-            vt[k, :] = -vt[k, :]
-    return u, s, vt
+    pivots = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    signs = np.where(pivots < 0, -1.0, 1.0)
+    return u * signs, s, vt * signs[:, None]
 
 
 def alpha_schedule(iteration: int, total_iterations: int, num_steps: int = 10) -> float:

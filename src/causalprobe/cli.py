@@ -20,6 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .attribution import (
+    POLICIES,
     AttributionConfig,
     confidence_delta,
     counterfactual_diff,
@@ -30,7 +31,6 @@ from .discovery import DiscoveryConfig, discover
 from .graph import CausalGraph
 from .metrics import (
     EvaluationConfig,
-    MetricsReport,
     correctness_index,
     faithfulness_index,
     joint_feasible,
@@ -422,7 +422,7 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     correctness = None
     correctness_flag = "ok"
     try:
-        truth = oracle.ground_truth_graph()
+        truth = oracle.model.ground_truth_graph()
         correctness = correctness_index(runs, truth)
     except ValueError as exc:
         correctness_flag = f"undefined: {exc}"
@@ -469,7 +469,12 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
 
 def _resolve_latent(cfg: dict, oracle, seed: int, index: int | None, latent_csv: str | None):
     if latent_csv is not None:
-        values = np.asarray([float(v) for v in latent_csv.split(",")], dtype=float)
+        try:
+            values = np.asarray([float(v) for v in latent_csv.split(",")], dtype=float)
+        except ValueError as exc:
+            raise ValueError(
+                f"--latent takes comma-separated numbers, got {latent_csv!r}"
+            ) from exc
         if values.size != oracle.dim:
             raise ValueError(
                 f"latent vector has {values.size} entries, oracle dimension is {oracle.dim}"
@@ -478,11 +483,10 @@ def _resolve_latent(cfg: dict, oracle, seed: int, index: int | None, latent_csv:
             raise ValueError(f"latent vector must be finite, got {latent_csv!r}")
         return values
     pool_size = cfg.get("pool_size", 1024)
-    pool = oracle.sample_latents(pool_size, [seed, 10])
     k = cfg.get("explain", {}).get("index", 0) if index is None else index
     if not 0 <= k < pool_size:
-        raise ValueError(f"sample index {k} out of range for pool of {pool_size}")
-    return pool[k]
+        raise ValueError(f"sample index {k} out of range for pool_size {pool_size}")
+    return oracle.sample_latents(pool_size, [seed, 10])[k]
 
 
 def run_explain(
@@ -498,15 +502,14 @@ def run_explain(
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg, oracle.dim)
     dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
-    graph = discover(oracle, dcfg)
-    latent = _resolve_latent(cfg, oracle, seed, index, latent_csv)
     acfg = build_stage_config(cfg, "attribution", _derive_seed(seed, 14))
     if policy is not None:
         acfg = replace(acfg, perturbation_policy=policy)
-    explanation = lime_latent(oracle, head, graph, latent, acfg)
-
+    latent = _resolve_latent(cfg, oracle, seed, index, latent_csv)
     specs = list(cfg.get("explain", {}).get("interventions", [])) + list(do_specs)
     parsed = [_parse_intervention(s, oracle, latent) for s in specs]
+    graph = discover(oracle, dcfg)
+    explanation = lime_latent(oracle, head, graph, latent, acfg)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -559,18 +562,23 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     check_config(cfg)
     evaluate = cfg.get("evaluate", {})
     n_expl = evaluate.get("n_explanations", 400)
+    ecfg = build_stage_config(cfg, "evaluation", seed)
+    if n_expl < ecfg.mi_bins:
+        raise ValueError(
+            f"evaluate.n_explanations ({n_expl}) must be at least evaluation.mi_bins "
+            f"({ecfg.mi_bins}), one row per histogram bin"
+        )
     stability_index = evaluate.get("stability_index", 0)
     if not 0 <= stability_index < n_expl:
         raise ValueError(
             f"evaluate.stability_index must lie in [0, {n_expl}), got {stability_index}"
         )
     det = evaluate.get("deterministic_seed", True)
+    dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
+    acfg = build_stage_config(cfg, "attribution", 0)
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg, oracle.dim)
-    dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
     graph = discover(oracle, dcfg)
-    acfg = build_stage_config(cfg, "attribution", 0)
-    ecfg = build_stage_config(cfg, "evaluation", seed)
     fixed_seed = _derive_seed(seed, 14)
 
     latents = oracle.sample_latents(n_expl, [seed, 16])
@@ -606,15 +614,15 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
 
 def run_evaluate(cfg: dict, out_dir: str, seed: int) -> dict:
     report = evaluate_explainer(cfg, seed)
-    headline = MetricsReport(
-        correctness_index=None,
-        stability=report["stability"]["engine"],
-        faithfulness_index=report["faithfulness"]["engine"],
-        details=report,
-    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "metrics.json", headline.to_json_dict())
+    headline = {
+        "correctness_index": None,
+        "stability": report["stability"]["engine"],
+        "faithfulness_index": report["faithfulness"]["engine"],
+        "details": report,
+    }
+    _write_json(out / "metrics.json", headline)
     _write_csv(
         out / "metrics.csv",
         ["method", "faithfulness", "stability"],
@@ -650,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=[],
                 help="intervention, e.g. t+=1 or i=2.0 (repeatable)",
             )
-            p.add_argument("--policy", choices=["interventional", "independent"], default=None)
+            p.add_argument("--policy", choices=POLICIES, default=None)
     return parser
 
 

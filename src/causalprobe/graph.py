@@ -92,15 +92,6 @@ class CausalGraph:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CausalGraph":
-        nodes = sorted(doc["nodes"], key=lambda n: n["id"])
-        if [n["id"] for n in nodes] != list(range(len(nodes))):
-            raise ValueError("node ids must be 0..n-1")
-        labels = [str(n["label"]) for n in nodes]
-        edges = {(e["from"], e["to"]): float(e["ew"]) for e in doc["edges"]}
-        return cls(labels, edges)
-
     def to_dot(self) -> str:
         lines = ["digraph causal {"]
         for k, lab in enumerate(self.labels):

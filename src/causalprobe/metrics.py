@@ -34,32 +34,6 @@ class EvaluationConfig:
             raise ValueError("noise_std must be >= 0")
 
 
-@dataclass
-class MetricsReport:
-    """Headline metric values plus per-run breakdowns in details."""
-
-    correctness_index: float | None
-    stability: float | None
-    faithfulness_index: float | None
-    details: dict
-
-    def __post_init__(self):
-        if self.correctness_index is not None and self.correctness_index > 1.0:
-            raise ValueError("correctness_index cannot exceed 1")
-        if self.stability is not None and self.stability > 0.0:
-            raise ValueError("stability cannot be positive")
-        if self.faithfulness_index is not None and not 0.0 <= self.faithfulness_index <= 1.0:
-            raise ValueError("faithfulness_index must lie in [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "correctness_index": self.correctness_index,
-            "stability": self.stability,
-            "faithfulness_index": self.faithfulness_index,
-            "details": self.details,
-        }
-
-
 def correctness_index(predicted: Sequence[CausalGraph], truth: CausalGraph) -> float:
     """Mean over runs of (correct - additional) / total ground-truth edges.
 

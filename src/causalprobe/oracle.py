@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CausalGraph
 from .scm import ScmModel, logistic
 
 _STANDARDIZE_DRAWS = 4096
@@ -53,6 +52,30 @@ def _seed_key(seed, k: int):
     return repr(seed) if isinstance(seed, (int, np.integer, list, tuple)) else k
 
 
+def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(mask, values) arrays of shape (n, d) for an intervention, or None
+    when it clamps nothing.
+
+    do is None, {node: scalar | (n,) array} with nodes given as in
+    ScmModel.node_index, or a (mask, values) pair broadcastable to (n, d).
+    """
+    if do is None:
+        return None
+    shape = (n, model.n_nodes)
+    if isinstance(do, tuple):
+        mask = np.broadcast_to(np.asarray(do[0], dtype=bool), shape).copy()
+        values = np.broadcast_to(np.asarray(do[1], dtype=float), shape).copy()
+        return (mask, values) if mask.any() else None
+    if not do:
+        return None
+    mask, values = np.zeros(shape, dtype=bool), np.zeros(shape)
+    for key, val in do.items():
+        idx = model.node_index(key)
+        mask[:, idx] = True
+        values[:, idx] = val  # a scalar or an (n,) array
+    return mask, values
+
+
 class Oracle:
     """Oracle backed by a structural causal model.
 
@@ -60,8 +83,9 @@ class Oracle:
     space: chart constants come from a fixed-size observational draw, the
     ±1 intervention convention then moves each feature by one observational
     standard deviation. With standardize=False the chart is the raw feature
-    space and queries agree exactly with the model counterfactual at zero
-    observation noise. Queries are pure: identical (base, do, seed) give
+    space. Under the "fixed" noise policy a query is the counterfactual:
+    the base rows' abduced noise propagated with the intervened nodes
+    clamped. Queries are pure: identical (base, do, seed) give
     identical output.
     """
 
@@ -98,14 +122,14 @@ class Oracle:
         """Re-encode base rows under an optional intervention.
 
         base: (d,) or (n, d) latent rows in the oracle's chart; do: any
-        intervention ScmModel.normalize_do accepts, its values in the chart.
+        intervention _normalize_do accepts, its values in the chart.
         Returns the intervened, noise-perturbed rows with matching shape.
         This is query_stacked with a single block.
         """
         arr = np.asarray(base, dtype=float)
         single = arr.ndim == 1
         rows = np.atleast_2d(arr)
-        norm = self.model.normalize_do(do, rows.shape[0])
+        norm = _normalize_do(self.model, do, rows.shape[0])
         stacked_do = None if norm is None else (norm[0][None], norm[1][None])
         out = self.query_stacked(rows[None], stacked_do, [seed])[0]
         return out[0] if single else out
@@ -180,9 +204,6 @@ class Oracle:
         if std > 0:
             out = out + per_block(lambda rng: rng.normal(0.0, std, (n, d)))
         return out
-
-    def ground_truth_graph(self) -> CausalGraph:
-        return self.model.ground_truth_graph()
 
 
 class ClassifierHead:

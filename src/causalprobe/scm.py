@@ -2,8 +2,9 @@
 
 Each model holds one structural equation x_v = f_v(parents) + eps_v per
 node, with explicitly parameterized noise, supporting ancestral sampling,
-fixed-noise counterfactuals (abduction over the additive noise), and
-ground-truth DAG export. Four builtin models cover the thickness /
+abduction of the additive noise and propagation under clamped nodes (from
+which the oracle builds its fixed-noise counterfactuals), and ground-truth
+DAG export. Four builtin models cover the thickness /
 intensity / slant / width worlds used throughout the test suite, and
 ScmModel.linear builds a linear SEM from a weight matrix.
 """
@@ -69,9 +70,6 @@ class NoiseSpec:
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
-
-
-ZERO_NOISE = NoiseSpec("degenerate-zero")
 
 
 @dataclass(frozen=True)
@@ -192,29 +190,6 @@ class ScmModel:
             raise ValueError(f"node index {node} out of range for {self.n_nodes} nodes")
         return node
 
-    def normalize_do(self, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(mask, values) arrays of shape (n, d) for an intervention, or None
-        when it clamps nothing.
-
-        do is None, {node: scalar | (n,) array} with nodes given as in
-        node_index, or a (mask, values) pair broadcastable to (n, d).
-        """
-        if do is None:
-            return None
-        shape = (n, self.n_nodes)
-        if isinstance(do, tuple):
-            mask = np.broadcast_to(np.asarray(do[0], dtype=bool), shape).copy()
-            values = np.broadcast_to(np.asarray(do[1], dtype=float), shape).copy()
-            return (mask, values) if mask.any() else None
-        if not do:
-            return None
-        mask, values = np.zeros(shape, dtype=bool), np.zeros(shape)
-        for key, val in do.items():
-            idx = self.node_index(key)
-            mask[:, idx] = True
-            values[:, idx] = val  # a scalar or an (n,) array
-        return mask, values
-
     def propagate(
         self,
         noise: np.ndarray,
@@ -271,17 +246,6 @@ class ScmModel:
             cols, scale, bias, coef = self._sig
             mech[..., cols] += scale * logistic(bias + values @ coef)
         return SampleSet(values.copy(), values - mech)
-
-    def counterfactual(self, base: SampleSet, do=None) -> np.ndarray:
-        """Clamp intervened nodes, recompute descendants reusing stored noise.
-
-        do takes any form normalize_do accepts. With an empty intervention
-        set this is the identity on base.values.
-        """
-        norm = self.normalize_do(do, base.values.shape[0])
-        if norm is None:
-            return base.values.copy()
-        return self.propagate(base.noise, *norm)
 
     def ground_truth_graph(self) -> CausalGraph:
         edges = {}

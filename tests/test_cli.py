@@ -202,6 +202,54 @@ def test_explain_rejects_non_finite_intervention(tmp_path, capsys):
     assert not (out / "confidence_delta.csv").exists()
 
 
+def no_discovery(*args, **kwargs):
+    raise AssertionError("discovery ran before the config was checked")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags, message",
+    [
+        ("explain", dict(TI_CFG, pool_size=0), [],
+         "sample index 0 out of range for pool_size 0"),
+        ("explain", dict(TI_CFG, pool_size=-5), [],
+         "sample index 0 out of range for pool_size -5"),
+        ("explain", TI_CFG, ["--index", "512"], "sample index 512 out of range for pool_size 512"),
+        ("explain", TI_CFG, ["--latent", "1,,2"],
+         "--latent takes comma-separated numbers, got '1,,2'"),
+        ("evaluate", dict(TI_CFG, evaluate={"n_explanations": 3}),
+         [], "evaluate.n_explanations (3) must be at least evaluation.mi_bins (4)"),
+        ("evaluate", dict(TI_CFG, evaluate={"n_explanations": 0}),
+         [], "evaluate.n_explanations (0) must be at least evaluation.mi_bins (4)"),
+        ("explain", dict(TI_CFG, attribution={"n_perturbations": 1}), [],
+         "n_perturbations must be >= 2"),
+        ("evaluate", dict(TI_CFG, attribution={"n_perturbations": 1}), [],
+         "n_perturbations must be >= 2"),
+    ],
+    ids=["pool-size-0", "pool-size-negative", "index-past-pool", "latent-not-a-number",
+         "fewer-explanations-than-bins", "no-explanations", "explain-attribution",
+         "evaluate-attribution"],
+)
+def test_explain_and_evaluate_fail_before_discovery(
+    tmp_path, capsys, monkeypatch, command, cfg, flags, message
+):
+    monkeypatch.setattr(cli, "discover", no_discovery)
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), *flags])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert not out.exists()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    assert printed.startswith("digraph causal {") and "'t': " in printed
+
+
 @pytest.mark.parametrize(
     "base,section,key,command",
     [

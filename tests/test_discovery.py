@@ -266,7 +266,7 @@ def test_discover_zero_matrix_empty():
 
 def test_discover_tswi_correctness_over_runs():
     oracle = Oracle(builtin("TSWI"), OracleConfig())
-    truth = oracle.ground_truth_graph()
+    truth = oracle.model.ground_truth_graph()
     graphs = [discover(oracle, DiscoveryConfig(seed=s)) for s in range(5)]
     assert correctness_index(graphs, truth) >= 0.94
 

@@ -7,7 +7,6 @@ from scipy.stats import rankdata
 from causalprobe import (
     CausalGraph,
     EvaluationConfig,
-    MetricsReport,
     correctness_index,
     entropy,
     faithfulness_index,
@@ -205,20 +204,6 @@ def test_evaluation_config_validation():
         EvaluationConfig(mi_bins=1)
     with pytest.raises(ValueError):
         EvaluationConfig(noise_std=-0.1)
-
-
-def test_metrics_report_field_invariants():
-    ok = MetricsReport(
-        correctness_index=0.9, stability=-0.02, faithfulness_index=0.97, details={}
-    )
-    doc = ok.to_json_dict()
-    assert doc["faithfulness_index"] == 0.97
-    with pytest.raises(ValueError):
-        MetricsReport(correctness_index=1.2, stability=0.0, faithfulness_index=0.5, details={})
-    with pytest.raises(ValueError):
-        MetricsReport(correctness_index=None, stability=0.1, faithfulness_index=0.5, details={})
-    with pytest.raises(ValueError):
-        MetricsReport(correctness_index=None, stability=0.0, faithfulness_index=1.5, details={})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
