@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -268,7 +269,7 @@ def build_oracle(cfg: dict, seed: int) -> Oracle:
     an scm model and off for a linear SEM."""
     model = build_scm_model(cfg)
     defaults = {"seed": seed, "standardize": cfg["oracle"].get("kind", "scm") == "scm"}
-    return Oracle(model, OracleConfig(**{**defaults, **cfg.get("oracle_config", {})}))
+    return Oracle(model, _build_section(OracleConfig, "oracle_config", cfg, defaults))
 
 
 def build_head(cfg: dict, dim: int) -> ClassifierHead:
@@ -304,7 +305,23 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
 
 def build_stage_config(cfg: dict, section: str, seed: int):
     """The stage dataclass of a config section, seeded by the run."""
-    return _STAGE_SECTIONS[section](seed=seed, **cfg.get(section, {}))
+    return _build_section(_STAGE_SECTIONS[section], section, cfg, {"seed": seed})
+
+
+def _build_section(cls, section: str, cfg: dict, defaults: dict):
+    """cls over defaults and the config section's keys. A range error the
+    dataclass raises names the key that fails with every other field at its
+    default (or the section alone when no single key fails)."""
+    given = cfg.get(section, {})
+    try:
+        return cls(**{**defaults, **given})
+    except ValueError as exc:
+        for key, value in given.items():
+            try:
+                cls(**{**defaults, key: value})
+            except ValueError:
+                raise ValueError(f"{section}.{key}: {exc}") from exc
+        raise ValueError(f"{section}: {exc}") from exc
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, seed: int, outputs) -> None:
@@ -663,31 +680,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Warnings, then any error, go to stderr as one
+    JSON object per line; an error exits 1."""
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        seed = resolve_seed(cfg, args.seed)
-        if args.command == "sample":
-            run_sample(cfg, args.out, seed, n_override=args.n)
-        elif args.command == "discover":
-            run_discover(cfg, args.out, seed)
-        elif args.command == "explain":
-            run_explain(
-                cfg,
-                args.out,
-                seed,
-                index=args.index,
-                latent_csv=args.latent,
-                do_specs=args.do,
-                policy=args.policy,
-            )
-        elif args.command == "evaluate":
-            run_evaluate(cfg, args.out, seed)
-    except Exception as exc:  # surfaced as machine-readable JSON
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = load_config(args.config)
+            seed = resolve_seed(cfg, args.seed)
+            if args.command == "sample":
+                run_sample(cfg, args.out, seed, n_override=args.n)
+            elif args.command == "discover":
+                run_discover(cfg, args.out, seed)
+            elif args.command == "explain":
+                run_explain(
+                    cfg,
+                    args.out,
+                    seed,
+                    index=args.index,
+                    latent_csv=args.latent,
+                    do_specs=args.do,
+                    policy=args.policy,
+                )
+            elif args.command == "evaluate":
+                run_evaluate(cfg, args.out, seed)
+        except Exception as exc:  # surfaced as machine-readable JSON
+            error = {"error": type(exc).__name__, "message": str(exc)}
+    for w in caught:
+        record = {"warning": w.category.__name__, "message": str(w.message)}
+        print(json.dumps(record), file=sys.stderr)
+    if error is not None:
+        print(json.dumps(error), file=sys.stderr)
         return 1
     return 0
 

@@ -11,6 +11,15 @@ def _has_cycle(reach: np.ndarray) -> bool:
     return bool((reach & reach.T).sum() > len(reach))
 
 
+def _topological_order(reach: np.ndarray) -> list[int]:
+    """Nodes sorted by (ancestor count, id), read off a closure; raises
+    ValueError if the graph has a cycle."""
+    if _has_cycle(reach):
+        raise ValueError("graph contains a cycle")
+    ancestors = reach.sum(axis=0)
+    return sorted(range(len(reach)), key=lambda v: (ancestors[v], v))
+
+
 @dataclass
 class CausalGraph:
     """Directed graph whose nodes are feature positions with display labels.
@@ -72,11 +81,7 @@ class CausalGraph:
     def topological_order(self) -> list[int]:
         """Nodes sorted by (ancestor count, id); raises ValueError if the
         graph has a cycle."""
-        reach = self.reach()
-        if _has_cycle(reach):
-            raise ValueError("graph contains a cycle")
-        ancestors = reach.sum(axis=0)
-        return sorted(range(self.n_nodes), key=lambda v: (ancestors[v], v))
+        return _topological_order(self.reach())
 
     def copy(self) -> "CausalGraph":
         return CausalGraph(list(self.labels), dict(self.edges))

@@ -52,6 +52,12 @@ def _seed_key(seed, k: int):
     return repr(seed) if isinstance(seed, (int, np.integer, list, tuple)) else k
 
 
+def _rows(a):
+    """A one-block (1, n, d) stack as plain (n, d) rows, which propagate with
+    cheaper indexing; any other stack, or None, as it is."""
+    return a[0] if a is not None and len(a) == 1 else a
+
+
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(mask, values) arrays of shape (n, d) for an intervention, or None
     when it clamps nothing.
@@ -85,8 +91,9 @@ class Oracle:
     standard deviation. With standardize=False the chart is the raw feature
     space. Under the "fixed" noise policy a query is the counterfactual:
     the base rows' abduced noise propagated with the intervened nodes
-    clamped. Queries are pure: identical (base, do, seed) give
-    identical output.
+    clamped, evaluated only on the descendants of the clamped nodes (every
+    other feature keeps its base value). Queries are pure: identical
+    (base, do, seed) give identical output.
     """
 
     def __init__(self, model: ScmModel, config: OracleConfig | None = None):
@@ -108,6 +115,48 @@ class Oracle:
         if not self.config.standardize:
             return raw
         return (raw - self.chart_mean) / self.chart_scale
+
+    def _counterfactual(self, base: np.ndarray, mask, values) -> np.ndarray:
+        """Fixed-noise rows of an (m, n, d) stack: abduction, action, prediction.
+
+        Block k evaluates only the closure of the columns it clamps anywhere;
+        every other column keeps its base value bit for bit. The blocks
+        propagate together over the union of their closures: a column that
+        another block runs is clamped to this block's raw base row, as its
+        own query leaves it, and a column clamped on every row of every
+        block is copied, not evaluated. When every block's closure is the
+        whole graph, the whole graph propagates without that bookkeeping.
+        """
+        n = base.shape[1]
+        if mask is None:
+            return base.copy()
+        closure = self.model.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
+        if not closure.any():
+            return base.copy()
+        factual = self.model.abduce(self.to_raw(_rows(base)))
+        raw_values = self.to_raw(_rows(values))
+        if closure.all():
+            prop = self.model.propagate(factual.noise, _rows(mask), raw_values, out=factual.values)
+            return self.to_chart(prop).reshape(base.shape)
+        run = closure.any(axis=0)
+        kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
+        if kept.any():
+            mask = mask | kept
+            raw_values = np.where(kept, factual.values, raw_values)
+        copied = run & ~(np.ones((1, n), dtype=bool) @ ~mask).any(axis=0)[0]
+        factual.values[..., copied] = raw_values[..., copied]
+        prop = self.model.propagate(
+            factual.noise, _rows(mask), raw_values, out=factual.values, nodes=run & ~copied
+        )
+        out = base.copy()
+        _rows(out)[..., run] = self._chart_columns(prop, run)
+        return np.where(kept, base, out) if kept.any() else out
+
+    def _chart_columns(self, raw: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """to_chart of the columns cols (a (d,) boolean) of raw rows."""
+        if not self.config.standardize:
+            return raw[..., cols]
+        return (raw[..., cols] - self.chart_mean[cols]) / self.chart_scale[cols]
 
     def to_raw(self, chart: np.ndarray) -> np.ndarray:
         chart = np.asarray(chart, dtype=float)
@@ -145,7 +194,10 @@ class Oracle:
           blocks with equal integer seeds share one draw;
         - every row contraction runs per block with the block's own shape
           (BLAS rounds a row differently with the number of rows it gets);
-        - a block whose mask is empty takes the no-intervention path.
+        - under "fixed", a column outside the closure of the block's clamped
+          columns (clamped on any row, descendants included) comes back as
+          the block's base value, bit for bit, before round-trip noise; a
+          block whose mask is empty has an empty closure.
         Base rows and the do values under the mask must be finite.
         """
         base = np.ascontiguousarray(base, dtype=float)
@@ -166,10 +218,6 @@ class Oracle:
             # one pass over values unless some value, masked or not, is non-finite
             if not (np.isfinite(values).all() or np.isfinite(values[mask]).all()):
                 raise ValueError("oracle query do values must be finite where the mask is set")
-            active = mask.any(axis=(1, 2))
-            n_active = np.count_nonzero(active)
-            if not n_active:
-                mask = values = None
 
         resample = self.config.noise_policy == "resample"
         std = self.config.roundtrip_noise_std
@@ -186,21 +234,13 @@ class Oracle:
             draws = [draw(rng) for rng in rngs]
             return draws[0][None] if m == 1 else np.stack(draws)[inverse]
 
-        def rows(a):  # one block propagates as plain (n, d) rows: cheaper indexing
-            return a[0] if m == 1 and a is not None else a
-
-        if not resample and mask is None:
-            out = base.copy()  # fixed noise, no intervention: identity
-        else:
-            if resample:
-                noise = rows(per_block(lambda rng: self.model.draw_noise(n, rng)))
-            else:  # the rows' own noise
-                noise = self.model.abduce(self.to_raw(rows(base))).noise
-            raw_values = None if mask is None else self.to_raw(rows(values))
-            out = self.to_chart(self.model.propagate(noise, rows(mask), raw_values))
+        if resample:
+            noise = _rows(per_block(lambda rng: self.model.draw_noise(n, rng)))
+            raw_values = None if mask is None else self.to_raw(_rows(values))
+            out = self.to_chart(self.model.propagate(noise, _rows(mask), raw_values))
             out = out.reshape(base.shape)
-            if not resample and n_active < m:
-                out[~active] = base[~active]  # blocks without an intervention
+        else:
+            out = self._counterfactual(base, mask, values)
         if std > 0:
             out = out + per_block(lambda rng: rng.normal(0.0, std, (n, d)))
         return out

@@ -2,11 +2,14 @@
 
 Each model holds one structural equation x_v = f_v(parents) + eps_v per
 node, with explicitly parameterized noise, supporting ancestral sampling,
-abduction of the additive noise and propagation under clamped nodes (from
-which the oracle builds its fixed-noise counterfactuals), and ground-truth
-DAG export. Four builtin models cover the thickness /
-intensity / slant / width worlds used throughout the test suite, and
-ScmModel.linear builds a linear SEM from a weight matrix.
+abduction of the additive noise, propagation under clamped nodes (from
+zeros, or from given rows over a subset of the nodes), the descendant
+closure of a node set, and ground-truth DAG export. The oracle builds its
+fixed-noise counterfactuals from these: propagation starts from the
+factual rows and evaluates only the closure of the clamped nodes. Four
+builtin models cover the thickness / intensity / slant / width worlds used
+throughout the test suite, and ScmModel.linear builds a linear SEM from a
+weight matrix.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CausalGraph
+from .graph import CausalGraph, _topological_order
 
 BUILTIN_NAMES = ("TI", "IT", "TS", "TSWI")
 
@@ -126,8 +129,10 @@ class ScmModel:
 
     Parents may carry any node id, as long as the equations form a DAG. At
     construction the equations are compiled once into dense coefficient
-    arrays (const, linear matrix, sigmoid scale/bias and sigmoid matrix)
-    plus a topological order, which propagate and abduce evaluate.
+    arrays (const, linear matrix, sigmoid scale/bias and sigmoid matrix),
+    which propagate and abduce evaluate, and the graph's closure is taken
+    once: it gives the topological order propagate follows and the
+    descendant sets closure reads.
     """
 
     name: str
@@ -146,7 +151,8 @@ class ScmModel:
                 raise ValueError(
                     f"equations must be ordered by node id; position {k} holds node {eq.node}"
                 )
-        order = self.ground_truth_graph().topological_order()  # raises on a cycle
+        reach = self.ground_truth_graph().reach()
+        order = _topological_order(reach)  # raises on a cycle
         d = len(self.labels)
         const, lin = np.zeros(d), np.zeros((d, d))
         sig_scale, sig_bias, sig_lin = np.zeros(d), np.zeros(d), np.zeros((d, d))
@@ -170,6 +176,7 @@ class ScmModel:
         )
         sig = np.flatnonzero(sig_scale)
         sig_terms = (sig, sig_scale[sig], sig_bias[sig], sig_lin[:, sig]) if sig.size else None
+        object.__setattr__(self, "_reach", reach)
         object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_const", const if const.any() else None)
         object.__setattr__(self, "_lin", lin if lin.any() else None)
@@ -190,23 +197,37 @@ class ScmModel:
             raise ValueError(f"node index {node} out of range for {self.n_nodes} nodes")
         return node
 
+    def closure(self, nodes: np.ndarray) -> np.ndarray:
+        """The given nodes and all their descendants: nodes is a (..., d)
+        boolean, one node set per leading index."""
+        return np.asarray(nodes, dtype=bool) @ self._reach
+
     def propagate(
         self,
         noise: np.ndarray,
         do_mask: np.ndarray | None = None,
         do_values: np.ndarray | None = None,
+        *,
+        out: np.ndarray | None = None,
+        nodes: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Evaluate all equations in topological order against given noise.
+        """Evaluate the equations in topological order against given noise.
 
         noise is (..., n, d): leading axes stack independent blocks of rows,
         each contracted on its own. Intervened entries (do_mask True) are
         clamped to do_values and their descendants see the clamped value.
+        The result is written into out (a finite float array like noise,
+        returned) when given, else into zeros. When nodes (a (d,) boolean)
+        is given, only those nodes' equations run: every other column keeps
+        the value out held.
         """
         noise = np.asarray(noise, dtype=float)
-        # zeros, not empty: columns not yet evaluated meet zero coefficients,
-        # and NaN * 0 would still be NaN
-        out = np.zeros_like(noise)
-        for v, const, lin, sig in self._steps:
+        if out is None:
+            # zeros, not empty: columns not yet evaluated meet zero
+            # coefficients, and NaN * 0 would still be NaN
+            out = np.zeros_like(noise)
+        steps = self._steps if nodes is None else [s for s in self._steps if nodes[s[0]]]
+        for v, const, lin, sig in steps:
             mech = None if lin is None else out @ lin
             if const:
                 mech = const if mech is None else const + mech
@@ -235,8 +256,9 @@ class ScmModel:
     def abduce(self, values: np.ndarray) -> SampleSet:
         """Recover exogenous noise exactly from observed rows (additive noise).
 
-        values is (n, d) or a (..., n, d) stack of blocks, as in propagate.
-        Every equation is evaluated at once on the observed parents.
+        values is (n, d) or a (..., n, d) stack of blocks, as in propagate;
+        the result holds a copy of it. Every equation is evaluated at once
+        on the observed parents.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
         mech = np.zeros_like(values) if self._lin is None else values @ self._lin

@@ -185,6 +185,24 @@ def test_evaluate_rejects_out_of_range_stability_index(tmp_path, capsys):
     assert "evaluate.stability_index" in err["message"] and "[0, 150)" in err["message"]
 
 
+def test_warnings_reach_stderr_as_json_lines(tmp_path):
+    # Q = 1 makes stability warn; a fresh process shows what a user sees
+    src = str(Path(causalprobe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    evaluation = {"p_subsets": 1, "q_repetitions": 1, "mi_bins": 4}
+    cfg = write_cfg(tmp_path, {**TI_CFG, "evaluation": evaluation})
+    out = tmp_path / "ev"
+    proc = subprocess.run(
+        [sys.executable, "-m", "causalprobe", "evaluate", "--config", cfg, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stderr.splitlines()]
+    warning = {"warning": "RuntimeWarning", "message": "stability with Q = 1 is 0 by convention"}
+    assert warning in lines
+    assert json.loads((out / "metrics.json").read_text())["stability"] == 0.0
+
+
 def test_explain_rejects_non_finite_latent(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TI_CFG)
     rc = main(["explain", "--config", cfg, "--out", str(tmp_path / "e"), "--latent", "nan,1.0"])
@@ -535,6 +553,15 @@ _REPEATED_PARENT = dict(
         ("model_file", "equations.1.coeffs.sig_linear", [2.0, 1.0], "discover",
          f"config key '{_MF}' holds an invalid model: equation for node 1: sig_linear must "
          "hold no coefficient or one per parent (1), got 2"),
+        # stage dataclass range errors name their key
+        ("ti", "discovery.n_samples", 0, "discover",
+         "discovery.n_samples: n_samples must be >= 1"),
+        ("ti", "evaluation.p_subsets", 0, "evaluate",
+         "evaluation.p_subsets: P and Q must be >= 1"),
+        ("ti", "attribution.n_perturbations", 1, "explain",
+         "attribution.n_perturbations: n_perturbations must be >= 2"),
+        ("ti", "oracle_config", {"roundtrip_noise_std": -1}, "discover",
+         "oracle_config.roundtrip_noise_std: roundtrip_noise_std must be >= 0"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):

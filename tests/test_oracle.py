@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalprobe import ClassifierHead, NoiseSpec, Oracle, OracleConfig, ScmModel, builtin
@@ -211,9 +211,17 @@ def random_dag_weights(d, rng):
     m=st.integers(1, 4),
     n=st.integers(1, 20),
     shared_seed=st.booleans(),
+    whole_columns=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_query_stacked_blocks_equal_solo_queries(kind, policy, noise, m, n, shared_seed, seed):
+# a block's closure column whose parent another block evaluates
+@example(
+    kind="linear9", policy="fixed", noise=0.0, m=3, n=4, shared_seed=False, whole_columns=True,
+    seed=228,
+)
+def test_query_stacked_blocks_equal_solo_queries(
+    kind, policy, noise, m, n, shared_seed, whole_columns, seed
+):
     rng = np.random.default_rng(seed)
     linear = kind.startswith("linear")
     config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy, standardize=not linear)
@@ -223,7 +231,10 @@ def test_query_stacked_blocks_equal_solo_queries(kind, policy, noise, m, n, shar
     else:
         oracle = Oracle(builtin(kind), config)
     base = oracle.sample_latents(m * n, seed).reshape(m, n, oracle.dim)
-    mask = rng.random(base.shape) < 0.4
+    if whole_columns:  # each block clamps its own columns on every row: closures differ
+        mask = np.repeat(rng.random((m, 1, oracle.dim)) < 0.4, n, axis=1)
+    else:
+        mask = rng.random(base.shape) < 0.4
     mask[rng.random(m) < 0.3] = False  # blocks without an intervention
     values = base + rng.normal(size=base.shape)
     # repeated seeds share draws
@@ -233,6 +244,52 @@ def test_query_stacked_blocks_equal_solo_queries(kind, policy, noise, m, n, shar
     for k in range(m):
         assert np.array_equal(stacked[k], oracle.query(base[k], (mask[k], values[k]), seeds[k]))
         assert np.array_equal(plain[k], oracle.query(base[k], None, seeds[k]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["TSWI", "linear9", "linear12"]),
+    noise=st.sampled_from([0.0, 0.1]),
+    m=st.integers(1, 4),
+    n=st.integers(1, 20),
+    whole_columns=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_fixed_queries_evaluate_only_the_closure(kind, noise, m, n, whole_columns, seed):
+    rng = np.random.default_rng(seed)
+    linear = kind.startswith("linear")
+    model = ScmModel.linear(random_dag_weights(int(kind[6:]), rng)) if linear else builtin(kind)
+    config = OracleConfig(roundtrip_noise_std=noise, standardize=not linear)
+    oracle = Oracle(model, config)
+    clean = Oracle(model, OracleConfig(roundtrip_noise_std=0.0, standardize=not linear))
+    d = oracle.dim
+    base = oracle.sample_latents(m * n, seed).reshape(m, n, d)
+    if whole_columns:
+        mask = np.repeat(rng.random((m, 1, d)) < 0.3, n, axis=1)
+    else:
+        mask = rng.random(base.shape) < 0.1
+    values = base + rng.normal(size=base.shape)
+    seeds = [[int(s), 9] for s in rng.integers(0, 3, m)]
+    # the closure of each block's clamped columns, from the model's graph
+    reach = model.ground_truth_graph().reach()
+    closure = (mask.any(axis=1)[:, :, None] & reach).any(axis=1)
+    stacked = clean.query_stacked(base, (mask, values), seeds)
+    noisy = oracle.query_stacked(base, (mask, values), seeds)
+    for k in range(m):
+        # the reference propagates every node from the abduced noise
+        raw = clean.to_raw(base[k])
+        full = model.propagate(model.abduce(raw).noise, mask[k], clean.to_raw(values[k]))
+        ref = clean.to_chart(full)
+        kept, run = ~closure[k], closure[k]
+        for out in (stacked[k], clean.query(base[k], (mask[k], values[k]), seeds[k])):
+            assert np.array_equal(out[:, kept], base[k][:, kept])
+            np.testing.assert_allclose(
+                out[:, run], ref[:, run], rtol=1e-12, atol=1e-12 * np.abs(ref).max()
+            )
+        # round-trip noise is added on top of the noiseless rows
+        draw = np.random.default_rng(seeds[k]).normal(0.0, noise, (n, d)) if noise else 0.0
+        assert np.array_equal(noisy[k], stacked[k] + draw)
+        assert np.array_equal(oracle.query(base[k], (mask[k], values[k]), seeds[k]), noisy[k])
 
 
 def test_query_stacked_rejects_bad_shapes():

@@ -306,6 +306,16 @@ def test_linear_engine_properties(d, n, seed):
     oracle = Oracle(model, NOISELESS)
     assert np.array_equal(oracle.query(base.values, {}, seed=seed), base.values)
     assert np.array_equal(oracle.query(base.values, no_do, seed=seed), base.values)
+    # closure: the nodes and their descendants, as the graph's closure reads
+    nodes = rng.random((3, d)) < 0.3
+    reach = model.ground_truth_graph().reach()
+    assert np.array_equal(model.closure(nodes), (nodes[:, :, None] & reach).any(axis=1))
+    # propagation into given rows runs only the given nodes' equations
+    start = rng.normal(size=(n, d))
+    keep = ~nodes[0]
+    partial = model.propagate(base.noise, out=start.copy(), nodes=nodes[0])
+    assert np.array_equal(partial[:, keep], start[:, keep])
+    assert np.array_equal(model.propagate(base.noise, out=start.copy()), base.values)
 
 
 @settings(max_examples=60, deadline=None)
