@@ -310,8 +310,9 @@ def build_stage_config(cfg: dict, section: str, seed: int):
 
 def _build_section(cls, section: str, cfg: dict, defaults: dict):
     """cls over defaults and the config section's keys. A range error the
-    dataclass raises names the key that fails with every other field at its
-    default (or the section alone when no single key fails)."""
+    dataclass raises names the first key that fails with every other field
+    at its default, with that key's own message (or the section alone when
+    no single key fails)."""
     given = cfg.get(section, {})
     try:
         return cls(**{**defaults, **given})
@@ -319,8 +320,8 @@ def _build_section(cls, section: str, cfg: dict, defaults: dict):
         for key, value in given.items():
             try:
                 cls(**{**defaults, key: value})
-            except ValueError:
-                raise ValueError(f"{section}.{key}: {exc}") from exc
+            except ValueError as one:
+                raise ValueError(f"{section}.{key}: {one}") from exc
         raise ValueError(f"{section}: {exc}") from exc
 
 

@@ -123,9 +123,7 @@ class Oracle:
         every other column keeps its base value bit for bit. The blocks
         propagate together over the union of their closures: a column that
         another block runs is clamped to this block's raw base row, as its
-        own query leaves it, and a column clamped on every row of every
-        block is copied, not evaluated. When every block's closure is the
-        whole graph, the whole graph propagates without that bookkeeping.
+        own query leaves it.
         """
         n = base.shape[1]
         if mask is None:
@@ -135,22 +133,18 @@ class Oracle:
             return base.copy()
         factual = self.model.abduce(self.to_raw(_rows(base)))
         raw_values = self.to_raw(_rows(values))
-        if closure.all():
-            prop = self.model.propagate(factual.noise, _rows(mask), raw_values, out=factual.values)
-            return self.to_chart(prop).reshape(base.shape)
         run = closure.any(axis=0)
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
-        if kept.any():
+        partial = kept.any()
+        if partial:
             mask = mask | kept
             raw_values = np.where(kept, factual.values, raw_values)
-        copied = run & ~(np.ones((1, n), dtype=bool) @ ~mask).any(axis=0)[0]
-        factual.values[..., copied] = raw_values[..., copied]
         prop = self.model.propagate(
-            factual.noise, _rows(mask), raw_values, out=factual.values, nodes=run & ~copied
+            factual.noise, _rows(mask), raw_values, out=factual.values, nodes=run
         )
         out = base.copy()
         _rows(out)[..., run] = self._chart_columns(prop, run)
-        return np.where(kept, base, out) if kept.any() else out
+        return np.where(kept, base, out) if partial else out
 
     def _chart_columns(self, raw: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """to_chart of the columns cols (a (d,) boolean) of raw rows."""

@@ -562,6 +562,9 @@ _REPEATED_PARENT = dict(
          "attribution.n_perturbations: n_perturbations must be >= 2"),
         ("ti", "oracle_config", {"roundtrip_noise_std": -1}, "discover",
          "oracle_config.roundtrip_noise_std: roundtrip_noise_std must be >= 0"),
+        # with two bad keys, the first one is named with its own message
+        ("ti", "evaluation", {"mi_bins": 1, "p_subsets": 0}, "evaluate",
+         "evaluation.mi_bins: mi_bins must be >= 2"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
