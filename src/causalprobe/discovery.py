@@ -37,21 +37,23 @@ class DiscoveryConfig:
             raise ValueError("denom_guard_delta must be > 0")
 
 
-def _sweep(oracle: Oracle, src: int, base: np.ndarray, magnitude: float, seed) -> np.ndarray:
-    do = {src: base[:, src] + magnitude}
-    return oracle.query(base, do, seed=seed)
-
-
-def _ratio_means(
-    base: np.ndarray, intervened: np.ndarray, src: int, guard: float
-) -> tuple[np.ndarray, bool]:
-    """Mean over valid samples of (dst change) / (src change), per column."""
-    denom = intervened[:, src] - base[:, src]
-    valid = np.abs(denom) >= guard
+def _sweep(
+    oracle: Oracle, base: np.ndarray, src: int, magnitude: float, config: DiscoveryConfig
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Re-encode base (n, d) under do(l_src = l_src + magnitude), seeded by
+    src and the sign of magnitude. Returns the intervened rows, the per-column
+    mean of (dst change) / (src change) over rows whose src change clears the
+    denominator guard, and whether the guard skipped every row (means 0)."""
+    base = np.asarray(base, dtype=float)
+    if base.ndim != 2 or base.shape[1] != oracle.dim:
+        raise ValueError(f"base rows must have shape (n, {oracle.dim}), got {base.shape}")
+    seed = [config.seed, 1, src, 0 if magnitude >= 0 else 1]
+    rows = oracle.query(base, {src: base[:, src] + magnitude}, seed=seed)
+    denom = rows[:, src] - base[:, src]
+    valid = np.abs(denom) >= config.denom_guard_delta
     if not valid.any():
-        return np.zeros(base.shape[1]), True
-    ratios = (intervened[valid] - base[valid]) / denom[valid, None]
-    return ratios.mean(axis=0), False
+        return rows, np.zeros(oracle.dim), True
+    return rows, ((rows[valid] - base[valid]) / denom[valid, None]).mean(axis=0), False
 
 
 def edge_weight(
@@ -61,23 +63,15 @@ def edge_weight(
     base: np.ndarray,
     config: DiscoveryConfig,
     magnitude: float | None = None,
-    seed=None,
 ) -> float:
-    """Monte-Carlo edge weight for i -> j under do(l_i = l_i + magnitude).
-
-    Samples whose induced source change falls below the denominator guard
-    are skipped; if every sample is skipped the weight degenerates to 0 and
-    a warning is issued.
-    """
+    """Monte-Carlo edge weight for i -> j under do(l_i = l_i + magnitude):
+    _sweep's mean ratio for j, or 0 with a warning when the denominator
+    guard skips every sample."""
+    i, j = oracle.model.node_index(i), oracle.model.node_index(j)
     if i == j:
         raise ValueError("edge weight needs distinct features")
-    i = oracle.model.node_index(i)
-    j = oracle.model.node_index(j)
     mag = config.intervention_magnitude if magnitude is None else magnitude
-    if seed is None:
-        seed = [config.seed, 1, i, 0 if mag >= 0 else 1]
-    intervened = _sweep(oracle, i, base, mag, seed)
-    means, degenerate = _ratio_means(base, intervened, i, config.denom_guard_delta)
+    _, means, degenerate = _sweep(oracle, base, i, mag, config)
     if degenerate:
         warnings.warn(
             f"edge weight ({i} -> {j}): all samples fell below the denominator "
@@ -105,10 +99,8 @@ def propose_edges(
     plus = np.empty((d,) + base.shape)
     mag = config.intervention_magnitude
     for i in range(d):
-        plus[i] = _sweep(oracle, i, base, mag, [config.seed, 1, i, 0])
-        minus = _sweep(oracle, i, base, -mag, [config.seed, 1, i, 1])
-        ew_plus, deg_p = _ratio_means(base, plus[i], i, config.denom_guard_delta)
-        ew_minus, deg_m = _ratio_means(base, minus, i, config.denom_guard_delta)
+        plus[i], ew_plus, deg_p = _sweep(oracle, base, i, mag, config)
+        _, ew_minus, deg_m = _sweep(oracle, base, i, -mag, config)
         if deg_p and deg_m:
             warnings.warn(
                 f"feature {i}: both sweeps degenerate under the denominator guard",
@@ -148,8 +140,6 @@ def prune_indirect(
     ordered = sorted(graph.sorted_edges(), key=lambda e: (abs(e[2]), e[0], e[1]))
     reach = graph.reach()
     for i, j, _w in ordered:
-        if not graph.has_edge(i, j):
-            continue
         on_path = reach[i] & reach[:, j]
         on_path[[i, j]] = False
         if not on_path.any():

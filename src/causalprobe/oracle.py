@@ -147,7 +147,8 @@ class Oracle:
         return np.where(kept, base, out) if partial else out
 
     def _chart_columns(self, raw: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """to_chart of the columns cols (a (d,) boolean) of raw rows."""
+        """to_chart of the columns cols (a (d,) boolean) of raw rows. The gather is
+        also the fast layout: to_chart on (m, n, small d) rows loops once per row."""
         if not self.config.standardize:
             return raw[..., cols]
         return (raw[..., cols] - self.chart_mean[cols]) / self.chart_scale[cols]

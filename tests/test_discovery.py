@@ -88,10 +88,23 @@ def test_edge_weight_matches_path_products_on_random_dag():
 
 
 def test_edge_weight_same_feature_rejected():
-    oracle = linear({}, 2)
-    cfg = DiscoveryConfig()
-    with pytest.raises(ValueError):
-        edge_weight(oracle, 1, 1, np.zeros((4, 2)), cfg)
+    # nodes are compared after label and integer resolution
+    ti = Oracle(builtin("TI"), NOISELESS)
+    cases = [(linear({}, 2), 1, 1), (ti, "t", 0), (ti, 1, np.int64(1))]
+    for oracle, i, j in cases:
+        with pytest.raises(ValueError, match="distinct"):
+            edge_weight(oracle, i, j, np.zeros((4, 2)), DiscoveryConfig())
+
+
+def test_malformed_base_rows_rejected():
+    oracle = Oracle(builtin("TI"), NOISELESS)
+    cfg = DiscoveryConfig(n_samples=4)
+    for base, got in [(np.zeros(2), r"\(2,\)"), (np.zeros((4, 3)), r"\(4, 3\)")]:
+        message = rf"shape \(n, 2\), got {got}"
+        with pytest.raises(ValueError, match=message):
+            discover(oracle, cfg, base=base)
+        with pytest.raises(ValueError, match=message):
+            edge_weight(oracle, 0, 1, base, cfg)
 
 
 def test_edge_weight_degenerate_flag():
@@ -130,6 +143,38 @@ def test_propose_edges_ti_direction():
     candidates, _ = propose_edges(oracle, base, cfg)
     assert candidates.has_edge(0, 1)  # t -> i
     assert not candidates.has_edge(1, 0)  # intervening on i never moves t
+
+
+def test_propose_edges_weight_is_mean_of_both_edge_weight_sweeps():
+    # one sweep measurement and one seed convention: a candidate's stored EW
+    # is the mean of edge_weight's +magnitude and -magnitude sweeps, bit for bit
+    tswi = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.1))
+    chain = linear({(0, 1): 0.5, (1, 2): 0.8}, 3,
+                   config=OracleConfig(roundtrip_noise_std=0.3, standardize=False))
+    for oracle, n_candidates in [(tswi, 6), (chain, 3)]:
+        cfg = DiscoveryConfig(n_samples=128, seed=7)
+        base = oracle.sample_latents(cfg.n_samples, 1)
+        candidates, _ = propose_edges(oracle, base, cfg)
+        assert len(candidates.edges) == n_candidates
+        mag = cfg.intervention_magnitude
+        for (i, j), ew in candidates.edges.items():
+            plus = edge_weight(oracle, i, j, base, cfg, magnitude=mag)
+            minus = edge_weight(oracle, i, j, base, cfg, magnitude=-mag)
+            assert ew == (plus + minus) / 2.0
+
+
+def test_propose_edges_both_sweeps_degenerate():
+    # a guard above the sweep magnitude skips every row of both sweeps
+    oracle = Oracle(builtin("TI"), OracleConfig(roundtrip_noise_std=0.0))
+    cfg = DiscoveryConfig(n_samples=16, denom_guard_delta=2.0, seed=0)
+    base = oracle.sample_latents(cfg.n_samples, 1)
+    with pytest.warns(RuntimeWarning, match="both sweeps degenerate") as caught:
+        candidates, _ = propose_edges(oracle, base, cfg)
+    messages = [str(w.message) for w in caught]
+    assert [m for m in messages if "both sweeps degenerate" in m] == [
+        f"feature {k}: both sweeps degenerate under the denominator guard" for k in range(2)
+    ]
+    assert candidates.edge_set() == set()
 
 
 def test_prune_removes_transitive_chain_edge():
