@@ -50,13 +50,7 @@ class Explanation:
     intercept: float
     local_fit_r2: float
     target_class: int
-    degenerate_fit: bool = False
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("explanation weights must be finite")
-        object.__setattr__(self, "weights", w)
+    degenerate_fit: bool = False  # ridge_lambda was 0, so the fit used 1e-3
 
     def to_json_dict(self, labels) -> dict:
         return {
@@ -83,36 +77,23 @@ def _perturbations(seed: int, n: int, d: int, std: float) -> tuple[np.ndarray, n
     return masks, deltas
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched solve; the items whose system is singular come back as NaN."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full(b.shape, np.nan)
-        half = len(a) // 2
-        return np.concatenate([_solve(a[:half], b[:half]), _solve(a[half:], b[half:])])
+def _ridge(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """Stacked ridge solves with an unpenalized intercept, lambda 0 floored
+    to 1e-3; returns the (m, k) solutions.
 
-
-def _ridge(gram: np.ndarray, rhs: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ridge solves with an unpenalized intercept.
-
-    Items whose solve fails or is non-finite retry with lambda raised
-    tenfold (from a 1e-3 floor when lambda is 0), up to eight tries in
-    all. Returns the (m, k) solutions and the per-item degenerate flag: the
-    lambda in use differs from the requested one.
+    lime's system D^T W D + lam P is positive definite once lam > 0 and
+    some kernel weight is positive, so the one solve fails only when every
+    weight underflowed or an input is non-finite, and no larger lambda
+    mends either: the intercept is not penalized.
     """
     penalty = np.eye(gram.shape[-1])
     penalty[0, 0] = 0.0
-    lam_eff = np.full(len(gram), 1e-3 if lam == 0 else lam)
-    beta = np.empty(rhs.shape)
-    todo = np.arange(len(gram))
-    for _ in range(8):
-        beta[todo] = _solve(gram[todo] + lam_eff[todo, None, None] * penalty, rhs[todo])
-        todo = todo[~np.isfinite(beta[todo]).all(axis=(1, 2))]
-        if not todo.size:
-            return beta[..., 0], lam_eff != lam
-        lam_eff[todo] *= 10.0
+    try:
+        beta = np.linalg.solve(gram + (1e-3 if lam == 0 else lam) * penalty, rhs)
+        if np.isfinite(beta).all():
+            return beta[..., 0]
+    except np.linalg.LinAlgError:
+        pass
     raise np.linalg.LinAlgError("ridge system unsolvable even after lambda floor")
 
 
@@ -191,7 +172,7 @@ def lime_batch(
         wx = design * sample_w[..., None]
         gram = design.transpose(0, 2, 1) @ wx
         rhs = wx.transpose(0, 2, 1) @ scores[..., None]
-        beta, degenerate = _ridge(gram, rhs, config.ridge_lambda)
+        beta = _ridge(gram, rhs, config.ridge_lambda)
 
         pred = (design @ beta[..., None])[..., 0]
         ybar = np.average(scores, axis=1, weights=sample_w)
@@ -205,9 +186,9 @@ def lime_batch(
                 intercept=float(b[0]),
                 local_fit_r2=float(r),
                 target_class=int(c),
-                degenerate_fit=bool(g),
+                degenerate_fit=config.ridge_lambda == 0,
             )
-            for b, r, c, g in zip(beta, r2, tc, degenerate)
+            for b, r, c in zip(beta, r2, tc)
         ]
     return explanations
 

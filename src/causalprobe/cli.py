@@ -73,7 +73,8 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(text + "\n")
 
 
-# sections that configure one stage's dataclass; the run derives its seed
+# sections that configure one stage's dataclass; the run derives the
+# discovery and attribution seeds, and evaluation takes none
 _STAGE_SECTIONS = {
     "discovery": DiscoveryConfig,
     "attribution": AttributionConfig,
@@ -120,7 +121,7 @@ _MODEL_FILE = {
 _SCHEMA = {
     "seed": int,
     "pool_size": int,
-    "oracle": _ORACLE_SPECS,
+    "oracle": _Required(_ORACLE_SPECS),
     "oracle_config": get_type_hints(OracleConfig),
     "classifier": {
         "weights": _Required(list[float] | list[list[float]]),
@@ -225,9 +226,7 @@ def _linear_model(doc: dict, where: str) -> ScmModel:
 
 def build_scm_model(cfg: dict) -> ScmModel:
     """The model of a checked config's oracle section."""
-    spec = cfg.get("oracle")
-    if not spec:
-        raise ValueError("config is missing the 'oracle' section")
+    spec = cfg["oracle"]
     linear = spec.get("kind", "scm") == "linear"
     file_key = "file" if linear else "model_file"
     if file_key not in spec:
@@ -235,7 +234,9 @@ def build_scm_model(cfg: dict) -> ScmModel:
             return _linear_model(spec, "oracle")
         name = spec.get("model")
         if name not in BUILTIN_NAMES:
-            raise ValueError(f"oracle.model must be one of {BUILTIN_NAMES}, got {name!r}")
+            raise ValueError(
+                f"config key 'oracle.model' must be one of {BUILTIN_NAMES}, got {name!r}"
+            )
         return builtin(name)
     where = f"oracle.{file_key}"
     inline = [f"'oracle.{k}'" for k in (_LINEAR_SPEC if linear else ["model"]) if k in spec]
@@ -276,7 +277,7 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
     """The config's classifier over a dim-dimensional latent space."""
     spec = cfg.get("classifier")
     if not spec:
-        raise ValueError("config is missing the 'classifier' section")
+        raise ValueError("config key 'classifier' is required")
     weights, bias = spec["weights"], spec.get("bias", 0.0)
     matrix = bool(weights) and isinstance(weights[0], list)
     rows, n_classes = (weights, len(weights)) if matrix else ([weights], 2)
@@ -304,7 +305,7 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
 
 
 def build_stage_config(cfg: dict, section: str, seed: int):
-    """The stage dataclass of a config section, seeded by the run."""
+    """The discovery or attribution dataclass of a config section, seeded by the run."""
     return _build_section(_STAGE_SECTIONS[section], section, cfg, {"seed": seed})
 
 
@@ -404,10 +405,13 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     check_config(cfg)
     oracle = build_oracle(cfg, seed)
     dcfg = build_stage_config(cfg, "discovery", seed)
-    ecfg = build_stage_config(cfg, "evaluation", seed)
+    ecfg = _build_section(EvaluationConfig, "evaluation", cfg, {})
     pool_size = cfg.get("pool_size", 1024)
     if pool_size < dcfg.n_samples:
-        raise ValueError("pool_size must be at least discovery n_samples")
+        raise ValueError(
+            f"config key 'pool_size' ({pool_size}) must be at least discovery.n_samples "
+            f"({dcfg.n_samples})"
+        )
     pool = oracle.sample_latents(pool_size, [seed, 10])
 
     out = Path(out_dir)
@@ -580,7 +584,7 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     check_config(cfg)
     evaluate = cfg.get("evaluate", {})
     n_expl = evaluate.get("n_explanations", 400)
-    ecfg = build_stage_config(cfg, "evaluation", seed)
+    ecfg = _build_section(EvaluationConfig, "evaluation", cfg, {})
     if n_expl < ecfg.mi_bins:
         raise ValueError(
             f"evaluate.n_explanations ({n_expl}) must be at least evaluation.mi_bins "

@@ -45,7 +45,7 @@ def _sweep(
     mean of (dst change) / (src change) over rows whose src change clears the
     denominator guard, and whether the guard skipped every row (means 0)."""
     base = np.asarray(base, dtype=float)
-    if base.ndim != 2 or base.shape[1] != oracle.dim:
+    if base.ndim != 2 or base.shape[1] != oracle.dim or not len(base):
         raise ValueError(f"base rows must have shape (n, {oracle.dim}), got {base.shape}")
     seed = [config.seed, 1, src, 0 if magnitude >= 0 else 1]
     rows = oracle.query(base, {src: base[:, src] + magnitude}, seed=seed)

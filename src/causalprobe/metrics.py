@@ -23,7 +23,6 @@ class EvaluationConfig:
     q_repetitions: int = 5    # Q repetitions per subset
     noise_std: float = 0.1    # stability perturbation scale
     mi_bins: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         if self.p_subsets < 1 or self.q_repetitions < 1:

@@ -326,11 +326,29 @@ def test_interventional_non_finite_latent_rejected_at_the_oracle():
         lime_latent(oracle, head, graph, latents[1], cfg)
 
 
-def test_ridge_bumps_lambda_only_for_failing_items():
-    penalty = np.diag([0.0, 1.0, 1.0])
-    good = np.diag([2.0, 1.0, 1.0])
-    bad = np.diag([1.0, -1e-3, 1.0])  # singular at lambda 1e-3, solvable at 1e-2
-    beta, degenerate = attribution._ridge(np.stack([good, bad]), np.ones((2, 3, 1)), 1e-3)
-    assert np.array_equal(beta[0], np.linalg.solve(good + 1e-3 * penalty, np.ones(3)))
-    assert np.array_equal(beta[1], np.linalg.solve(bad + 1e-2 * penalty, np.ones(3)))
-    assert degenerate.tolist() == [False, True]
+def test_zero_ridge_lambda_fits_at_the_floor():
+    oracle, graph = batch_setup("TSWI", "fixed")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents = oracle.sample_latents(4, 0)
+    cfg = AttributionConfig(n_perturbations=40, seed=1)
+    floor = lime_batch(oracle, head, graph, latents, cfg)
+    zero = lime_batch(oracle, head, graph, latents, replace(cfg, ridge_lambda=0.0))
+    for a, b in zip(zero, floor):
+        assert a.degenerate_fit and not b.degenerate_fit
+        assert np.array_equal(a.weights, b.weights)
+        assert (a.intercept, a.local_fit_r2) == (b.intercept, b.local_fit_r2)
+
+
+@pytest.mark.parametrize("policy", attribution.POLICIES)
+def test_underflowed_kernel_weights_raise_unsolvable(policy):
+    # every kernel weight is 0, so the unpenalized intercept is unconstrained
+    oracle, graph = batch_setup("TSWI", "fixed")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents = oracle.sample_latents(3, 0)
+    cfg = AttributionConfig(
+        n_perturbations=20, kernel_width=1e-100, perturbation_policy=policy, seed=1
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
+        lime_batch(oracle, head, graph, latents, cfg)
+    with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
+        lime_latent(oracle, head, graph, latents[1], cfg)

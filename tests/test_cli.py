@@ -242,10 +242,11 @@ def no_discovery(*args, **kwargs):
          "n_perturbations must be >= 2"),
         ("evaluate", dict(TI_CFG, attribution={"n_perturbations": 1}), [],
          "n_perturbations must be >= 2"),
+        ("explain", TI_CFG, ["--seed", "-1"], "seed must be a non-negative integer"),
     ],
     ids=["pool-size-0", "pool-size-negative", "index-past-pool", "latent-not-a-number",
          "fewer-explanations-than-bins", "no-explanations", "explain-attribution",
-         "evaluate-attribution"],
+         "evaluate-attribution", "negative-seed"],
 )
 def test_explain_and_evaluate_fail_before_discovery(
     tmp_path, capsys, monkeypatch, command, cfg, flags, message
@@ -257,6 +258,14 @@ def test_explain_and_evaluate_fail_before_discovery(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and message in err["message"]
     assert not out.exists()
+
+
+def test_readme_configs_pass_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        cli.check_config(json.loads(block))
 
 
 def test_readme_library_example_runs(capsys):
@@ -565,6 +574,13 @@ _REPEATED_PARENT = dict(
         # with two bad keys, the first one is named with its own message
         ("ti", "evaluation", {"mi_bins": 1, "p_subsets": 0}, "evaluate",
          "evaluation.mi_bins: mi_bins must be >= 2"),
+        # required sections, the builtin model name and the pool size
+        ("ti", "oracle", DROP, "sample", "config key 'oracle' is required"),
+        ("ti", "oracle.model", DROP, "sample",
+         f"config key 'oracle.model' must be one of {cli.BUILTIN_NAMES}, got None"),
+        ("ti", "classifier", DROP, "explain", "config key 'classifier' is required"),
+        ("ti", "pool_size", 100, "discover",
+         "config key 'pool_size' (100) must be at least discovery.n_samples (256)"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):

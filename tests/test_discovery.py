@@ -99,7 +99,11 @@ def test_edge_weight_same_feature_rejected():
 def test_malformed_base_rows_rejected():
     oracle = Oracle(builtin("TI"), NOISELESS)
     cfg = DiscoveryConfig(n_samples=4)
-    for base, got in [(np.zeros(2), r"\(2,\)"), (np.zeros((4, 3)), r"\(4, 3\)")]:
+    for base, got in [
+        (np.zeros(2), r"\(2,\)"),
+        (np.zeros((4, 3)), r"\(4, 3\)"),
+        (np.zeros((0, 2)), r"\(0, 2\)"),
+    ]:
         message = rf"shape \(n, 2\), got {got}"
         with pytest.raises(ValueError, match=message):
             discover(oracle, cfg, base=base)
