@@ -17,8 +17,7 @@ from .alignment import (
 from .attribution import (
     AttributionConfig,
     Explanation,
-    confidence_delta,
-    counterfactual_diff,
+    intervention_effect,
     lime_batch,
     lime_latent,
 )
@@ -70,14 +69,13 @@ __all__ = [
     "alignment_loss",
     "alpha_schedule",
     "builtin",
-    "confidence_delta",
     "correctness_index",
-    "counterfactual_diff",
     "discover",
     "edge_weight",
     "entropy",
     "faithfulness_index",
     "frozen_loss",
+    "intervention_effect",
     "lime_batch",
     "lime_latent",
     "loss_gradient_fd",

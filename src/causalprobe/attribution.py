@@ -5,8 +5,10 @@ target-class probability on intervention deltas around many latents at
 once (lime_latent is its one-item case). Under the interventional
 policy perturbations run through the oracle so descendants (per the
 discovered graph) co-move; the independent policy writes coordinates
-directly and serves as the ablation baseline. Interventional confidence
-deltas and latent counterfactual diffs round out the local views.
+directly and serves as the ablation baseline. intervention_effect rounds
+out the local views: an intervention's class-probability shift and its
+latent counterfactual diff, from a baseline and an intervened query that
+share one seed.
 """
 from __future__ import annotations
 
@@ -211,40 +213,30 @@ def lime_latent(
     return lime_batch(oracle, head, graph, values[None], config, target_class=target_class)[0]
 
 
-def confidence_delta(
+# copies of the latent each side of an intervention effect averages over
+_EFFECT_ROWS = 256
+
+
+def intervention_effect(
     oracle: Oracle,
     head: ClassifierHead,
     latent: np.ndarray,
     do,
-    n_samples: int = 256,
     seed=0,
-) -> np.ndarray:
-    """Expected per-class probability shift of an intervention.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected effect of an intervention on one latent: the per-class
+    probability shift, the mean intervened vector and its per-feature diff
+    from the mean baseline vector.
 
-    probabilities(query(l, do)) - probabilities(query(l, {})), each side averaged
-    over n_samples oracle draws. An empty do-set returns exact zeros.
+    One baseline query(l, None) and one intervened query(l, do) of
+    _EFFECT_ROWS copies of the latent share seed, so each intervened row
+    shares its noise with its baseline row: a feature do does not reach
+    differs by exactly 0.0, and an empty do gives exact zeros.
     """
     values = np.asarray(latent, dtype=float)
-    if not do:
-        return np.zeros(head.n_classes)
-    base = np.broadcast_to(values, (n_samples, values.size))
-    q_base = oracle.query(base, None, seed=[seed, 0])
-    q_do = oracle.query(base, do, seed=[seed, 1])
-    return head.probabilities(q_do).mean(axis=0) - head.probabilities(q_base).mean(axis=0)
-
-
-def counterfactual_diff(
-    oracle: Oracle,
-    latent: np.ndarray,
-    do,
-    n_samples: int = 256,
-    seed=0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expected intervened vector and its per-feature diff from baseline."""
-    values = np.asarray(latent, dtype=float)
-    base = np.broadcast_to(values, (n_samples, values.size))
-    baseline = oracle.query(base, None, seed=[seed, 0]).mean(axis=0)
-    if not do:
-        return baseline, np.zeros_like(baseline)
-    intervened = oracle.query(base, do, seed=[seed, 1]).mean(axis=0)
-    return intervened, intervened - baseline
+    base = np.broadcast_to(values, (_EFFECT_ROWS, values.size))
+    baseline = oracle.query(base, None, seed)
+    intervened = oracle.query(base, do, seed)
+    shift = head.probabilities(intervened).mean(axis=0) - head.probabilities(baseline).mean(axis=0)
+    mean = intervened.mean(axis=0)
+    return shift, mean, mean - baseline.mean(axis=0)

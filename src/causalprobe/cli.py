@@ -20,14 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attribution import (
-    POLICIES,
-    AttributionConfig,
-    confidence_delta,
-    counterfactual_diff,
-    lime_batch,
-    lime_latent,
-)
+from .attribution import POLICIES, AttributionConfig, intervention_effect, lime_batch, lime_latent
 from .discovery import DiscoveryConfig, discover
 from .graph import CausalGraph
 from .metrics import (
@@ -366,7 +359,8 @@ def run_sample(cfg: dict, out_dir: str, seed: int, n_override: int | None = None
     model = build_scm_model(cfg)
     n = cfg.get("sample", {}).get("n", 100) if n_override is None else n_override
     if n < 1:
-        raise ValueError("sample count must be >= 1")
+        key = "config key 'sample.n'" if n_override is None else "--n"
+        raise ValueError(f"{key} must be at least 1, got {n}")
     samples = model.sample(n, [seed, 1])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -401,18 +395,27 @@ def _consensus(runs: list[CausalGraph], labels) -> CausalGraph:
     return CausalGraph(list(labels), edges)
 
 
+def _latent_pool(cfg: dict, oracle: Oracle, seed: int, unusable) -> np.ndarray:
+    """The pool that discover subsets and explain indexes: pool_size
+    (default 1024) latents drawn under [seed, 10]. unusable(pool_size) gives
+    the caller's error message for a size it cannot use, else None; the
+    check runs before the draw."""
+    size = cfg.get("pool_size", 1024)
+    message = unusable(size)
+    if message is not None:
+        raise ValueError(message)
+    return oracle.sample_latents(size, [seed, 10])
+
+
 def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     check_config(cfg)
     oracle = build_oracle(cfg, seed)
     dcfg = build_stage_config(cfg, "discovery", seed)
     ecfg = _build_section(EvaluationConfig, "evaluation", cfg, {})
-    pool_size = cfg.get("pool_size", 1024)
-    if pool_size < dcfg.n_samples:
-        raise ValueError(
-            f"config key 'pool_size' ({pool_size}) must be at least discovery.n_samples "
-            f"({dcfg.n_samples})"
-        )
-    pool = oracle.sample_latents(pool_size, [seed, 10])
+    pool = _latent_pool(cfg, oracle, seed, lambda size: (
+        f"config key 'pool_size' ({size}) must be at least discovery.n_samples "
+        f"({dcfg.n_samples})"
+    ) if size < dcfg.n_samples else None)
 
     out = Path(out_dir)
     graphs_dir = out / "graphs"
@@ -423,7 +426,7 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     outputs = []
     for p in range(ecfg.p_subsets):
         # subsets are drawn with replacement from the pool
-        idx = np.random.default_rng([seed, 11, p]).integers(0, pool_size, dcfg.n_samples)
+        idx = np.random.default_rng([seed, 11, p]).integers(0, len(pool), dcfg.n_samples)
         subset = pool[idx]
         group = []
         for q in range(ecfg.q_repetitions):
@@ -504,11 +507,10 @@ def _resolve_latent(cfg: dict, oracle, seed: int, index: int | None, latent_csv:
         if not np.all(np.isfinite(values)):
             raise ValueError(f"latent vector must be finite, got {latent_csv!r}")
         return values
-    pool_size = cfg.get("pool_size", 1024)
     k = cfg.get("explain", {}).get("index", 0) if index is None else index
-    if not 0 <= k < pool_size:
-        raise ValueError(f"sample index {k} out of range for pool_size {pool_size}")
-    return oracle.sample_latents(pool_size, [seed, 10])[k]
+    return _latent_pool(cfg, oracle, seed, lambda size: (
+        f"sample index {k} out of range for pool_size {size}"
+    ) if not 0 <= k < size else None)[k]
 
 
 def run_explain(
@@ -546,13 +548,10 @@ def run_explain(
     conf_rows = [["baseline", ""] + list(base_probs)]
     diff_rows = []
     for k, (label, idx, value) in enumerate(parsed):
-        delta = confidence_delta(
+        delta, intervened, diff = intervention_effect(
             oracle, head, latent, {idx: value}, seed=[_derive_seed(seed, 15, k)]
         )
         conf_rows.append(["delta", label] + list(delta))
-        intervened, diff = counterfactual_diff(
-            oracle, latent, {idx: value}, seed=[_derive_seed(seed, 16, k)]
-        )
         diff_rows.append(["intervened", label] + list(intervened))
         diff_rows.append(["diff", label] + list(diff))
     _write_csv(out / "confidence_delta.csv", ["row", "intervention"] + class_cols, conf_rows)

@@ -59,27 +59,27 @@ def _rows(a):
 
 
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(mask, values) arrays of shape (n, d) for an intervention, or None
-    when it clamps nothing.
+    """Read-only (mask, values) views of shape (n, d) for an intervention,
+    or None when it clamps nothing.
 
     do is None, {node: scalar | (n,) array} with nodes given as in
     ScmModel.node_index, or a (mask, values) pair broadcastable to (n, d).
+    A dict clamps its columns on every row: a (d,) mask with (n, d) values.
     """
     if do is None:
         return None
-    shape = (n, model.n_nodes)
     if isinstance(do, tuple):
-        mask = np.broadcast_to(np.asarray(do[0], dtype=bool), shape).copy()
-        values = np.broadcast_to(np.asarray(do[1], dtype=float), shape).copy()
-        return (mask, values) if mask.any() else None
-    if not do:
-        return None
-    mask, values = np.zeros(shape, dtype=bool), np.zeros(shape)
-    for key, val in do.items():
-        idx = model.node_index(key)
-        mask[:, idx] = True
-        values[:, idx] = val  # a scalar or an (n,) array
-    return mask, values
+        mask, values = do
+    else:
+        mask, values = np.zeros(model.n_nodes, dtype=bool), np.zeros((n, model.n_nodes))
+        for key, val in do.items():
+            idx = model.node_index(key)
+            mask[idx] = True
+            values[:, idx] = val  # a scalar or an (n,) array
+    shape = (n, model.n_nodes)
+    mask = np.asarray(mask, dtype=bool)
+    views = np.broadcast_to(mask, shape), np.broadcast_to(np.asarray(values, dtype=float), shape)
+    return views if mask.any() else None
 
 
 class Oracle:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprobe import (
+    BUILTIN_NAMES,
     AttributionConfig,
     ClassifierHead,
     DiscoveryConfig,
@@ -15,9 +16,8 @@ from causalprobe import (
     OracleConfig,
     ScmModel,
     builtin,
-    confidence_delta,
-    counterfactual_diff,
     discover,
+    intervention_effect,
     lime_batch,
     lime_latent,
 )
@@ -152,7 +152,8 @@ def test_local_fit_r2_range():
 def test_confidence_delta_empty_do_is_zero():
     oracle, head, _ = ti_setup()
     latent = oracle.sample_latents(1, 0)[0]
-    assert np.array_equal(confidence_delta(oracle, head, latent, {}), np.zeros(2))
+    shift, _, _ = intervention_effect(oracle, head, latent, {})
+    assert np.array_equal(shift, np.zeros(2))
 
 
 def test_confidence_delta_sign_tracks_classifier_weight():
@@ -160,7 +161,7 @@ def test_confidence_delta_sign_tracks_classifier_weight():
     # monotone mechanism: pushing thickness up raises intensity, and the
     # classifier reads intensity positively
     latent = oracle.sample_latents(8, 2)[1]
-    delta = confidence_delta(oracle, head, latent, {"t": latent[0] + 1.0}, seed=3)
+    delta, _, _ = intervention_effect(oracle, head, latent, {"t": latent[0] + 1.0}, seed=3)
     assert delta[1] > 0
     assert delta[0] == pytest.approx(-delta[1])
 
@@ -169,28 +170,73 @@ def test_confidence_delta_not_antisymmetric_on_saturating_mechanism():
     oracle = Oracle(builtin("TI"), NOISELESS)
     head = ClassifierHead(np.array([0.0, 0.05]), bias=-10.0)
     latent = np.array([4.0, 64 + 191 * 0.95])  # deep in the sigmoid's flat top
-    up = confidence_delta(oracle, head, latent, {"t": 5.0}, seed=1)
-    down = confidence_delta(oracle, head, latent, {"t": 3.0}, seed=1)
+    up, _, _ = intervention_effect(oracle, head, latent, {"t": 5.0}, seed=1)
+    down, _, _ = intervention_effect(oracle, head, latent, {"t": 3.0}, seed=1)
     assert abs(up[1] + down[1]) > 1e-3  # opposite nudges, non-mirrored response
 
 
 def test_counterfactual_diff_empty_do():
-    oracle, _, _ = ti_setup()
+    oracle, head, _ = ti_setup()
     latent = oracle.sample_latents(1, 4)[0]
-    intervened, diff = counterfactual_diff(oracle, latent, {}, seed=0)
+    _, intervened, diff = intervention_effect(oracle, head, latent, {}, seed=0)
     assert np.array_equal(diff, np.zeros(2))
     assert intervened.shape == (2,)
 
 
 def test_counterfactual_diff_support_is_descendant_closed():
     oracle = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.0))
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
     latent = oracle.sample_latents(1, 5)[0]
     lab = {name: k for k, name in enumerate(oracle.labels)}
-    _, diff = counterfactual_diff(oracle, latent, {"t": latent[lab["t"]] + 1.0}, seed=0)
+    _, _, diff = intervention_effect(oracle, head, latent, {"t": latent[lab["t"]] + 1.0}, seed=0)
     assert np.all(diff != 0)  # t moves every downstream feature in this world
-    _, diff_sink = counterfactual_diff(oracle, latent, {"i": 0.0}, seed=0)
+    _, _, diff_sink = intervention_effect(oracle, head, latent, {"i": 0.0}, seed=0)
     support = set(np.flatnonzero(diff_sink != 0))
     assert support == {lab["i"]}
+
+
+@lru_cache(maxsize=None)
+def effect_model(kind, d, seed):
+    """A builtin world, or a linear SEM on d nodes whose ids are permuted
+    away from topological order."""
+    if kind != "linear":
+        return builtin(kind)
+    rng = np.random.default_rng([seed, 14])
+    w = np.triu(rng.uniform(-1.0, 1.0, (d, d)), k=1) * (rng.random((d, d)) < 0.5)
+    perm = rng.permutation(d)
+    return ScmModel.linear(w[np.ix_(perm, perm)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from([*BUILTIN_NAMES, "linear"]),
+    d=st.integers(2, 9),
+    noise_policy=st.sampled_from(["fixed", "resample"]),
+    roundtrip=st.sampled_from([0.0, 0.1]),
+    node=st.integers(0, 8),
+    shift=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_intervention_effect_is_zero_off_the_closure(
+    kind, d, noise_policy, roundtrip, node, shift, seed
+):
+    model = effect_model(kind, d, seed % 8)
+    d = model.n_nodes
+    node = node % d
+    oracle = Oracle(
+        model,
+        OracleConfig(roundtrip_noise_std=roundtrip, noise_policy=noise_policy,
+                     standardize=kind != "linear"),
+    )
+    head = ClassifierHead(np.random.default_rng(seed).normal(size=(3, d)))
+    latent = oracle.sample_latents(1, seed)[0]
+    clamped = np.zeros(d, dtype=bool)
+    clamped[node] = True
+    reached = model.closure(clamped)
+    _, _, diff = intervention_effect(oracle, head, latent, {node: latent[node] + shift}, seed)
+    assert np.all(diff[~reached] == 0.0)
+    delta, _, diff = intervention_effect(oracle, head, latent, {}, seed)
+    assert np.all(delta == 0.0) and np.all(diff == 0.0)
 
 
 def test_attribution_config_validation():

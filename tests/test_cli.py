@@ -66,7 +66,7 @@ def test_sample_rejects_zero_rows(tmp_path, capsys):
     rc = main(["sample", "--config", cfg, "--out", str(tmp_path / "o"), "--n", "0"])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
+    assert err == {"error": "ValueError", "message": "--n must be at least 1, got 0"}
 
 
 def test_seed_is_mandatory(tmp_path, capsys):
@@ -131,6 +131,19 @@ def test_explain_empty_do_only_baseline(tmp_path):
     assert main(["explain", "--config", cfg, "--out", str(out)]) == 0
     conf = (out / "confidence_delta.csv").read_text().strip().splitlines()
     assert len(conf) == 2  # header + baseline only
+
+
+def test_explain_diff_is_zero_on_what_the_intervention_cannot_reach(tmp_path):
+    # i is a sink of the README's TSWI world: clamping it moves nothing else
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = write_cfg(tmp_path, json.loads(re.findall(r"```json\n(.*?)```", readme, flags=re.S)[0]))
+    out = tmp_path / "exp"
+    assert main(["explain", "--config", cfg, "--out", str(out), "--do", "i+=1"]) == 0
+    with open(out / "counterfactual_diff.csv", newline="") as fh:
+        rows = {(row["row"], row["intervention"]): row for row in csv.DictReader(fh)}
+    diff = rows[("diff", "i+=1")]
+    assert [diff[label] for label in ("t", "s", "w")] == ["0.0", "0.0", "0.0"]
+    assert float(diff["i"]) != 0.0
 
 
 def test_explain_unknown_feature_lists_known(tmp_path, capsys):
@@ -581,6 +594,7 @@ _REPEATED_PARENT = dict(
         ("ti", "classifier", DROP, "explain", "config key 'classifier' is required"),
         ("ti", "pool_size", 100, "discover",
          "config key 'pool_size' (100) must be at least discovery.n_samples (256)"),
+        ("ti", "sample.n", 0, "sample", "config key 'sample.n' must be at least 1, got 0"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
@@ -784,6 +798,11 @@ def _csv_numbers(path):
         except ValueError:
             pass  # a label, a header or an empty cell
     return numbers
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in causalprobe.__all__ if not hasattr(causalprobe, name)]
+    assert not missing
 
 
 def test_cli_runs_without_scipy(tmp_path):
