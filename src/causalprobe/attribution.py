@@ -142,36 +142,46 @@ def lime_batch(
         classes = head.probabilities(values[:, None, :])[:, 0].argmax(axis=1)
     else:
         classes = np.full(m, target_class)
-    reach = graph.reach() if config.perturbation_policy == "interventional" else None
+    # float, so the 0/1 contraction below is exact and runs on BLAS
+    reach = graph.reach().astype(float) if config.perturbation_policy == "interventional" else None
     width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
 
     explanations: list[Explanation] = []
     drawn: dict = {}
+    chunk = None
     step = max(1, _CHUNK_ROWS // n)
     for lo in range(0, m, step):
-        chunk = seeds[lo : lo + step]
-        # a seed already drawn for the previous chunk is reused; older draws
-        # are dropped, so memory stays bounded by the chunk
-        drawn = {
-            s: drawn[s] if s in drawn else _perturbations(s, n, d, config.perturbation_std)
-            for s in dict.fromkeys(chunk)
-        }
-        masks = np.stack([drawn[s][0] for s in chunk])
-        deltas = np.stack([drawn[s][1] for s in chunk])
-        x = values[lo : lo + step, None, :]
-        base = np.broadcast_to(x, masks.shape)
+        if seeds[lo : lo + step] != chunk:
+            # stacked again only when the seeds change; a seed drawn for the
+            # previous chunk is reused and older draws are dropped, so memory
+            # stays bounded by the chunk
+            chunk = seeds[lo : lo + step]
+            drawn = {
+                s: drawn[s] if s in drawn else _perturbations(s, n, d, config.perturbation_std)
+                for s in dict.fromkeys(chunk)
+            }
+            masks = np.stack([drawn[s][0] for s in chunk])
+            deltas = np.stack([drawn[s][1] for s in chunk])
+            design = np.concatenate([np.ones((len(chunk), n, 1)), deltas], axis=2)
+            moved = None if reach is None else masks @ reach > 0
+        # whole (c, n, d) rows, not broadcast views: numpy's elementwise ops
+        # and reductions would otherwise loop over the short feature axis
+        base = np.repeat(values[lo : lo + step, None, :], n, axis=1)
         if reach is not None:
             realized = oracle.query_stacked(base, (masks, base + deltas), [[s, 8] for s in chunk])
-            realized = np.where(masks @ reach > 0, realized, base)
+            realized = np.where(moved, realized, base)
         else:
             realized = np.where(masks, base + deltas, base)
         tc = classes[lo : lo + step]
-        probs = head.probabilities(realized)
-        scores = np.take_along_axis(probs, tc[:, None, None], axis=2)[..., 0]
+        scores = head.probabilities(realized)[np.arange(len(chunk)), :, tc]
 
-        sample_w = np.exp(-((realized - x) ** 2).sum(axis=2) / width**2)
-        design = np.concatenate([np.ones((len(chunk), n, 1)), deltas], axis=2)
-        wx = design * sample_w[..., None]
+        # squared distances summed feature-major, (d, c, n), into a C-ordered
+        # (c, n): an F-ordered sample_w would change the pairwise sums below.
+        # The sum runs in feature order; from d = 8 on, numpy's last-axis sum
+        # would pair terms and round differently
+        gap = np.ascontiguousarray(np.moveaxis(realized - base, 2, 0))
+        sample_w = np.exp(-(gap * gap).sum(axis=0) / width**2)
+        wx = design * np.repeat(sample_w, d + 1, axis=1).reshape(design.shape)
         gram = design.transpose(0, 2, 1) @ wx
         rhs = wx.transpose(0, 2, 1) @ scores[..., None]
         beta = _ridge(gram, rhs, config.ridge_lambda)

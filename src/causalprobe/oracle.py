@@ -59,8 +59,9 @@ def _rows(a):
 
 
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Read-only (mask, values) views of shape (n, d) for an intervention,
-    or None when it clamps nothing.
+    """(mask, values) of shape (n, d) for an intervention, or None when it
+    clamps nothing: a form smaller than (n, d) becomes a read-only broadcast
+    view, an (n, d) array is passed on as it is.
 
     do is None, {node: scalar | (n,) array} with nodes given as in
     ScmModel.node_index, or a (mask, values) pair broadcastable to (n, d).
@@ -77,8 +78,8 @@ def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] 
             mask[idx] = True
             values[:, idx] = val  # a scalar or an (n,) array
     shape = (n, model.n_nodes)
-    mask = np.asarray(mask, dtype=bool)
-    views = np.broadcast_to(mask, shape), np.broadcast_to(np.asarray(values, dtype=float), shape)
+    mask, values = np.asarray(mask, dtype=bool), np.asarray(values, dtype=float)
+    views = tuple(a if a.shape == shape else np.broadcast_to(a, shape) for a in (mask, values))
     return views if mask.any() else None
 
 
@@ -111,10 +112,7 @@ class Oracle:
         return len(self.labels)
 
     def to_chart(self, raw: np.ndarray) -> np.ndarray:
-        raw = np.asarray(raw, dtype=float)
-        if not self.config.standardize:
-            return raw
-        return (raw - self.chart_mean) / self.chart_scale
+        return self._chart(raw, True)
 
     def _counterfactual(self, base: np.ndarray, mask, values) -> np.ndarray:
         """Fixed-noise rows of an (m, n, d) stack: abduction, action, prediction.
@@ -147,17 +145,28 @@ class Oracle:
         return np.where(kept, base, out) if partial else out
 
     def _chart_columns(self, raw: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """to_chart of the columns cols (a (d,) boolean) of raw rows. The gather is
-        also the fast layout: to_chart on (m, n, small d) rows loops once per row."""
+        """to_chart of the columns cols (a (d,) boolean) of raw rows. A boolean
+        gather lays its (..., n, k) result out feature-major, so the (k,)
+        constants broadcast along n, as to_chart's tiled constants run along
+        whole rows: neither loops once per row over the short k axis."""
         if not self.config.standardize:
             return raw[..., cols]
         return (raw[..., cols] - self.chart_mean[cols]) / self.chart_scale[cols]
 
     def to_raw(self, chart: np.ndarray) -> np.ndarray:
-        chart = np.asarray(chart, dtype=float)
+        return self._chart(chart, False)
+
+    def _chart(self, a, forward: bool) -> np.ndarray:
+        """to_chart (forward) or to_raw of (..., d) rows. The (d,) constants
+        are tiled to (n, d), so numpy runs each block's rows as one line:
+        broadcast along the short last axis, it would loop once per row.
+        Elementwise, so the bits are the plain formulas' for any layout."""
+        a = np.asarray(a, dtype=float)
         if not self.config.standardize:
-            return chart
-        return chart * self.chart_scale + self.chart_mean
+            return a
+        rows = a.shape[-2:-1] + (1,)  # (n, 1), or (1,) for a single row
+        mean, scale = np.tile(self.chart_mean, rows), np.tile(self.chart_scale, rows)
+        return (a - mean) / scale if forward else a * scale + mean
 
     def sample_latents(self, n: int, seed) -> np.ndarray:
         return self.to_chart(self.model.sample(n, seed).values)

@@ -299,6 +299,29 @@ def test_lime_batch_rows_equal_lime_latent(
         )
 
 
+@pytest.mark.parametrize("perturbation_policy", attribution.POLICIES)
+@pytest.mark.parametrize("kind", ["TSWI", "linear"])
+def test_lime_batch_does_not_depend_on_the_latents_layout(kind, perturbation_policy):
+    oracle, graph = batch_setup(kind, "fixed")
+    d = oracle.dim
+    head = ClassifierHead(np.random.default_rng(5).normal(size=(3, d)))
+    latents = oracle.sample_latents(12, 1)
+    # n long enough that a reduction over it by another order changes bits
+    cfg = AttributionConfig(n_perturbations=100, perturbation_policy=perturbation_policy)
+    seeds = [4, 4, 1, 2, 4, 1] * 2
+
+    def explain(rows):
+        # six items per chunk: the second chunk reuses the first's draws
+        with mock.patch.object(attribution, "_CHUNK_ROWS", 6 * cfg.n_perturbations):
+            fits = lime_batch(oracle, head, graph, rows, cfg, seeds)
+        return [(f.weights.tobytes(), f.intercept, f.local_fit_r2, f.target_class) for f in fits]
+
+    plain = explain(latents)
+    assert explain(np.asfortranarray(latents)) == plain
+    assert explain(np.stack([latents, -latents], axis=-1)[..., 0]) == plain  # strided both ways
+    assert explain(np.repeat(latents, 2, axis=0)[::2]) == plain
+
+
 def reference_lime(oracle, head, graph, latent, cfg):
     """The per-explanation loop lime_batch replaced, kept as the reference."""
     d, n = oracle.dim, cfg.n_perturbations

@@ -639,6 +639,29 @@ def test_config_types_checked_for_in_process_callers(tmp_path):
         cli.evaluate_explainer({**TI_CFG, "evaluate": evaluate}, 7)
 
 
+@pytest.mark.parametrize(
+    "model, weights, mi_bins, n_explanations, expected",
+    [
+        ("TI", [0.0, 1.0], 8, 4200, (0.8641546619181719, 0.020298404760921894)),
+        ("TSWI", [0.0, 0.0, 0.0, 1.0], 2, 1500, (0.6154501234445495, 0.010812780761363784)),
+    ],
+)
+def test_criterion_7_scores_are_pinned(model, weights, mi_bins, n_explanations, expected):
+    """The acceptance criterion-7 settings, scored to the last bit."""
+    cfg = {
+        "oracle": {"kind": "scm", "model": model},
+        "classifier": {"weights": weights, "bias": -3.0},
+        "discovery": {"n_samples": 256},
+        "attribution": {"n_perturbations": 300},
+        "evaluation": {"p_subsets": 5, "q_repetitions": 5, "mi_bins": mi_bins},
+        "evaluate": {"n_explanations": n_explanations},
+    }
+    report = cli.evaluate_explainer(cfg, 0)
+    faithfulness = report["faithfulness"]
+    assert (faithfulness["engine"], faithfulness["shuffled_baseline"]) == expected
+    assert report["stability"]["engine"] == 0.0
+
+
 def test_manifest_embeds_the_loaded_config(tmp_path):
     cfg = json.loads(json.dumps(TI_CFG))
     cfg["oracle_config"] = {"standardize": True}

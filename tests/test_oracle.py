@@ -5,7 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalprobe import ClassifierHead, NoiseSpec, Oracle, OracleConfig, ScmModel, builtin
+from causalprobe import (
+    BUILTIN_NAMES,
+    ClassifierHead,
+    NoiseSpec,
+    Oracle,
+    OracleConfig,
+    ScmModel,
+    builtin,
+)
 from causalprobe.cli import build_oracle
 
 NOISELESS = OracleConfig(roundtrip_noise_std=0.0, standardize=False)
@@ -342,3 +350,39 @@ def test_query_purity_across_fresh_oracles(kind, policy, n, intervene, seed):
     out = first.query(base, do, seed=query_seed)
     again = second.query(base, do, seed=query_seed)
     assert np.array_equal(out.view(np.uint64), again.view(np.uint64))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(BUILTIN_NAMES),
+    standardize=st.booleans(),
+    lead=st.sampled_from([(), (1,), (7,), (1, 5), (3, 5), (2, 3, 4)]),
+    layout=st.sampled_from(["C", "F", "sliced", "broadcast"]),
+    seed=st.integers(0, 2**16),
+)
+def test_chart_conversions_equal_the_plain_formulas(kind, standardize, lead, layout, seed):
+    oracle = Oracle(builtin(kind), OracleConfig(standardize=standardize, seed=seed % 5))
+    d = oracle.dim
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(0.0, 50.0, lead + (d,))
+    if layout == "F":
+        rows = np.asfortranarray(rows)
+    elif layout == "sliced":  # strided on every axis
+        rows = np.stack([rows, -rows], axis=-1)[..., 0]
+    elif layout == "broadcast":  # zero strides: one row or one value repeated
+        rows = np.broadcast_to(rows[..., :1, :] if rows.ndim > 1 else rows[:1], rows.shape)
+    cols = rng.random(d) < 0.5
+    if standardize:
+        mean, scale = oracle.chart_mean, oracle.chart_scale
+        chart, raw = (rows - mean) / scale, rows * scale + mean
+    else:
+        chart = raw = rows
+    assert same_bits(oracle.to_chart(rows), chart)
+    assert same_bits(oracle.to_raw(rows), raw)
+    assert same_bits(oracle._chart_columns(rows, cols), chart[..., cols])
