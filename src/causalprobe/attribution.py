@@ -175,12 +175,12 @@ def lime_batch(
         tc = classes[lo : lo + step]
         scores = head.probabilities(realized)[np.arange(len(chunk)), :, tc]
 
-        # squared distances summed feature-major, (d, c, n), into a C-ordered
-        # (c, n): an F-ordered sample_w would change the pairwise sums below.
-        # The sum runs in feature order; from d = 8 on, numpy's last-axis sum
-        # would pair terms and round differently
-        gap = np.ascontiguousarray(np.moveaxis(realized - base, 2, 0))
-        sample_w = np.exp(-(gap * gap).sum(axis=0) / width**2)
+        # squared gaps summed feature-major, (d, c, n), into a C-ordered (c, n):
+        # an F-ordered sample_w would change the pairwise sums below. From d = 8
+        # on, numpy's last-axis sum would pair terms and round differently
+        sq = np.ascontiguousarray(np.moveaxis(realized - base, 2, 0)) ** 2
+        sample_w = np.exp(-sq.sum(axis=0) / width**2)
+        del base, sq  # held into the next chunk, they would raise peak memory
         wx = design * np.repeat(sample_w, d + 1, axis=1).reshape(design.shape)
         gram = design.transpose(0, 2, 1) @ wx
         rhs = wx.transpose(0, 2, 1) @ scores[..., None]
