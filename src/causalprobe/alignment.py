@@ -51,8 +51,8 @@ class AlignmentState:
     running_eig: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lambda_max <= 0:
-            raise ValueError("lambda_max must be > 0")
+        if not 0 < self.lambda_max < math.inf:
+            raise ValueError("lambda_max must be > 0 and finite")
         if not 0 < self.ema_decay < 1:
             raise ValueError("ema_decay must be in (0, 1)")
         if self.total_iterations < 1:

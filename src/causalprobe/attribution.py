@@ -34,14 +34,14 @@ class AttributionConfig:
     def __post_init__(self):
         if self.n_perturbations < 2:
             raise ValueError("n_perturbations must be >= 2")
-        if self.kernel_width is not None and self.kernel_width <= 0:
-            raise ValueError("kernel_width must be > 0")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
+        if self.kernel_width is not None and not 0 < self.kernel_width < np.inf:
+            raise ValueError("kernel_width must be > 0 and finite")
+        if not 0 <= self.ridge_lambda < np.inf:
+            raise ValueError("ridge_lambda must be >= 0 and finite")
         if self.perturbation_policy not in POLICIES:
             raise ValueError(f"perturbation_policy must be one of {POLICIES}")
-        if self.perturbation_std <= 0:
-            raise ValueError("perturbation_std must be > 0")
+        if not 0 < self.perturbation_std < np.inf:
+            raise ValueError("perturbation_std must be > 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,14 @@ class DiscoveryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.threshold <= 0 or self.prune_eps <= 0:
-            raise ValueError("threshold and prune_eps must be > 0")
-        if self.intervention_magnitude <= 0:
-            raise ValueError("intervention_magnitude must be > 0")
+        if not (0 < self.threshold < np.inf and 0 < self.prune_eps < np.inf):
+            raise ValueError("threshold and prune_eps must be > 0 and finite")
+        if not 0 < self.intervention_magnitude < np.inf:
+            raise ValueError("intervention_magnitude must be > 0 and finite")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.denom_guard_delta <= 0:
-            raise ValueError("denom_guard_delta must be > 0")
+        if not 0 < self.denom_guard_delta < np.inf:
+            raise ValueError("denom_guard_delta must be > 0 and finite")
 
 
 def _sweep(

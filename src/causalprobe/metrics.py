@@ -29,8 +29,8 @@ class EvaluationConfig:
             raise ValueError("P and Q must be >= 1")
         if self.mi_bins < 2:
             raise ValueError("mi_bins must be >= 2")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be >= 0 and finite")
 
 
 def correctness_index(predicted: Sequence[CausalGraph], truth: CausalGraph) -> float:

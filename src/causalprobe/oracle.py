@@ -23,8 +23,9 @@ class OracleConfig:
     """Observable semantics of the re-encode round trip.
 
     roundtrip_noise_std: per-coordinate Gaussian observation noise.
-    noise_policy: "fixed" reuses the exogenous noise abducted from the base
-        row (counterfactual propagation); "resample" draws fresh noise.
+    noise_policy: "fixed" propagates the exogenous noise abducted from the
+        base row; "resample" draws fresh noise on the closure of the row's
+        clamped columns and keeps the abducted noise elsewhere.
     standardize: present latents in a z-scored chart; chart constants are
         estimated once at construction. The CLI defaults it per oracle kind
         (on for "scm", off for "linear").
@@ -36,8 +37,8 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.roundtrip_noise_std < 0:
-            raise ValueError("roundtrip_noise_std must be >= 0")
+        if not 0 <= self.roundtrip_noise_std < np.inf:
+            raise ValueError("roundtrip_noise_std must be >= 0 and finite")
         if self.noise_policy not in ("fixed", "resample"):
             raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
 
@@ -90,11 +91,11 @@ class Oracle:
     space: chart constants come from a fixed-size observational draw, the
     ±1 intervention convention then moves each feature by one observational
     standard deviation. With standardize=False the chart is the raw feature
-    space. Under the "fixed" noise policy a query is the counterfactual:
-    the base rows' abduced noise propagated with the intervened nodes
-    clamped, evaluated only on the descendants of the clamped nodes (every
-    other feature keeps its base value). Queries are pure: identical
-    (base, do, seed) give identical output.
+    space. A query is the counterfactual: the base rows' abduced noise
+    ("resample": fresh noise on each row's closure) propagated with the
+    intervened nodes clamped, evaluated only on the descendants of the
+    clamped nodes (every other feature keeps its base value). Queries are
+    pure: identical (base, do, seed) give identical output.
     """
 
     def __init__(self, model: ScmModel, config: OracleConfig | None = None):
@@ -114,9 +115,11 @@ class Oracle:
     def to_chart(self, raw: np.ndarray) -> np.ndarray:
         return self._chart(raw, True)
 
-    def _counterfactual(self, base: np.ndarray, mask, values) -> np.ndarray:
-        """Fixed-noise rows of an (m, n, d) stack: abduction, action, prediction.
+    def _counterfactual(self, base: np.ndarray, mask, values, fresh=None) -> np.ndarray:
+        """Counterfactual rows of an (m, n, d) stack: abduction, action, prediction.
 
+        A row propagates its abduced noise, or fresh noise (shaped like the
+        rows) on the closure of its own clamped columns when fresh is given.
         Block k evaluates only the closure of the columns it clamps anywhere;
         every other column keeps its base value bit for bit. The blocks
         propagate together over the union of their closures: a column that
@@ -130,6 +133,9 @@ class Oracle:
         if not closure.any():
             return base.copy()
         factual = self.model.abduce(self.to_raw(_rows(base)))
+        noise = factual.noise
+        if fresh is not None:
+            noise = np.where(self.model.closure(_rows(mask)), _rows(fresh), noise)
         raw_values = self.to_raw(_rows(values))
         run = closure.any(axis=0)
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
@@ -137,9 +143,7 @@ class Oracle:
         if partial:
             mask = mask | kept
             raw_values = np.where(kept, factual.values, raw_values)
-        prop = self.model.propagate(
-            factual.noise, _rows(mask), raw_values, out=factual.values, nodes=run
-        )
+        prop = self.model.propagate(noise, _rows(mask), raw_values, out=factual.values, nodes=run)
         out = base.copy()
         _rows(out)[..., run] = self._chart_columns(prop, run)
         return np.where(kept, base, out) if partial else out
@@ -198,10 +202,10 @@ class Oracle:
           blocks with equal integer seeds share one draw;
         - every row contraction runs per block with the block's own shape
           (BLAS rounds a row differently with the number of rows it gets);
-        - under "fixed", a column outside the closure of the block's clamped
-          columns (clamped on any row, descendants included) comes back as
-          the block's base value, bit for bit, before round-trip noise; a
-          block whose mask is empty has an empty closure.
+        - a column outside the closure of the block's clamped columns
+          (clamped on any row, descendants included) comes back as the
+          block's base value, bit for bit, before round-trip noise; a block
+          whose mask is empty has an empty closure.
         Base rows and the do values under the mask must be finite.
         """
         base = np.ascontiguousarray(base, dtype=float)
@@ -238,13 +242,8 @@ class Oracle:
             draws = [draw(rng) for rng in rngs]
             return draws[0][None] if m == 1 else np.stack(draws)[inverse]
 
-        if resample:
-            noise = _rows(per_block(lambda rng: self.model.draw_noise(n, rng)))
-            raw_values = None if mask is None else self.to_raw(_rows(values))
-            out = self.to_chart(self.model.propagate(noise, _rows(mask), raw_values))
-            out = out.reshape(base.shape)
-        else:
-            out = self._counterfactual(base, mask, values)
+        fresh = per_block(lambda rng: self.model.draw_noise(n, rng)) if resample else None
+        out = self._counterfactual(base, mask, values, fresh)
         if std > 0:
             out = out + per_block(lambda rng: rng.normal(0.0, std, (n, d)))
         return out

@@ -5,7 +5,7 @@ node, with explicitly parameterized noise, supporting ancestral sampling,
 abduction of the additive noise, propagation under clamped nodes (from
 zeros, or from given rows over a subset of the nodes), the descendant
 closure of a node set, and ground-truth DAG export. The oracle builds its
-fixed-noise counterfactuals from these: propagation starts from the
+counterfactuals from these: propagation starts from the
 factual rows and evaluates only the closure of the clamped nodes. Four
 builtin models cover the thickness / intensity / slant / width worlds used
 throughout the test suite, and ScmModel.linear builds a linear SEM from a

@@ -235,6 +235,7 @@ def test_intervention_effect_is_zero_off_the_closure(
     reached = model.closure(clamped)
     _, _, diff = intervention_effect(oracle, head, latent, {node: latent[node] + shift}, seed)
     assert np.all(diff[~reached] == 0.0)
+    assert diff[node] == pytest.approx(shift, abs=1e-12 * max(1.0, abs(latent[node])))
     delta, _, diff = intervention_effect(oracle, head, latent, {}, seed)
     assert np.all(delta == 0.0) and np.all(diff == 0.0)
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -144,6 +145,29 @@ def test_explain_diff_is_zero_on_what_the_intervention_cannot_reach(tmp_path):
     diff = rows[("diff", "i+=1")]
     assert [diff[label] for label in ("t", "s", "w")] == ["0.0", "0.0", "0.0"]
     assert float(diff["i"]) != 0.0
+
+
+def test_readme_config_under_resample(tmp_path):
+    # "resample" redraws noise only on what an intervention reaches
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = json.loads(re.findall(r"```json\n(.*?)```", readme, flags=re.S)[0])
+    cfg["oracle_config"]["noise_policy"] = "resample"
+    path = write_cfg(tmp_path, cfg)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        for command, extra in (("discover", []), ("explain", ["--do", "i+=1"]), ("evaluate", [])):
+            assert main([command, "--config", path, "--out", str(run / command)] + extra) == 0
+    assert read_tree(runs[0]) == read_tree(runs[1])
+    outputs = [(p, _numbers(json.loads(p.read_text()))) for p in runs[0].rglob("*.json")]
+    outputs += [(p, _csv_numbers(p)) for p in runs[0].rglob("*.csv")]
+    for out, numbers in outputs:
+        assert all(math.isfinite(v) for v in numbers), out
+    with open(runs[0] / "explain" / "counterfactual_diff.csv", newline="") as fh:
+        rows = {(row["row"], row["intervention"]): row for row in csv.DictReader(fh)}
+    diff = {key: {label: float(row[label]) for label in "tswi"} for key, row in rows.items()}
+    i_diff, t_diff = diff[("diff", "i+=1")], diff[("diff", "t+=1")]
+    assert [i_diff[label] for label in "tsw"] == [0.0, 0.0, 0.0]
+    assert abs(i_diff["i"] - 1.0) <= 1e-12 and abs(t_diff["t"] - 1.0) <= 1e-12
 
 
 def test_explain_unknown_feature_lists_known(tmp_path, capsys):
@@ -637,6 +661,28 @@ def test_config_types_checked_for_in_process_callers(tmp_path):
     evaluate = {"n_explanations": 150, "deterministic_seed": "false"}
     with pytest.raises(ValueError, match="'evaluate.deterministic_seed' must be a boolean"):
         cli.evaluate_explainer({**TI_CFG, "evaluate": evaluate}, 7)
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+@pytest.mark.parametrize(
+    "stage, key",
+    [
+        (causalprobe.OracleConfig, "roundtrip_noise_std"),
+        (causalprobe.DiscoveryConfig, "threshold"),
+        (causalprobe.DiscoveryConfig, "prune_eps"),
+        (causalprobe.DiscoveryConfig, "intervention_magnitude"),
+        (causalprobe.DiscoveryConfig, "denom_guard_delta"),
+        (causalprobe.EvaluationConfig, "noise_std"),
+        (causalprobe.AttributionConfig, "kernel_width"),
+        (causalprobe.AttributionConfig, "perturbation_std"),
+        (causalprobe.AttributionConfig, "ridge_lambda"),
+        (functools.partial(causalprobe.AlignmentState, total_iterations=1), "lambda_max"),
+    ],
+)
+def test_stage_bounds_reject_non_finite_values(stage, key, value):
+    # the CLI schema rejects these first; library callers reach the bounds
+    with pytest.raises(ValueError, match=f"{key}.* and finite"):
+        stage(**{key: value})
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,14 +106,25 @@ def test_do_out_of_range_rejected():
 
 
 def test_resample_policy_redraws_noise():
+    model = builtin("TSWI")
     cfg = OracleConfig(roundtrip_noise_std=0.0, noise_policy="resample", standardize=False)
-    oracle = Oracle(builtin("TI"), cfg)
+    oracle, fixed = Oracle(model, cfg), Oracle(model, NOISELESS)
     base = oracle.sample_latents(32, 4)
-    out = oracle.query(base, None, seed=5)
-    # fresh exogenous noise: re-encoded rows differ from the base draw
-    assert not np.allclose(out, base)
-    again = oracle.query(base, None, seed=5)
-    assert np.array_equal(out, again)
+    # an empty intervention has an empty closure: the base comes back
+    for do in (None, {}, (np.zeros(base.shape, dtype=bool), base + 1.0)):
+        assert np.array_equal(oracle.query(base, do, seed=5), base)
+    # round-trip noise is drawn after the (unused) exogenous draw
+    noisy = Oracle(model, replace(cfg, roundtrip_noise_std=0.1))
+    rng = np.random.default_rng(5)
+    model.draw_noise(32, rng)
+    assert np.array_equal(noisy.query(base, None, seed=5), base + rng.normal(0.0, 0.1, base.shape))
+    # clamping s redraws its descendants w and i; t keeps its base value
+    do = {"s": base[:, 1] + 1.0}
+    out, ref = oracle.query(base, do, seed=5), fixed.query(base, do, seed=5)
+    assert np.array_equal(out, oracle.query(base, do, seed=5))
+    assert np.array_equal(out[:, 0], base[:, 0])
+    assert np.array_equal(out[:, 1], ref[:, 1]) and np.array_equal(out[:, 1], base[:, 1] + 1.0)
+    assert np.all(out[:, 2:] != ref[:, 2:])
 
 
 def test_linear_oracle_single_edge():
@@ -257,19 +269,23 @@ def test_query_stacked_blocks_equal_solo_queries(
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["TSWI", "linear9", "linear12"]),
+    policy=st.sampled_from(["fixed", "resample"]),
     noise=st.sampled_from([0.0, 0.1]),
     m=st.integers(1, 4),
     n=st.integers(1, 20),
     whole_columns=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_fixed_queries_evaluate_only_the_closure(kind, noise, m, n, whole_columns, seed):
+# rows clamp different columns: a row keeps its abduced noise outside its
+# own closure, though the block runs the closure of every row's columns
+@example(kind="TSWI", policy="resample", noise=0.0, m=1, n=20, whole_columns=False, seed=0)
+def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_columns, seed):
     rng = np.random.default_rng(seed)
     linear = kind.startswith("linear")
     model = ScmModel.linear(random_dag_weights(int(kind[6:]), rng)) if linear else builtin(kind)
-    config = OracleConfig(roundtrip_noise_std=noise, standardize=not linear)
+    config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy, standardize=not linear)
     oracle = Oracle(model, config)
-    clean = Oracle(model, OracleConfig(roundtrip_noise_std=0.0, standardize=not linear))
+    clean = Oracle(model, replace(config, roundtrip_noise_std=0.0))
     d = oracle.dim
     base = oracle.sample_latents(m * n, seed).reshape(m, n, d)
     if whole_columns:
@@ -284,18 +300,22 @@ def test_fixed_queries_evaluate_only_the_closure(kind, noise, m, n, whole_column
     stacked = clean.query_stacked(base, (mask, values), seeds)
     noisy = oracle.query_stacked(base, (mask, values), seeds)
     for k in range(m):
-        # the reference propagates every node from the abduced noise
-        raw = clean.to_raw(base[k])
-        full = model.propagate(model.abduce(raw).noise, mask[k], clean.to_raw(values[k]))
-        ref = clean.to_chart(full)
+        # the reference propagates every node from the abduced noise, under
+        # "resample" with fresh noise on the closure of each row's columns
+        draws = np.random.default_rng(seeds[k])
+        exogenous = model.abduce(clean.to_raw(base[k])).noise
+        own = model.closure(mask[k])
+        if policy == "resample":
+            exogenous = np.where(own, model.draw_noise(n, draws), exogenous)
+        ref = clean.to_chart(model.propagate(exogenous, mask[k], clean.to_raw(values[k])))
         kept, run = ~closure[k], closure[k]
+        tol = 1e-12 * np.abs(ref).max()
         for out in (stacked[k], clean.query(base[k], (mask[k], values[k]), seeds[k])):
             assert np.array_equal(out[:, kept], base[k][:, kept])
-            np.testing.assert_allclose(
-                out[:, run], ref[:, run], rtol=1e-12, atol=1e-12 * np.abs(ref).max()
-            )
+            np.testing.assert_allclose(out[:, run], ref[:, run], rtol=1e-12, atol=tol)
+            np.testing.assert_allclose(out[~own], base[k][~own], rtol=1e-12, atol=tol)
         # round-trip noise is added on top of the noiseless rows
-        draw = np.random.default_rng(seeds[k]).normal(0.0, noise, (n, d)) if noise else 0.0
+        draw = draws.normal(0.0, noise, (n, d)) if noise else 0.0
         assert np.array_equal(noisy[k], stacked[k] + draw)
         assert np.array_equal(oracle.query(base[k], (mask[k], values[k]), seeds[k]), noisy[k])
 
