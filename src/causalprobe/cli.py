@@ -1,9 +1,10 @@
 """Command-line front end for reproducible experiment runs.
 
 Subcommands: sample, discover, explain, evaluate. Every command reads a
-JSON config, takes a mandatory seed (config key or --seed), owns its
-output directory, and writes a run manifest embedding the resolved config
-so re-runs with the same inputs produce byte-identical outputs.
+JSON config, takes a mandatory seed (config key or --seed), computes all
+of its outputs, and only then writes them to its output directory with a
+run manifest embedding the resolved config, so a failed run writes nothing
+and re-runs with the same inputs produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -115,15 +116,15 @@ _SCHEMA = {
     "seed": int,
     "pool_size": int,
     "oracle": _Required(_ORACLE_SPECS),
-    "oracle_config": get_type_hints(OracleConfig),
     "classifier": {
         "weights": _Required(list[float] | list[list[float]]),
         "bias": float | list[float],
         "n_classes": int | None,
     },
+    # the run sets every seed: no section takes one
     **{
         name: {k: v for k, v in get_type_hints(cls).items() if k != "seed"}
-        for name, cls in _STAGE_SECTIONS.items()
+        for name, cls in {"oracle_config": OracleConfig, **_STAGE_SECTIONS}.items()
     },
     "sample": {"n": int},
     "explain": {"index": int, "interventions": list[str]},
@@ -319,16 +320,21 @@ def _build_section(cls, section: str, cfg: dict, defaults: dict):
         raise ValueError(f"{section}: {exc}") from exc
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, seed: int, outputs) -> None:
-    _write_json(
-        out / "run_manifest.json",
-        {
-            "command": command,
-            "config": cfg,
-            "seed": seed,
-            "outputs": sorted(outputs),
-        },
-    )
+def _write_outputs(out_dir: str, command: str, cfg: dict, seed: int, files: dict) -> None:
+    """Write a command's outputs under out_dir, then run_manifest.json
+    listing them. files maps each relative name to its content, whose
+    writer the extension picks: a .json document, a .csv (header, rows)
+    pair, or text."""
+    manifest = {"command": command, "config": cfg, "seed": seed, "outputs": sorted(files)}
+    for name, content in {**files, "run_manifest.json": manifest}.items():
+        path = Path(out_dir) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if name.endswith(".json"):
+            _write_json(path, content)
+        elif name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            path.write_text(content)
 
 
 def _parse_intervention(spec: str, oracle, latent: np.ndarray) -> tuple[str, int, float]:
@@ -362,10 +368,7 @@ def run_sample(cfg: dict, out_dir: str, seed: int, n_override: int | None = None
         key = "config key 'sample.n'" if n_override is None else "--n"
         raise ValueError(f"{key} must be at least 1, got {n}")
     samples = model.sample(n, [seed, 1])
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "samples.csv", model.labels, samples.values)
-    _write_manifest(out, "sample", cfg, seed, ["samples.csv"])
+    _write_outputs(out_dir, "sample", cfg, seed, {"samples.csv": (model.labels, samples.values)})
     return {"rows": int(n), "columns": list(model.labels)}
 
 
@@ -417,13 +420,9 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
         f"({dcfg.n_samples})"
     ) if size < dcfg.n_samples else None)
 
-    out = Path(out_dir)
-    graphs_dir = out / "graphs"
-    graphs_dir.mkdir(parents=True, exist_ok=True)
-
     runs: list[CausalGraph] = []
     per_subset: list[list[CausalGraph]] = []
-    outputs = []
+    files = {}
     for p in range(ecfg.p_subsets):
         # subsets are drawn with replacement from the pool
         idx = np.random.default_rng([seed, 11, p]).integers(0, len(pool), dcfg.n_samples)
@@ -432,17 +431,12 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
         for q in range(ecfg.q_repetitions):
             run_cfg = replace(dcfg, seed=_derive_seed(seed, 12, p, q))
             g = discover(oracle, run_cfg, base=subset)
-            name = f"graph_p{p}_q{q}.json"
-            _write_json(graphs_dir / name, g.to_json_dict())
-            outputs.append(f"graphs/{name}")
+            files[f"graphs/graph_p{p}_q{q}.json"] = g.to_json_dict()
             runs.append(g)
             group.append(g)
         per_subset.append(group)
 
     consensus = _consensus(runs, oracle.labels)
-    _write_json(out / "graph.json", consensus.to_json_dict())
-    (out / "graph.dot").write_text(consensus.to_dot())
-    outputs += ["graph.json", "graph.dot"]
 
     correctness = None
     correctness_flag = "ok"
@@ -477,18 +471,18 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
             for q in range(ecfg.q_repetitions)
         ],
     }
-    _write_json(out / "report.json", report)
-    _write_csv(
-        out / "report.csv",
-        ["metric", "value"],
-        [
-            ["correctness_index", "" if correctness is None else correctness],
-            ["graph_consistency", graph_consistency],
-            ["graph_stability", graph_stability],
-        ],
-    )
-    outputs += ["report.json", "report.csv"]
-    _write_manifest(out, "discover", cfg, seed, outputs)
+    table = [
+        ["correctness_index", "" if correctness is None else correctness],
+        ["graph_consistency", graph_consistency],
+        ["graph_stability", graph_stability],
+    ]
+    _write_outputs(out_dir, "discover", cfg, seed, {
+        **files,
+        "graph.json": consensus.to_json_dict(),
+        "graph.dot": consensus.to_dot(),
+        "report.json": report,
+        "report.csv": (["metric", "value"], table),
+    })
     return report
 
 
@@ -534,14 +528,9 @@ def run_explain(
     parsed = [_parse_intervention(s, oracle, latent) for s in specs]
     graph = discover(oracle, dcfg)
     explanation = lime_latent(oracle, head, graph, latent, acfg)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     doc = explanation.to_json_dict(oracle.labels)
     doc["latent"] = latent.tolist()
-    _write_json(out / "explanation.json", doc)
     rows = [[k, label, w] for k, (label, w) in enumerate(zip(oracle.labels, explanation.weights))]
-    _write_csv(out / "explanation.csv", ["feature", "label", "weight"], rows)
 
     class_cols = [f"class_{c}" for c in range(head.n_classes)]
     base_probs = head.probabilities(latent)
@@ -554,19 +543,12 @@ def run_explain(
         conf_rows.append(["delta", label] + list(delta))
         diff_rows.append(["intervened", label] + list(intervened))
         diff_rows.append(["diff", label] + list(diff))
-    _write_csv(out / "confidence_delta.csv", ["row", "intervention"] + class_cols, conf_rows)
-    _write_csv(
-        out / "counterfactual_diff.csv",
-        ["row", "intervention"] + list(oracle.labels),
-        diff_rows,
-    )
-    outputs = [
-        "explanation.json",
-        "explanation.csv",
-        "confidence_delta.csv",
-        "counterfactual_diff.csv",
-    ]
-    _write_manifest(out, "explain", cfg, seed, outputs)
+    _write_outputs(out_dir, "explain", cfg, seed, {
+        "explanation.json": doc,
+        "explanation.csv": (["feature", "label", "weight"], rows),
+        "confidence_delta.csv": (["row", "intervention"] + class_cols, conf_rows),
+        "counterfactual_diff.csv": (["row", "intervention"] + list(oracle.labels), diff_rows),
+    })
     return doc
 
 
@@ -635,25 +617,21 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
 
 def run_evaluate(cfg: dict, out_dir: str, seed: int) -> dict:
     report = evaluate_explainer(cfg, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     headline = {
         "correctness_index": None,
         "stability": report["stability"]["engine"],
         "faithfulness_index": report["faithfulness"]["engine"],
         "details": report,
     }
-    _write_json(out / "metrics.json", headline)
-    _write_csv(
-        out / "metrics.csv",
-        ["method", "faithfulness", "stability"],
-        [
-            ["engine", report["faithfulness"]["engine"], report["stability"]["engine"]],
-            # shuffled pairings define no stability baseline: empty cell
-            ["shuffled-baseline", report["faithfulness"]["shuffled_baseline"], ""],
-        ],
-    )
-    _write_manifest(out, "evaluate", cfg, seed, ["metrics.json", "metrics.csv"])
+    table = [
+        ["engine", report["faithfulness"]["engine"], report["stability"]["engine"]],
+        # shuffled pairings define no stability baseline: empty cell
+        ["shuffled-baseline", report["faithfulness"]["shuffled_baseline"], ""],
+    ]
+    _write_outputs(out_dir, "evaluate", cfg, seed, {
+        "metrics.json": headline,
+        "metrics.csv": (["method", "faithfulness", "stability"], table),
+    })
     return report
 
 

@@ -26,8 +26,8 @@ class CausalGraph:
 
     Edges map (src, dst) index pairs to a real weight (the estimated
     per-unit effect of src on dst). Self-loops are rejected at insertion;
-    acyclicity is a property of the construction pipeline, checked via
-    :meth:`is_dag`.
+    acyclicity is a property of the construction pipeline, read off the
+    closure :meth:`reach` returns.
     """
 
     labels: list[str]
@@ -72,16 +72,6 @@ class CausalGraph:
         for k in range(self.n_nodes):  # Warshall: admit paths through node k
             reach |= np.outer(reach[:, k], reach[k])
         return reach
-
-    def is_dag(self) -> bool:
-        """True when no directed cycle exists, read off the closure: no two
-        distinct nodes reach each other."""
-        return not _has_cycle(self.reach())
-
-    def topological_order(self) -> list[int]:
-        """Nodes sorted by (ancestor count, id); raises ValueError if the
-        graph has a cycle."""
-        return _topological_order(self.reach())
 
     def copy(self) -> "CausalGraph":
         return CausalGraph(list(self.labels), dict(self.edges))

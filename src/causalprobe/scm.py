@@ -176,7 +176,7 @@ class ScmModel:
         )
         sig = np.flatnonzero(sig_scale)
         sig_terms = (sig, sig_scale[sig], sig_bias[sig], sig_lin[:, sig]) if sig.size else None
-        object.__setattr__(self, "_reach", reach)
+        object.__setattr__(self, "_reach", reach.astype(float))
         object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_const", const if const.any() else None)
         object.__setattr__(self, "_lin", lin if lin.any() else None)
@@ -199,8 +199,9 @@ class ScmModel:
 
     def closure(self, nodes: np.ndarray) -> np.ndarray:
         """The given nodes and all their descendants: nodes is a (..., d)
-        boolean, one node set per leading index."""
-        return np.asarray(nodes, dtype=bool) @ self._reach
+        boolean, one node set per leading index. A float matmul runs on
+        BLAS; on 0/1 entries its sums are exact counts of reaching nodes."""
+        return np.asarray(nodes, dtype=bool) @ self._reach > 0
 
     def propagate(
         self,
@@ -251,7 +252,10 @@ class ScmModel:
             raise ValueError("n must be >= 1")
         rng = np.random.default_rng(seed)
         noise = self.draw_noise(n, rng)
-        return SampleSet(self.propagate(noise), noise)
+        values = self.propagate(noise)
+        if not np.isfinite(values).all():
+            raise ValueError(f"model {self.name!r} propagates its noise to non-finite values")
+        return SampleSet(values, noise)
 
     def abduce(self, values: np.ndarray) -> SampleSet:
         """Recover exogenous noise exactly from observed rows (additive noise).

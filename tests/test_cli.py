@@ -331,6 +331,7 @@ def test_readme_library_example_runs(capsys):
         (TI_CFG, "discovery", "seed", "discover"),
         (TI_CFG, "attribution", "seed", "explain"),
         (TI_CFG, "evaluation", "seed", "evaluate"),
+        (TI_CFG, "oracle_config", "seed", "discover"),
     ],
 )
 def test_unknown_config_keys_rejected(tmp_path, capsys, base, section, key, command):
@@ -378,7 +379,6 @@ _KEY_KINDS = [
     ("oracle_config", "roundtrip_noise_std", float, "discover"),
     ("oracle_config", "noise_policy", str, "discover"),
     ("oracle_config", "standardize", bool, "discover"),
-    ("oracle_config", "seed", int, "discover"),
     ("discovery", "threshold", float, "discover"),
     ("discovery", "prune_eps", float, "discover"),
     ("discovery", "intervention_magnitude", float, "discover"),
@@ -812,6 +812,47 @@ def test_byte_identical_reruns(tmp_path, command, extra):
     assert main([command, "--config", cfg, "--out", str(out_a)] + extra) == 0
     assert main([command, "--config", cfg, "--out", str(out_b)] + extra) == 0
     assert read_tree(out_a) == read_tree(out_b)
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("sample", []),
+        ("discover", []),
+        ("explain", ["--do", "i+=1"]),
+        ("evaluate", []),
+    ],
+)
+def test_manifest_lists_every_output(tmp_path, command, extra):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = write_cfg(tmp_path, json.loads(re.findall(r"```json\n(.*?)```", readme, flags=re.S)[0]))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)] + extra) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == sorted(set(read_tree(out)) - {"run_manifest.json"})
+
+
+# a linear SEM whose weights overflow float64 at x2
+OVERFLOW_CFG = {
+    "seed": 0,
+    "oracle": {"kind": "linear", "dim": 3, "edges": [
+        {"from": 0, "to": 1, "weight": 1e200}, {"from": 1, "to": 2, "weight": 1e200},
+    ]},
+    "classifier": {"weights": [0, 0, 1]},
+}
+
+
+@pytest.mark.parametrize("command", ["sample", "discover", "explain", "evaluate"])
+def test_non_finite_model_fails_and_writes_nothing(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, OVERFLOW_CFG), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {
+        "error": "ValueError",
+        "message": "model 'linear' propagates its noise to non-finite values",
+    }
+    assert not out.exists()
 
 
 def test_seed_changes_outputs(tmp_path):

@@ -218,6 +218,15 @@ def test_sample_size_validation():
         builtin("TI").sample(0, 1)
 
 
+def test_sample_rejects_non_finite_values():
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 2] = 1e200  # x2 overflows float64
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="model 'linear' propagates its noise to non-finite values"
+    ):
+        ScmModel.linear(w).sample(5, 0)
+
+
 def test_json_round_trip():
     for name in ("TI", "IT", "TS", "TSWI"):
         model = builtin(name)
