@@ -165,10 +165,12 @@ def lime_batch(
             design = np.concatenate([np.ones((len(chunk), n, 1)), deltas], axis=2)
             moved = None if reach is None else masks @ reach > 0
         # whole (c, n, d) rows, not broadcast views: numpy's elementwise ops
-        # and reductions would otherwise loop over the short feature axis
-        base = np.repeat(values[lo : lo + step, None, :], n, axis=1)
+        # and reductions would otherwise loop over the short feature axis.
+        # The oracle takes each latent as one shared row and abduces it once.
+        latent = values[lo : lo + step, None, :]
+        base = np.repeat(latent, n, axis=1)
         if reach is not None:
-            realized = oracle.query_stacked(base, (masks, base + deltas), [[s, 8] for s in chunk])
+            realized = oracle.query_stacked(latent, (masks, base + deltas), [[s, 8] for s in chunk])
             realized = np.where(moved, realized, base)
         else:
             realized = np.where(masks, base + deltas, base)

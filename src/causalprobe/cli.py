@@ -320,11 +320,29 @@ def _build_section(cls, section: str, cfg: dict, defaults: dict):
         raise ValueError(f"{section}: {exc}") from exc
 
 
+def _remove_stale_outputs(root: Path, files: dict) -> None:
+    """Remove the regular files that an earlier run_manifest.json in root
+    lists and files does not, if they resolve inside root. Files no
+    manifest lists, and directories, stay."""
+    try:
+        old = json.loads((root / "run_manifest.json").read_text())["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return  # no readable manifest: nothing is known to be an output
+    inside = root.resolve()
+    for name in map(str, old if isinstance(old, list) else []):
+        path = root / name
+        if name in files or not path.is_file() or not path.resolve().is_relative_to(inside):
+            continue
+        path.unlink()
+
+
 def _write_outputs(out_dir: str, command: str, cfg: dict, seed: int, files: dict) -> None:
     """Write a command's outputs under out_dir, then run_manifest.json
     listing them. files maps each relative name to its content, whose
     writer the extension picks: a .json document, a .csv (header, rows)
-    pair, or text."""
+    pair, or text. An earlier run's outputs that this run does not write
+    are removed first, so out_dir holds what the manifest lists."""
+    _remove_stale_outputs(Path(out_dir), files)
     manifest = {"command": command, "config": cfg, "seed": seed, "outputs": sorted(files)}
     for name, content in {**files, "run_manifest.json": manifest}.items():
         path = Path(out_dir) / name

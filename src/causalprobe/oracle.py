@@ -118,20 +118,25 @@ class Oracle:
     def _counterfactual(self, base: np.ndarray, mask, values, fresh=None) -> np.ndarray:
         """Counterfactual rows of an (m, n, d) stack: abduction, action, prediction.
 
-        A row propagates its abduced noise, or fresh noise (shaped like the
-        rows) on the closure of its own clamped columns when fresh is given.
-        Block k evaluates only the closure of the columns it clamps anywhere;
-        every other column keeps its base value bit for bit. The blocks
-        propagate together over the union of their closures: a column that
-        another block runs is clamped to this block's raw base row, as its
-        own query leaves it.
+        base is (m, n, d), or (m, 1, d) when all n rows of a block share
+        one factual row: abduction then runs once per block, and the
+        abduced noise broadcasts along the rows. A row propagates its
+        abduced noise, or fresh noise (shaped like the rows) on the closure
+        of its own clamped columns when fresh is given. Block k evaluates
+        only the closure of the columns it clamps anywhere; every other
+        column keeps its base value bit for bit. The blocks propagate
+        together over the union of their closures: a column that another
+        block runs is clamped to this block's raw base row, as its own
+        query leaves it.
         """
-        n = base.shape[1]
+        n = base.shape[1] if mask is None else mask.shape[1]
+        widen = n if base.shape[1] == 1 else 1  # a shared row repeats n times
+        out = np.repeat(base, widen, axis=1)
         if mask is None:
-            return base.copy()
+            return out
         closure = self.model.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
         if not closure.any():
-            return base.copy()
+            return out
         factual = self.model.abduce(self.to_raw(_rows(base)))
         noise = factual.noise
         if fresh is not None:
@@ -143,8 +148,9 @@ class Oracle:
         if partial:
             mask = mask | kept
             raw_values = np.where(kept, factual.values, raw_values)
-        prop = self.model.propagate(noise, _rows(mask), raw_values, out=factual.values, nodes=run)
-        out = base.copy()
+        # propagate writes into whole (m, n, d) rows; the noise may broadcast
+        raw = np.repeat(factual.values, widen, axis=-2)
+        prop = self.model.propagate(noise, _rows(mask), raw_values, out=raw, nodes=run)
         _rows(out)[..., run] = self._chart_columns(prop, run)
         return np.where(kept, base, out) if partial else out
 
@@ -194,9 +200,14 @@ class Oracle:
     def query_stacked(self, base: np.ndarray, do, seeds) -> np.ndarray:
         """Re-encode m independent blocks of rows in one propagation.
 
-        base: (m, n, d) rows; do: None or a (mask, values) pair of (m, n, d)
-        arrays; seeds: one seed per block. Block k equals
-        query(base[k], (mask[k], values[k]), seeds[k]) bit for bit:
+        base: (m, n, d) rows, or (m, 1, d) when every row of a block shares
+        one factual row; do: None or a (mask, values) pair of (m, n, d)
+        arrays; seeds: one seed per block. Returns (m, n, d) rows, n taken
+        from do when it is given. Block k equals
+        query(base[k] repeated to n rows, (mask[k], values[k]), seeds[k])
+        bit for bit on the builtin models; a shared row is abduced once, and
+        BLAS may round that one row's contraction an ulp away from the same
+        row among n (seen from d = 9 on). Further:
         - its draws come from default_rng(seeds[k]) in query's order, first
           the exogenous noise ("resample" policy), then the round-trip noise;
           blocks with equal integer seeds share one draw;
@@ -221,8 +232,13 @@ class Oracle:
         if do is not None:
             mask = np.asarray(do[0], dtype=bool)
             values = np.asarray(do[1], dtype=float)
-            if mask.shape != base.shape or values.shape != base.shape:
-                raise ValueError(f"do mask and values must have the base shape {base.shape}")
+            if mask.ndim == 3:
+                n = mask.shape[1]
+            if mask.shape != (m, n, d) or values.shape != mask.shape or base.shape[1] not in (1, n):
+                raise ValueError(
+                    f"do mask {mask.shape} and values {values.shape} must both have shape "
+                    f"(m, n, d) for a base of shape {base.shape}, with 1 or n base rows per block"
+                )
             # one pass over values unless some value, masked or not, is non-finite
             if not (np.isfinite(values).all() or np.isfinite(values[mask]).all()):
                 raise ValueError("oracle query do values must be finite where the mask is set")

@@ -833,6 +833,34 @@ def test_manifest_lists_every_output(tmp_path, command, extra):
     assert manifest["outputs"] == sorted(set(read_tree(out)) - {"run_manifest.json"})
 
 
+def test_rerun_removes_outputs_the_new_manifest_does_not_list(tmp_path):
+    out = tmp_path / "out"
+    assert main(["discover", "--config", write_cfg(tmp_path, TI_CFG), "--out", str(out)]) == 0
+    assert len(list((out / "graphs").iterdir())) == 4
+    (out / "notes.txt").write_text("not an output")
+    smaller = {**TI_CFG, "evaluation": {**TI_CFG["evaluation"], "q_repetitions": 1}}
+    cfg = write_cfg(tmp_path, smaller, "smaller.json")
+    assert main(["discover", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert len([name for name in manifest["outputs"] if name.startswith("graphs/")]) == 2
+    assert set(read_tree(out)) == {*manifest["outputs"], "run_manifest.json", "notes.txt"}
+
+    # another command takes the directory over
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert set(read_tree(out)) == {"samples.csv", "run_manifest.json", "notes.txt"}
+
+    # a manifest entry that resolves outside --out is never removed
+    outside = tmp_path / "outside.txt"
+    outside.write_text("keep")
+    (out / "link.csv").symlink_to(outside)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    manifest["outputs"] += ["../outside.txt", str(outside), "link.csv"]
+    (out / "run_manifest.json").write_text(json.dumps(manifest))
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert outside.read_text() == "keep"
+    assert (out / "link.csv").is_symlink()
+
+
 # a linear SEM whose weights overflow float64 at x2
 OVERFLOW_CFG = {
     "seed": 0,

@@ -320,12 +320,79 @@ def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_colu
         assert np.array_equal(oracle.query(base[k], (mask[k], values[k]), seeds[k]), noisy[k])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(BUILTIN_NAMES + ("linear9", "linear12")),
+    policy=st.sampled_from(["fixed", "resample"]),
+    noise=st.sampled_from([0.0, 0.1]),
+    m=st.integers(1, 4),
+    n=st.integers(1, 20),
+    row_masks=st.booleans(),
+    shared_seed=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# each row clamps its own columns, as lime's perturbations do
+@example(
+    kind="TSWI", policy="resample", noise=0.1, m=3, n=12, row_masks=True, shared_seed=False,
+    seed=1,
+)
+def test_query_stacked_shared_row_equals_repeated_rows(
+    kind, policy, noise, m, n, row_masks, shared_seed, seed
+):
+    """A (m, 1, d) base gives the rows of that base repeated to (m, n, d).
+
+    Bit for bit on the builtins. On a d >= 9 linear SEM only within 1e-12:
+    the shared row is abduced alone, and BLAS rounds its contraction with
+    the equation weights up to an ulp away from the same row among n.
+    """
+    rng = np.random.default_rng(seed)
+    linear = kind.startswith("linear")
+    config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy, standardize=not linear)
+    model = ScmModel.linear(random_dag_weights(int(kind[6:]), rng)) if linear else builtin(kind)
+    oracle = Oracle(model, config)
+    row = oracle.sample_latents(m, seed)[:, None, :]
+    base = np.repeat(row, n, axis=1)
+    if row_masks:
+        mask = rng.random(base.shape) < 0.4
+    else:
+        mask = np.repeat(rng.random((m, 1, oracle.dim)) < 0.4, n, axis=1)
+    values = base + rng.normal(size=base.shape)
+    seeds = [[int(s), 8] for s in rng.integers(0, 1 if shared_seed else 3, m)]
+    shared = oracle.query_stacked(row, (mask, values), seeds)
+    repeated = oracle.query_stacked(base, (mask, values), seeds)
+    if linear:
+        np.testing.assert_allclose(shared, repeated, rtol=1e-12, atol=1e-12)
+    else:
+        assert np.array_equal(shared, repeated)
+
+
 def test_query_stacked_rejects_bad_shapes():
     oracle = Oracle(builtin("TI"), NOISELESS)
     with pytest.raises(ValueError, match="shape"):
         oracle.query_stacked(np.zeros((4, 2)), None, [0] * 4)
     with pytest.raises(ValueError, match="seeds"):
         oracle.query_stacked(np.zeros((3, 4, 2)), None, [0, 1])
+    mask, values = np.ones((2, 5, 2), dtype=bool), np.ones((2, 5, 2))
+    # a base must hold 1 or n rows per block; the message names both shapes
+    with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(2, 3, 2\)"):
+        oracle.query_stacked(np.ones((2, 3, 2)), (mask, values), [0, 1])
+    with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(2, 4, 2\).*\(2, 1, 2\)"):
+        oracle.query_stacked(np.ones((2, 1, 2)), (mask, values[:, :4]), [0, 1])
+    with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(3, 1, 2\)"):
+        oracle.query_stacked(np.ones((3, 1, 2)), (mask, values), [0, 1, 2])
+
+
+def test_query_stacked_shared_row_without_do_is_a_one_row_query():
+    oracle = Oracle(builtin("TSWI"), OracleConfig())
+    base = oracle.sample_latents(3, 0)[:, None, :]
+    out = oracle.query_stacked(base, None, [0, 1, 2])
+    assert out.shape == (3, 1, 4)
+    for k in range(3):
+        assert np.array_equal(out[k], oracle.query(base[k], None, k))
+    # blocks of zero rows stay empty, with or without an intervention
+    empty = np.zeros((2, 0, 4))
+    assert oracle.query_stacked(empty, None, [0, 1]).shape == (2, 0, 4)
+    assert oracle.query_stacked(empty, (empty > 0, empty), [0, 1]).shape == (2, 0, 4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
