@@ -6,6 +6,13 @@ unobserved columns toward a running mean of their scaled singular vectors,
 capped at a configurable top eigenvalue. The second term is phased in by a
 staircase schedule. Gradients are verified by central finite differences
 with the running mean frozen.
+
+The scaled singular vectors U*S of a b x k block M need no full SVD: since
+M V = U S, they follow from the eigenvectors of the Gram matrix on M's
+smaller side (M^T M when b >= k, M M^T otherwise), with S taken from the
+row norms of U^T M in the wide case (Golub & Van Loan, Matrix Computations,
+4th ed., section 8.6). `thin_svd` stays the reference LAPACK SVD, and both
+share one sign convention.
 """
 from __future__ import annotations
 
@@ -69,13 +76,27 @@ def thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     per-column sign ambiguity so running means over U*S are well defined.
     Returns (u, s, vt) with s a descending 1-d vector.
     """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    m, _ = _finite(m)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    pivots = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
-    signs = np.where(pivots < 0, -1.0, 1.0)
+    signs = _pivot_signs(u)
     return u * signs, s, vt * signs[:, None]
+
+
+def _finite(m) -> tuple[np.ndarray, float]:
+    """m as a float array and its largest absolute entry; raises ValueError
+    unless every entry is finite."""
+    m = np.asarray(m, dtype=float)
+    peak = np.abs(m).max(initial=0.0)
+    if not np.isfinite(peak):
+        raise ValueError("matrix entries must be finite")
+    return m, peak
+
+
+def _pivot_signs(u: np.ndarray) -> np.ndarray:
+    """The sign convention: +-1 per column of u, flipping each column so its
+    largest-magnitude entry is non-negative."""
+    pivots = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    return np.where(pivots < 0, -1.0, 1.0)
 
 
 def alpha_schedule(iteration: int, total_iterations: int, num_steps: int = 10) -> float:
@@ -87,14 +108,31 @@ def alpha_schedule(iteration: int, total_iterations: int, num_steps: int = 10) -
 
 
 def _scaled_left_vectors(m: np.ndarray) -> np.ndarray:
-    """U*s with the rectangular-Sigma convention: zero columns pad U*s up to
-    the column count of m when the batch is shorter than the feature count,
-    so the result always has m's shape."""
-    u, s, _ = thin_svd(m)
-    us = u * s
-    if us.shape[1] < m.shape[1]:
-        us = np.pad(us, ((0, 0), (0, m.shape[1] - us.shape[1])))
-    return us
+    """`thin_svd`'s U*S of the b x k block m, from the Gram matrix on m's
+    smaller side, in the rectangular-Sigma convention: zero columns pad U*S
+    up to k columns when b < k, so the result always has m's shape.
+
+    Since M V = U S, a tall or square block (b >= k) takes V from the
+    eigenvectors of the k x k Gram M^T M, in descending eigenvalue order,
+    and U*S = M V. A wide block takes U from the b x b Gram M M^T and
+    S_k = |u_k^T M|; the square root of a Gram eigenvalue would lose half
+    the digits of a small singular value. The k x k Gram of a wide block is
+    never formed. The Gram is built from m scaled by an exact power of two
+    to a largest entry in [0.5, 1): that adds no rounding, and squaring the
+    entries can then neither overflow on a large m nor underflow on a small
+    one. Each column of U*S then takes `thin_svd`'s sign convention.
+    """
+    m, peak = _finite(m)
+    b, k = m.shape
+    power = np.frexp(peak)[1]
+    unit = np.ldexp(m, -power)
+    if b >= k:
+        us = m @ np.linalg.eigh(unit.T @ unit)[1][:, ::-1]
+    else:
+        u = np.linalg.eigh(unit @ unit.T)[1][:, ::-1]
+        us = np.zeros_like(m)
+        us[:, :b] = u * np.ldexp(np.linalg.norm(u.T @ unit, axis=1), power)
+    return us * _pivot_signs(us)
 
 
 def _loss(batch: AlignmentBatch, state: AlignmentState, mean: np.ndarray) -> float:

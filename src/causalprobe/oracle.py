@@ -148,8 +148,9 @@ class Oracle:
         if partial:
             mask = mask | kept
             raw_values = np.where(kept, factual.values, raw_values)
-        # propagate writes into whole (m, n, d) rows; the noise may broadcast
-        raw = np.repeat(factual.values, widen, axis=-2)
+        # propagate writes into whole (m, n, d) rows, on a full base into
+        # abduce's own copy of them; the noise may broadcast
+        raw = factual.values if widen == 1 else np.repeat(factual.values, widen, axis=-2)
         prop = self.model.propagate(noise, _rows(mask), raw_values, out=raw, nodes=run)
         _rows(out)[..., run] = self._chart_columns(prop, run)
         return np.where(kept, base, out) if partial else out

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causalprobe import (
     AlignmentBatch,
@@ -12,6 +14,7 @@ from causalprobe import (
     loss_gradient_fd,
     thin_svd,
 )
+from causalprobe.alignment import _scaled_left_vectors
 
 
 def make_state(**kwargs):
@@ -74,6 +77,45 @@ def test_thin_svd_reconstruction_and_signs():
 def test_thin_svd_rejects_non_finite():
     with pytest.raises(ValueError):
         thin_svd(np.array([[np.nan, 1.0]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 24),
+    cols=st.integers(1, 24),
+    kind=st.sampled_from(["plain", "duplicate row", "duplicate column", "zero"]),
+    power=st.sampled_from([0, -600, 600]),
+    seed=st.integers(0, 2**16),
+)
+@example(rows=16, cols=512, kind="plain", power=0, seed=0)
+@example(rows=16, cols=512, kind="duplicate row", power=0, seed=1)
+@example(rows=1, cols=9, kind="plain", power=0, seed=2)
+def test_scaled_left_vectors_equal_thin_svd_us(rows, cols, kind, power, seed):
+    """The Gram-matrix U*S is thin_svd's U*S, zero-padded to m's columns,
+    on tall, square and wide blocks. Gaussian blocks have distinct singular
+    values and no tied pivots, so U*S is unique there; a duplicated row or
+    column adds a zero singular value, whose U*S column is zero up to
+    rounding. Blocks scaled by 2**+-600 check that the Gram neither
+    overflows nor underflows; the scaling is exact, so the comparison
+    runs on the unscaled block."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols))
+    if kind == "duplicate row" and rows > 1:
+        m[-1] = m[0]
+    elif kind == "duplicate column" and cols > 1:
+        m[:, -1] = m[:, 0]
+    elif kind == "zero":
+        m[:] = 0.0
+    u, s, _ = thin_svd(m)
+    expected = np.pad(u * s, ((0, 0), (0, cols - s.size)))
+    us = _scaled_left_vectors(np.ldexp(m, power))
+    assert us.shape == m.shape
+    assert np.abs(np.ldexp(us, -power) - expected).max() <= 1e-12 * np.linalg.norm(m)
+    assert np.all(us[np.abs(us).argmax(axis=0), np.arange(cols)] >= 0)
+    m[rng.integers(rows), rng.integers(cols)] = rng.choice([np.nan, np.inf, -np.inf])
+    for f in (thin_svd, _scaled_left_vectors):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            f(m)
 
 
 def test_alpha_schedule_endpoints():

@@ -334,6 +334,12 @@ def test_logistic_matches_expit(z):
     np.testing.assert_allclose(logistic(z), expit(z), rtol=1e-14, atol=0)
 
 
+def test_logistic_clips_to_np_clip_bits():
+    z = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0, 699.9, -699.9])
+    expected = 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
+    assert logistic(z).tobytes() == expected.tobytes()
+
+
 def test_logistic_saturates_finite_without_overflow():
     with np.errstate(all="raise"):
         out = logistic(np.array([-800.0, -745.0, 0.0, 745.0, 800.0]))
