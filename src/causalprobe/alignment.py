@@ -7,12 +7,11 @@ capped at a configurable top eigenvalue. The second term is phased in by a
 staircase schedule. Gradients are verified by central finite differences
 with the running mean frozen.
 
-The scaled singular vectors U*S of a b x k block M need no full SVD: since
-M V = U S, they follow from the eigenvectors of the Gram matrix on M's
-smaller side (M^T M when b >= k, M M^T otherwise), with S taken from the
-row norms of U^T M in the wide case (Golub & Van Loan, Matrix Computations,
-4th ed., section 8.6). `thin_svd` stays the reference LAPACK SVD, and both
-share one sign convention.
+U*S needs no full SVD: since M V = U S, it follows from the eigenvectors
+of the Gram matrix on the smaller side of the b x k block M, with S from the
+row norms of U^T M when b < k (Golub & Van Loan, Matrix Computations, 4th
+ed., section 8.6). `thin_svd` is the reference LAPACK SVD; both share one
+sign convention.
 """
 from __future__ import annotations
 
@@ -108,19 +107,15 @@ def alpha_schedule(iteration: int, total_iterations: int, num_steps: int = 10) -
 
 
 def _scaled_left_vectors(m: np.ndarray) -> np.ndarray:
-    """`thin_svd`'s U*S of the b x k block m, from the Gram matrix on m's
-    smaller side, in the rectangular-Sigma convention: zero columns pad U*S
-    up to k columns when b < k, so the result always has m's shape.
+    """`thin_svd`'s U*S of the b x k block m, zero-padded to k columns when
+    b < k (the rectangular-Sigma convention), from the Gram on m's smaller side.
 
-    Since M V = U S, a tall or square block (b >= k) takes V from the
-    eigenvectors of the k x k Gram M^T M, in descending eigenvalue order,
-    and U*S = M V. A wide block takes U from the b x b Gram M M^T and
-    S_k = |u_k^T M|; the square root of a Gram eigenvalue would lose half
-    the digits of a small singular value. The k x k Gram of a wide block is
-    never formed. The Gram is built from m scaled by an exact power of two
-    to a largest entry in [0.5, 1): that adds no rounding, and squaring the
-    entries can then neither overflow on a large m nor underflow on a small
-    one. Each column of U*S then takes `thin_svd`'s sign convention.
+    A tall or square m takes V from eigh of the k x k Gram M^T M, in
+    descending order, and U*S = M V. A wide m takes U from eigh of M M^T and
+    S_k as |u_k^T M|, not as the root of an eigenvalue, which loses half the
+    digits of a small singular value; its k x k Gram is never formed. The
+    Gram is built from m scaled by an exact power of two to a largest entry
+    in [0.5, 1), so squaring cannot overflow or underflow with m's magnitude.
     """
     m, peak = _finite(m)
     b, k = m.shape
