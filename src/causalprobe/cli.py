@@ -67,9 +67,10 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(text + "\n")
 
 
-# sections that configure one stage's dataclass; the run derives the
-# discovery and attribution seeds, and evaluation takes none
-_STAGE_SECTIONS = {
+# sections that configure a dataclass; the run seeds the oracle and derives
+# the discovery and attribution seeds, and evaluation takes none
+_SECTIONS = {
+    "oracle_config": OracleConfig,
     "discovery": DiscoveryConfig,
     "attribution": AttributionConfig,
     "evaluation": EvaluationConfig,
@@ -86,7 +87,7 @@ class _Required:
 # Every config key and its JSON kind: a dict is an object with those keys,
 # optional unless marked _Required, list[kind] a list of that kind, float a
 # finite JSON number, and int, bool, str and None exactly those JSON values.
-# A stage section's keys and kinds are its dataclass fields; an oracle
+# Each _SECTIONS section's keys and kinds are its dataclass fields; an oracle
 # spec's keys depend on its kind.
 _LINEAR_SPEC = {
     "dim": int,  # required by _linear_model: a linear spec may name a file instead
@@ -121,10 +122,9 @@ _SCHEMA = {
         "bias": float | list[float],
         "n_classes": int | None,
     },
-    # the run sets every seed: no section takes one
     **{
         name: {k: v for k, v in get_type_hints(cls).items() if k != "seed"}
-        for name, cls in {"oracle_config": OracleConfig, **_STAGE_SECTIONS}.items()
+        for name, cls in _SECTIONS.items()
     },
     "sample": {"n": int},
     "explain": {"index": int, "interventions": list[str]},
@@ -178,12 +178,17 @@ def check_config(value, kind=_SCHEMA, key: str = "") -> None:
         raise ValueError(f"{what} must be {_describe(kind)}, got {value!r}")
 
 
+def _read_json(path: str, what: str = "config"):
+    """The JSON document at path; a ValueError naming what and path if unreadable."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path: str) -> dict:
     """Read and check a JSON config."""
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    cfg = _read_json(path)
     check_config(cfg)
     return cfg
 
@@ -236,7 +241,7 @@ def build_scm_model(cfg: dict) -> ScmModel:
     inline = [f"'oracle.{k}'" for k in (_LINEAR_SPEC if linear else ["model"]) if k in spec]
     if inline:
         raise ValueError(f"set only one of config keys {'/'.join(inline)} and '{where}'")
-    doc = json.loads(Path(spec[file_key]).read_text())
+    doc = _read_json(spec[file_key], f"config key '{where}'")
     check_config(doc, _LINEAR_SPEC if linear else _MODEL_FILE, where)
     if linear:
         return _linear_model(doc, where)
@@ -263,8 +268,8 @@ def build_oracle(cfg: dict, seed: int) -> Oracle:
     """The config's model behind an Oracle; standardize defaults to on for
     an scm model and off for a linear SEM."""
     model = build_scm_model(cfg)
-    defaults = {"seed": seed, "standardize": cfg["oracle"].get("kind", "scm") == "scm"}
-    return Oracle(model, _build_section(OracleConfig, "oracle_config", cfg, defaults))
+    standardize = cfg["oracle"].get("kind", "scm") == "scm"
+    return Oracle(model, _build_section(cfg, "oracle_config", seed=seed, standardize=standardize))
 
 
 def build_head(cfg: dict, dim: int) -> ClassifierHead:
@@ -298,17 +303,12 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
     return ClassifierHead(weights, bias, spec.get("n_classes"))
 
 
-def build_stage_config(cfg: dict, section: str, seed: int):
-    """The discovery or attribution dataclass of a config section, seeded by the run."""
-    return _build_section(_STAGE_SECTIONS[section], section, cfg, {"seed": seed})
-
-
-def _build_section(cls, section: str, cfg: dict, defaults: dict):
-    """cls over defaults and the config section's keys. A range error the
-    dataclass raises names the first key that fails with every other field
-    at its default, with that key's own message (or the section alone when
-    no single key fails)."""
-    given = cfg.get(section, {})
+def _build_section(cfg: dict, section: str, **defaults):
+    """The dataclass of a config section over defaults and the section's
+    keys. A range error the dataclass raises names the first key that fails
+    with every other field at its default, with that key's own message (or
+    the section alone when no single key fails)."""
+    cls, given = _SECTIONS[section], cfg.get(section, {})
     try:
         return cls(**{**defaults, **given})
     except ValueError as exc:
@@ -431,8 +431,8 @@ def _latent_pool(cfg: dict, oracle: Oracle, seed: int, unusable) -> np.ndarray:
 def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     check_config(cfg)
     oracle = build_oracle(cfg, seed)
-    dcfg = build_stage_config(cfg, "discovery", seed)
-    ecfg = _build_section(EvaluationConfig, "evaluation", cfg, {})
+    dcfg = _build_section(cfg, "discovery", seed=seed)
+    ecfg = _build_section(cfg, "evaluation")
     pool = _latent_pool(cfg, oracle, seed, lambda size: (
         f"config key 'pool_size' ({size}) must be at least discovery.n_samples "
         f"({dcfg.n_samples})"
@@ -537,8 +537,8 @@ def run_explain(
     check_config(cfg)
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg, oracle.dim)
-    dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
-    acfg = build_stage_config(cfg, "attribution", _derive_seed(seed, 14))
+    dcfg = _build_section(cfg, "discovery", seed=_derive_seed(seed, 13))
+    acfg = _build_section(cfg, "attribution", seed=_derive_seed(seed, 14))
     if policy is not None:
         acfg = replace(acfg, perturbation_policy=policy)
     latent = _resolve_latent(cfg, oracle, seed, index, latent_csv)
@@ -583,7 +583,7 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     check_config(cfg)
     evaluate = cfg.get("evaluate", {})
     n_expl = evaluate.get("n_explanations", 400)
-    ecfg = _build_section(EvaluationConfig, "evaluation", cfg, {})
+    ecfg = _build_section(cfg, "evaluation")
     if n_expl < ecfg.mi_bins:
         raise ValueError(
             f"evaluate.n_explanations ({n_expl}) must be at least evaluation.mi_bins "
@@ -595,12 +595,12 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
             f"evaluate.stability_index must lie in [0, {n_expl}), got {stability_index}"
         )
     det = evaluate.get("deterministic_seed", True)
-    dcfg = build_stage_config(cfg, "discovery", _derive_seed(seed, 13))
-    acfg = build_stage_config(cfg, "attribution", 0)
+    fixed_seed = _derive_seed(seed, 14)
+    dcfg = _build_section(cfg, "discovery", seed=_derive_seed(seed, 13))
+    acfg = _build_section(cfg, "attribution", seed=fixed_seed)
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg, oracle.dim)
     graph = discover(oracle, dcfg)
-    fixed_seed = _derive_seed(seed, 14)
 
     latents = oracle.sample_latents(n_expl, [seed, 16])
     seeds = [fixed_seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]

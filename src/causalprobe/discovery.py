@@ -37,6 +37,11 @@ class DiscoveryConfig:
             raise ValueError("denom_guard_delta must be > 0 and finite")
 
 
+def _sweep_seed(config: DiscoveryConfig, src: int, magnitude: float) -> list[int]:
+    """The query seed of feature src's sweep in the direction of magnitude."""
+    return [config.seed, 1, src, 0 if magnitude >= 0 else 1]
+
+
 def _sweep(
     oracle: Oracle, base: np.ndarray, src: int, magnitude: float, config: DiscoveryConfig
 ) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -47,7 +52,7 @@ def _sweep(
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[1] != oracle.dim or not len(base):
         raise ValueError(f"base rows must have shape (n, {oracle.dim}), got {base.shape}")
-    seed = [config.seed, 1, src, 0 if magnitude >= 0 else 1]
+    seed = _sweep_seed(config, src, magnitude)
     rows = oracle.query(base, {src: base[:, src] + magnitude}, seed=seed)
     denom = rows[:, src] - base[:, src]
     valid = np.abs(denom) >= config.denom_guard_delta
@@ -126,8 +131,9 @@ def prune_indirect(
     sweeps is propose_edges' (base, plus). For a candidate edge i -> j its
     mediators are every node k other than i and j on a directed path
     i ~> k ~> j in the current graph. They are jointly clamped to the
-    per-sample values they took under the +magnitude i-sweep, plus[i]; if
-    the mean resulting value of j reproduces plus[i]'s value of j within
+    per-sample values they took under the +magnitude i-sweep, plus[i], in a
+    query under that sweep's seed, so j meets the noise draws it met there;
+    if the mean resulting value of j reproduces plus[i]'s value of j within
     prune_eps, the direct edge i -> j is deleted. (Joint clamping is what
     the single-mediator check becomes on chains; it is required when the
     indirect effect splits across parallel mediators.) Direct edges are
@@ -144,7 +150,8 @@ def prune_indirect(
         on_path[[i, j]] = False
         if not on_path.any():
             continue
-        out = oracle.query(base, (on_path, plus[i]), seed=[config.seed, 2, i, j])
+        seed = _sweep_seed(config, i, config.intervention_magnitude)
+        out = oracle.query(base, (on_path, plus[i]), seed=seed)
         diff = float(np.mean(out[:, j] - plus[i][:, j]))
         if abs(diff) < config.prune_eps:
             graph.remove_edge(i, j)

@@ -26,9 +26,9 @@ class OracleConfig:
     noise_policy: "fixed" propagates the exogenous noise abducted from the
         base row; "resample" draws fresh noise on the closure of the row's
         clamped columns and keeps the abducted noise elsewhere.
-    standardize: present latents in a z-scored chart; chart constants are
-        estimated once at construction. The CLI defaults it per oracle kind
-        (on for "scm", off for "linear").
+    standardize: present latents in a z-scored chart, the model rewritten in
+        its coordinates at construction (ScmModel.rescaled). The CLI defaults
+        it per oracle kind (on for "scm", off for "linear").
     """
 
     roundtrip_noise_std: float = 0.1
@@ -60,9 +60,8 @@ def _rows(a):
 
 
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(mask, values) of shape (n, d) for an intervention, or None when it
-    clamps nothing: a form smaller than (n, d) becomes a read-only broadcast
-    view, an (n, d) array is passed on as it is.
+    """(mask, values) of one (1, n, d) block for an intervention, as
+    read-only broadcast views, or None for do None.
 
     do is None, {node: scalar | (n,) array} with nodes given as in
     ScmModel.node_index, or a (mask, values) pair broadcastable to (n, d).
@@ -78,106 +77,75 @@ def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] 
             idx = model.node_index(key)
             mask[idx] = True
             values[:, idx] = val  # a scalar or an (n,) array
-    shape = (n, model.n_nodes)
-    mask, values = np.asarray(mask, dtype=bool), np.asarray(values, dtype=float)
-    views = tuple(a if a.shape == shape else np.broadcast_to(a, shape) for a in (mask, values))
-    return views if mask.any() else None
+    shape = (1, n, model.n_nodes)
+    return np.broadcast_to(mask, shape), np.broadcast_to(values, shape)
 
 
 class Oracle:
     """Oracle backed by a structural causal model.
 
     With standardize=True (default) the latent chart is the z-scored feature
-    space: chart constants come from a fixed-size observational draw, the
-    ±1 intervention convention then moves each feature by one observational
-    standard deviation. With standardize=False the chart is the raw feature
-    space. A query is the counterfactual: the base rows' abduced noise
-    ("resample": fresh noise on each row's closure) propagated with the
-    intervened nodes clamped, evaluated only on the descendants of the
-    clamped nodes (every other feature keeps its base value). Queries are
-    pure: identical (base, do, seed) give identical output.
+    space, so ±1 interventions move a feature by one observational standard
+    deviation; the model is rewritten once in chart coordinates, with the
+    constants of a fixed-size observational draw, and queries run on it.
+    With standardize=False the chart is the raw feature space. A query is
+    the counterfactual: the base rows' abduced noise ("resample": fresh
+    noise on each row's closure) propagated with the intervened nodes
+    clamped, evaluated only on the descendants of the clamped nodes (every
+    other feature keeps its base value). Queries are pure: identical
+    (base, do, seed) give identical output.
     """
 
     def __init__(self, model: ScmModel, config: OracleConfig | None = None):
         self.model = model
         self.config = config or OracleConfig()
         self.labels = tuple(model.labels)
+        self._charted = model  # the model in chart coordinates, which queries run
         if self.config.standardize:
             ref = model.sample(_STANDARDIZE_DRAWS, [self.config.seed, 0x5CA1E])
             self.chart_mean = ref.values.mean(axis=0)
             self.chart_scale = ref.values.std(axis=0)
             self.chart_scale[self.chart_scale < 1e-9] = 1.0  # degenerate columns keep raw units
+            self._charted = model.rescaled(self.chart_mean, self.chart_scale)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     def to_chart(self, raw: np.ndarray) -> np.ndarray:
-        return self._chart(raw, True)
+        """Raw feature rows (..., d) in the oracle's chart."""
+        raw = np.asarray(raw, dtype=float)
+        return (raw - self.chart_mean) / self.chart_scale if self.config.standardize else raw
 
     def _counterfactual(self, base: np.ndarray, mask, values, fresh=None) -> np.ndarray:
-        """Counterfactual rows of an (m, n, d) stack: abduction, action, prediction.
-
-        base is (m, n, d), or (m, 1, d) when all n rows of a block share
-        one factual row: abduction then runs once per block, and the
-        abduced noise broadcasts along the rows. A row propagates its
-        abduced noise, or fresh noise (shaped like the rows) on the closure
-        of its own clamped columns when fresh is given. Block k evaluates
-        only the closure of the columns it clamps anywhere; every other
-        column keeps its base value bit for bit. The blocks propagate
-        together over the union of their closures: a column that another
-        block runs is clamped to this block's raw base row, as its own
-        query leaves it.
+        """Counterfactual chart rows of an (m, n, d) stack, on the charted
+        model. base is (m, n, d), or (m, 1, d) when a block's n rows share
+        one factual row, abduced once. A row propagates its abduced noise,
+        or fresh noise (shaped like the rows) on the closure of its own
+        clamped columns when fresh is given. The blocks propagate together
+        into abduce's copy of the base, over the union of the closures of
+        their clamped columns; a column outside its block's closure is left
+        or clamped to that copy, so it comes back as the base bit for bit.
         """
         n = base.shape[1] if mask is None else mask.shape[1]
         widen = n if base.shape[1] == 1 else 1  # a shared row repeats n times
-        out = np.repeat(base, widen, axis=1)
-        if mask is None:
-            return out
-        closure = self.model.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
-        if not closure.any():
-            return out
-        factual = self.model.abduce(self.to_raw(_rows(base)))
+        if mask is not None:
+            closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
+        if mask is None or not closure.any():
+            return np.repeat(base, widen, axis=1)
+        factual = self._charted.abduce(_rows(base))
         noise = factual.noise
         if fresh is not None:
-            noise = np.where(self.model.closure(_rows(mask)), _rows(fresh), noise)
-        raw_values = self.to_raw(_rows(values))
+            noise = np.where(self._charted.closure(_rows(mask)), _rows(fresh), noise)
         run = closure.any(axis=0)
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
-        partial = kept.any()
-        if partial:
+        if kept.any():
             mask = mask | kept
-            raw_values = np.where(kept, factual.values, raw_values)
-        # propagate writes into whole (m, n, d) rows, on a full base into
-        # abduce's own copy of them; the noise may broadcast
-        raw = factual.values if widen == 1 else np.repeat(factual.values, widen, axis=-2)
-        prop = self.model.propagate(noise, _rows(mask), raw_values, out=raw, nodes=run)
-        _rows(out)[..., run] = self._chart_columns(prop, run)
-        return np.where(kept, base, out) if partial else out
-
-    def _chart_columns(self, raw: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """to_chart of the columns cols (a (d,) boolean) of raw rows. A boolean
-        gather lays its (..., n, k) result out feature-major, so the (k,)
-        constants broadcast along n, as to_chart's tiled constants run along
-        whole rows: neither loops once per row over the short k axis."""
-        if not self.config.standardize:
-            return raw[..., cols]
-        return (raw[..., cols] - self.chart_mean[cols]) / self.chart_scale[cols]
-
-    def to_raw(self, chart: np.ndarray) -> np.ndarray:
-        return self._chart(chart, False)
-
-    def _chart(self, a, forward: bool) -> np.ndarray:
-        """to_chart (forward) or to_raw of (..., d) rows. The (d,) constants
-        are tiled to (n, d), so numpy runs each block's rows as one line:
-        broadcast along the short last axis, it would loop once per row.
-        Elementwise, so the bits are the plain formulas' for any layout."""
-        a = np.asarray(a, dtype=float)
-        if not self.config.standardize:
-            return a
-        rows = a.shape[-2:-1] + (1,)  # (n, 1), or (1,) for a single row
-        mean, scale = np.tile(self.chart_mean, rows), np.tile(self.chart_scale, rows)
-        return (a - mean) / scale if forward else a * scale + mean
+            values = np.where(kept, factual.values, values)
+        # propagate writes into whole rows; the noise may broadcast
+        rows = factual.values if widen == 1 else np.repeat(factual.values, widen, axis=-2)
+        out = self._charted.propagate(noise, _rows(mask), _rows(values), out=rows, nodes=run)
+        return out.reshape(base.shape[0], n, -1)
 
     def sample_latents(self, n: int, seed) -> np.ndarray:
         return self.to_chart(self.model.sample(n, seed).values)
@@ -193,9 +161,7 @@ class Oracle:
         arr = np.asarray(base, dtype=float)
         single = arr.ndim == 1
         rows = np.atleast_2d(arr)
-        norm = _normalize_do(self.model, do, rows.shape[0])
-        stacked_do = None if norm is None else (norm[0][None], norm[1][None])
-        out = self.query_stacked(rows[None], stacked_do, [seed])[0]
+        out = self.query_stacked(rows[None], _normalize_do(self.model, do, len(rows)), [seed])[0]
         return out[0] if single else out
 
     def query_stacked(self, base: np.ndarray, do, seeds) -> np.ndarray:
@@ -259,7 +225,7 @@ class Oracle:
             draws = [draw(rng) for rng in rngs]
             return draws[0][None] if m == 1 else np.stack(draws)[inverse]
 
-        fresh = per_block(lambda rng: self.model.draw_noise(n, rng)) if resample else None
+        fresh = per_block(lambda rng: self._charted.draw_noise(n, rng)) if resample else None
         out = self._counterfactual(base, mask, values, fresh)
         if std > 0:
             out = out + per_block(lambda rng: rng.normal(0.0, std, (n, d)))

@@ -14,7 +14,7 @@ weight matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,15 +38,18 @@ class NoiseSpec:
     """Exogenous noise description: family tag plus family-specific params.
 
     Families: gamma(shape, rate), normal(std), uniform(low, high),
-    degenerate-zero().
+    degenerate-zero(). Every draw is the family's times scale (see scaled).
     """
 
     family: str
     params: tuple[float, ...] = ()
+    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         fam, p = self.family, self.params
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"noise scale must be > 0 and finite, got {self.scale}")
         if fam == "gamma":
             if len(p) != 2 or p[0] <= 0 or p[1] <= 0:
                 raise ValueError(f"gamma noise requires shape > 0 and rate > 0, got {p}")
@@ -63,17 +66,24 @@ class NoiseSpec:
             raise ValueError(f"unknown noise family {fam!r}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.family == "gamma":
-            shape, rate = self.params
-            return rng.gamma(shape, 1.0 / rate, n)
-        if self.family == "normal":
-            return rng.normal(0.0, self.params[0], n)
-        if self.family == "uniform":
-            return rng.uniform(self.params[0], self.params[1], n)
-        return np.zeros(n)
+        fam, p = self.family, self.params
+        if fam == "gamma":
+            x = rng.gamma(p[0], 1.0 / p[1], n)
+        elif fam == "normal":
+            x = rng.normal(0.0, p[0], n)
+        elif fam == "uniform":
+            x = rng.uniform(p[0], p[1], n)
+        else:
+            x = np.zeros(n)
+        return x if self.scale == 1.0 else self.scale * x
+
+    def scaled(self, k: float) -> "NoiseSpec":
+        """k times this noise (k > 0): the same random stream, each draw times k."""
+        return replace(self, scale=self.scale * k)
 
     def to_json_dict(self) -> dict:
-        return {"family": self.family, "params": list(self.params)}
+        doc = {"family": self.family, "params": list(self.params)}
+        return doc if self.scale == 1.0 else {**doc, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -273,6 +283,23 @@ class ScmModel:
             cols, scale, bias, coef = self._sig
             mech[..., cols] += scale * logistic(bias + values @ coef)
         return SampleSet(values.copy(), values - mech)
+
+    def rescaled(self, shift, scale) -> "ScmModel":
+        """This model in the coordinates z = (x - shift) / scale (scale > 0):
+        each equation keeps its form, with its coefficients and noise rewritten."""
+        m, s = np.asarray(shift, dtype=float), np.asarray(scale, dtype=float)
+        equations = []
+        for eq in self.equations:
+            v, ps = eq.node, list(eq.parents)
+            lin, sig = (np.asarray(c or np.zeros(len(ps))) for c in (eq.linear, eq.sig_linear))
+            equations.append(replace(
+                eq, noise=eq.noise.scaled(1.0 / s[v]),
+                const=(eq.const + lin @ m[ps] - m[v]) / s[v], sig_scale=eq.sig_scale / s[v],
+                linear=tuple(lin * s[ps] / s[v]) if eq.linear else (),
+                sig_bias=eq.sig_bias + sig @ m[ps],
+                sig_linear=tuple(sig * s[ps]) if eq.sig_linear else (),
+            ))
+        return replace(self, equations=tuple(equations))
 
     def ground_truth_graph(self) -> CausalGraph:
         edges = {}

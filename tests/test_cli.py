@@ -630,6 +630,33 @@ def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,text",
+    [
+        ("config", "{not json"),
+        ("oracle.model_file", None),  # no such file
+        ("oracle.model_file", '{"name": "TI",'),
+        ("oracle.file", "[1, 2"),
+    ],
+)
+def test_unreadable_json_names_key_and_path(tmp_path, capsys, key, text):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text)
+    if key == "config":
+        cfg_path, what = str(path), "cannot read config"
+    else:
+        kind, name = ("linear", "file") if key == "oracle.file" else ("scm", "model_file")
+        spec = {"kind": kind, name: str(path)}
+        cfg_path, what = write_cfg(tmp_path, dict(TI_CFG, oracle=spec)), f"config key '{key}'"
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert what in err["message"] and str(path) in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("dim", 5), ("edges", []), ("noise_std", 0.5)])
 def test_linear_file_excludes_inline_keys(tmp_path, capsys, key, value):
     cfg = config_for(tmp_path, "file", "dim", 2)

@@ -55,6 +55,11 @@ def test_scm_oracle_matches_model_counterfactual():
     assert np.allclose(out, expected, atol=1e-12)
 
 
+def to_raw(oracle, chart):
+    """Chart rows back in raw units."""
+    return chart * oracle.chart_scale + oracle.chart_mean if oracle.config.standardize else chart
+
+
 def test_standardized_chart_is_affine_conjugation():
     model = builtin("TSWI")
     oracle = Oracle(model, OracleConfig(roundtrip_noise_std=0.0, standardize=True))
@@ -62,9 +67,9 @@ def test_standardized_chart_is_affine_conjugation():
     chart = oracle.to_chart(base_raw.values)
     do_chart = {"t": chart[:, 0] + 1.0}
     out_chart = oracle.query(chart, do_chart, seed=0)
-    do_raw = clamp_t(base_raw.values, oracle.to_raw(chart + 1.0)[:, 0])
+    do_raw = clamp_t(base_raw.values, to_raw(oracle, chart + 1.0)[:, 0])
     expected = model.propagate(base_raw.noise, *do_raw)
-    assert np.allclose(oracle.to_raw(out_chart), expected, atol=1e-9)
+    assert np.allclose(to_raw(oracle, out_chart), expected, atol=1e-9)
 
 
 def test_ti_intervention_moves_only_intensity():
@@ -125,6 +130,18 @@ def test_resample_policy_redraws_noise():
     assert np.array_equal(out[:, 0], base[:, 0])
     assert np.array_equal(out[:, 1], ref[:, 1]) and np.array_equal(out[:, 1], base[:, 1] + 1.0)
     assert np.all(out[:, 2:] != ref[:, 2:])
+
+
+@pytest.mark.parametrize("policy", ["fixed", "resample"])
+def test_empty_interventions_query_like_none(policy):
+    # an all-False mask, in any form, has an empty closure: the query's
+    # draws and bits are those of do=None
+    oracle = Oracle(builtin("TSWI"), OracleConfig(noise_policy=policy))
+    base = oracle.sample_latents(16, 2)
+    plain = oracle.query(base, None, seed=4).tobytes()
+    empty = np.zeros(base.shape, dtype=bool)
+    for do in ({}, (empty, base + 1.0), (empty[0], 0.0)):
+        assert oracle.query(base, do, seed=4).tobytes() == plain
 
 
 def test_linear_oracle_single_edge():
@@ -303,11 +320,11 @@ def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_colu
         # the reference propagates every node from the abduced noise, under
         # "resample" with fresh noise on the closure of each row's columns
         draws = np.random.default_rng(seeds[k])
-        exogenous = model.abduce(clean.to_raw(base[k])).noise
+        exogenous = model.abduce(to_raw(clean, base[k])).noise
         own = model.closure(mask[k])
         if policy == "resample":
             exogenous = np.where(own, model.draw_noise(n, draws), exogenous)
-        ref = clean.to_chart(model.propagate(exogenous, mask[k], clean.to_raw(values[k])))
+        ref = clean.to_chart(model.propagate(exogenous, mask[k], to_raw(clean, values[k])))
         kept, run = ~closure[k], closure[k]
         tol = 1e-12 * np.abs(ref).max()
         for out in (stacked[k], clean.query(base[k], (mask[k], values[k]), seeds[k])):
@@ -464,12 +481,8 @@ def test_chart_conversions_equal_the_plain_formulas(kind, standardize, lead, lay
         rows = np.stack([rows, -rows], axis=-1)[..., 0]
     elif layout == "broadcast":  # zero strides: one row or one value repeated
         rows = np.broadcast_to(rows[..., :1, :] if rows.ndim > 1 else rows[:1], rows.shape)
-    cols = rng.random(d) < 0.5
     if standardize:
-        mean, scale = oracle.chart_mean, oracle.chart_scale
-        chart, raw = (rows - mean) / scale, rows * scale + mean
+        chart = (rows - oracle.chart_mean) / oracle.chart_scale
     else:
-        chart = raw = rows
+        chart = rows
     assert same_bits(oracle.to_chart(rows), chart)
-    assert same_bits(oracle.to_raw(rows), raw)
-    assert same_bits(oracle._chart_columns(rows, cols), chart[..., cols])

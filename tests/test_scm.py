@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from causalprobe import (
+    BUILTIN_NAMES,
     NoiseSpec,
     Oracle,
     OracleConfig,
@@ -325,6 +326,77 @@ def test_linear_engine_properties(d, n, seed):
     partial = model.propagate(base.noise, out=start.copy(), nodes=nodes[0])
     assert np.array_equal(partial[:, keep], start[:, keep])
     assert np.array_equal(model.propagate(base.noise, out=start.copy()), base.values)
+
+
+def chart_scales(rng, d, pow2):
+    """Positive (d,) scales: powers of two 2^-8 .. 2^8, or spread over 1e-2 .. 1e2."""
+    return 2.0 ** rng.integers(-8, 9, d) if pow2 else 10.0 ** rng.uniform(-2.0, 2.0, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(BUILTIN_NAMES + ("linear",)),
+    d=st.integers(1, 12),
+    n=st.integers(1, 12),
+    pow2=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_rescaled_model_is_the_model_in_chart_coordinates(kind, d, n, pow2, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "linear":
+        model = ScmModel.linear(random_dag_weights(d, rng), noise_std=rng.uniform(0.0, 2.0))
+    else:
+        model = builtin(kind)
+    d = model.n_nodes
+    shift, scale = rng.normal(0.0, 50.0, d), chart_scales(rng, d, pow2)
+    charted = model.rescaled(shift, scale)
+
+    def to_chart(x):
+        return (x - shift) / scale
+
+    def assert_close(out, ref, *rows):
+        # within 1e-12 of the scale of each row involved, in the chart
+        size = np.abs(np.concatenate(rows, axis=-1)).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(out - ref) <= 1e-12 * size), np.abs(out - ref).max()
+
+    raw = model.sample(n, seed)
+    z = to_chart(raw.values)
+    assert_close(charted.abduce(z).noise, raw.noise / scale, z)
+    mask, values = rng.random((n, d)) < 0.3, raw.values + rng.normal(0.0, 5.0, (n, d))
+    ref = to_chart(model.propagate(raw.noise, mask, values))
+    assert_close(charted.propagate(raw.noise / scale, mask, to_chart(values)), ref, z, ref)
+    # fresh noise is the raw model's draw in chart units
+    draws = [m.draw_noise(n, np.random.default_rng(seed)) for m in (charted, model)]
+    np.testing.assert_allclose(draws[0], draws[1] / scale, rtol=1e-15, atol=0)
+    # the identity chart gives the model back, bit for bit
+    same = model.rescaled(np.zeros(d), np.ones(d))
+    assert same == model
+    assert same.propagate(raw.noise).tobytes() == raw.values.tobytes()
+    assert same.abduce(raw.values).noise.tobytes() == model.abduce(raw.values).noise.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([
+        NoiseSpec("gamma", (10, 5)),
+        NoiseSpec("normal", (0.5,)),
+        NoiseSpec("uniform", (-3.0, 2.0)),
+        NoiseSpec("uniform", (60, 255)),
+        ZERO_NOISE,
+    ]),
+    pow2=st.booleans(),
+    n=st.integers(0, 50),
+    seed=st.integers(0, 2**16),
+)
+def test_scaled_noise_multiplies_the_same_draw(spec, pow2, n, seed):
+    k = float(chart_scales(np.random.default_rng(seed), 1, pow2)[0])
+    scaled, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw = spec.scaled(k).draw(scaled, n)
+    np.testing.assert_array_max_ulp(draw, k * spec.draw(plain, n), maxulp=1)
+    assert scaled.bit_generator.state == plain.bit_generator.state
+    assert spec.scaled(1.0) == spec
+    with pytest.raises(ValueError, match="noise scale"):
+        spec.scaled(0.0)
 
 
 @settings(max_examples=60, deadline=None)
