@@ -7,8 +7,8 @@ policy perturbations run through the oracle so descendants (per the
 discovered graph) co-move; the independent policy writes coordinates
 directly and serves as the ablation baseline. intervention_effect rounds
 out the local views: an intervention's class-probability shift and its
-latent counterfactual diff, from a baseline and an intervened query that
-share one seed.
+latent counterfactual diff, from one draw that the intervened rows and
+their baseline share.
 """
 from __future__ import annotations
 
@@ -240,15 +240,15 @@ def intervention_effect(
     probability shift, the mean intervened vector and its per-feature diff
     from the mean baseline vector.
 
-    One baseline query(l, None) and one intervened query(l, do) of
-    _EFFECT_ROWS copies of the latent share seed, so each intervened row
-    shares its noise with its baseline row: a feature do does not reach
-    differs by exactly 0.0, and an empty do gives exact zeros.
+    The intervened query(l, do) of _EFFECT_ROWS copies of the latent and
+    its baseline query(l, None) come from one draw of seed
+    (Oracle._query_pair), so each intervened row shares its noise with its
+    baseline row: a feature do does not reach differs by exactly 0.0, and
+    an empty do gives exact zeros.
     """
     values = np.asarray(latent, dtype=float)
     base = np.broadcast_to(values, (_EFFECT_ROWS, values.size))
-    baseline = oracle.query(base, None, seed)
-    intervened = oracle.query(base, do, seed)
+    intervened, baseline = oracle._query_pair(base, do, seed)
     shift = head.probabilities(intervened).mean(axis=0) - head.probabilities(baseline).mean(axis=0)
     mean = intervened.mean(axis=0)
     return shift, mean, mean - baseline.mean(axis=0)

@@ -1,14 +1,16 @@
 """Intervention-driven causal graph extraction against a latent oracle.
 
-Pipeline: propose candidate edges from ±magnitude intervention sweeps
-(edge weight = Monte-Carlo mean of induced-change ratios), prune edges
-explained by a mediator via controlled follow-up interventions, then break
-any remaining cycles by dropping the weakest edge. The output is always a
-DAG without self-loops.
+Pipeline: propose candidate edges from ±magnitude intervention sweeps,
+prune edges explained by a mediator via controlled follow-up interventions,
+then break any remaining cycles by dropping the weakest edge. The output is
+always a DAG without self-loops. Each sweep comes with its same-seed,
+no-intervention reference (Oracle._query_pair); their difference, the
+paired change, cancels the oracle's round-trip draw exactly, because that
+draw depends only on the seed (an encoder error that depends on the
+re-encoded row would not cancel).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +21,12 @@ from .oracle import Oracle
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
+    """EW of a sweep: mean paired change / intervention_magnitude."""
+
     threshold: float = 0.05            # edge-weight acceptance threshold
     prune_eps: float = 0.05            # mediated-reproduction tolerance
     intervention_magnitude: float = 1.0
     n_samples: int = 256               # Monte-Carlo samples per expectation
-    denom_guard_delta: float = 1e-6    # skip ratios with tiny denominators
     seed: int = 0
 
     def __post_init__(self):
@@ -33,8 +36,6 @@ class DiscoveryConfig:
             raise ValueError("intervention_magnitude must be > 0 and finite")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if not 0 < self.denom_guard_delta < np.inf:
-            raise ValueError("denom_guard_delta must be > 0 and finite")
 
 
 def _sweep_seed(config: DiscoveryConfig, src: int, magnitude: float) -> list[int]:
@@ -44,47 +45,31 @@ def _sweep_seed(config: DiscoveryConfig, src: int, magnitude: float) -> list[int
 
 def _sweep(
     oracle: Oracle, base: np.ndarray, src: int, magnitude: float, config: DiscoveryConfig
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> np.ndarray:
     """Re-encode base (n, d) under do(l_src = l_src + magnitude), seeded by
-    src and the sign of magnitude. Returns the intervened rows, the per-column
-    mean of (dst change) / (src change) over rows whose src change clears the
-    denominator guard, and whether the guard skipped every row (means 0)."""
+    src and the sign of magnitude, and return the per-row paired change:
+    the intervened rows minus the same-seed reference rows."""
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[1] != oracle.dim or not len(base):
         raise ValueError(f"base rows must have shape (n, {oracle.dim}), got {base.shape}")
     seed = _sweep_seed(config, src, magnitude)
-    rows = oracle.query(base, {src: base[:, src] + magnitude}, seed=seed)
-    denom = rows[:, src] - base[:, src]
-    valid = np.abs(denom) >= config.denom_guard_delta
-    if not valid.any():
-        return rows, np.zeros(oracle.dim), True
-    return rows, ((rows[valid] - base[valid]) / denom[valid, None]).mean(axis=0), False
+    rows, ref = oracle._query_pair(base, {src: base[:, src] + magnitude}, seed)
+    return rows - ref
 
 
 def edge_weight(
-    oracle: Oracle,
-    i: int,
-    j: int,
-    base: np.ndarray,
-    config: DiscoveryConfig,
+    oracle: Oracle, i: int, j: int, base: np.ndarray, config: DiscoveryConfig,
     magnitude: float | None = None,
 ) -> float:
-    """Monte-Carlo edge weight for i -> j under do(l_i = l_i + magnitude):
-    _sweep's mean ratio for j, or 0 with a warning when the denominator
-    guard skips every sample."""
+    """Monte-Carlo edge weight for i -> j under do(l_i = l_i + magnitude): the
+    mean of _sweep's paired change of j over the magnitude, which must not be 0."""
     i, j = oracle.model.node_index(i), oracle.model.node_index(j)
     if i == j:
         raise ValueError("edge weight needs distinct features")
     mag = config.intervention_magnitude if magnitude is None else magnitude
-    _, means, degenerate = _sweep(oracle, base, i, mag, config)
-    if degenerate:
-        warnings.warn(
-            f"edge weight ({i} -> {j}): all samples fell below the denominator "
-            "guard; returning 0",
-            RuntimeWarning,
-        )
-        return 0.0
-    return float(means[j])
+    if mag == 0:
+        raise ValueError("edge weight needs a nonzero magnitude")
+    return float(_sweep(oracle, base, i, mag, config).mean(axis=0)[j] / mag)
 
 
 def propose_edges(
@@ -95,53 +80,46 @@ def propose_edges(
     An ordered pair (i, j) becomes a candidate when the mean of |EW| over
     both sweep directions exceeds the threshold. The stored edge weight is
     the signed mean of the two directions. Returns the candidates and the
-    sweeps the pruning stage reuses, (base, plus): plus[i] (n, d) is
-    feature i's +magnitude sweep.
+    sweeps the pruning stage reuses, (base, change): change[i] (n, d) is
+    the paired change of feature i's +magnitude sweep.
     """
     base = np.asarray(base, dtype=float)
     d = oracle.dim
     graph = CausalGraph(list(oracle.labels))
-    plus = np.empty((d,) + base.shape)
+    change = np.empty((d,) + base.shape)
     mag = config.intervention_magnitude
     for i in range(d):
-        plus[i], ew_plus, deg_p = _sweep(oracle, base, i, mag, config)
-        _, ew_minus, deg_m = _sweep(oracle, base, i, -mag, config)
-        if deg_p and deg_m:
-            warnings.warn(
-                f"feature {i}: both sweeps degenerate under the denominator guard",
-                RuntimeWarning,
-            )
-            continue
+        change[i] = _sweep(oracle, base, i, mag, config)
+        ew_plus = change[i].mean(axis=0) / mag
+        ew_minus = _sweep(oracle, base, i, -mag, config).mean(axis=0) / -mag
         strength = (np.abs(ew_plus) + np.abs(ew_minus)) / 2.0
         signed = (ew_plus + ew_minus) / 2.0
         for j in range(d):
             if j != i and strength[j] > config.threshold:
                 graph.add_edge(i, j, signed[j])
-    return graph, (base, plus)
+    return graph, (base, change)
 
 
 def prune_indirect(
-    oracle: Oracle,
-    candidates: CausalGraph,
-    sweeps: tuple[np.ndarray, np.ndarray],
+    oracle: Oracle, candidates: CausalGraph, sweeps: tuple[np.ndarray, np.ndarray],
     config: DiscoveryConfig,
 ) -> CausalGraph:
     """Remove candidate direct edges that their mediators fully explain.
 
-    sweeps is propose_edges' (base, plus). For a candidate edge i -> j its
-    mediators are every node k other than i and j on a directed path
-    i ~> k ~> j in the current graph. They are jointly clamped to the
-    per-sample values they took under the +magnitude i-sweep, plus[i], in a
+    sweeps is propose_edges' (base, change). For a candidate edge i -> j
+    its mediators are every node k other than i and j on a directed path
+    i ~> k ~> j in the current graph. They are jointly clamped to their
+    de-noised values under the +magnitude i-sweep, base + change[i], in a
     query under that sweep's seed, so j meets the noise draws it met there;
-    if the mean resulting value of j reproduces plus[i]'s value of j within
-    prune_eps, the direct edge i -> j is deleted. (Joint clamping is what
-    the single-mediator check becomes on chains; it is required when the
-    indirect effect splits across parallel mediators.) Direct edges are
+    if the mean paired change of j reproduces change[i]'s change of j
+    within prune_eps, the direct edge i -> j is deleted. (Joint clamping is
+    what the single-mediator check becomes on chains; it is required when
+    the indirect effect splits across parallel mediators.) Direct edges are
     processed in ascending |EW| order and removals update the mediator
     sets of later edges. In a DAG a removed edge has a path around it, so
     the reachability closure only needs recomputing while a cycle remains.
     """
-    base, plus = sweeps
+    base, change = sweeps
     graph = candidates.copy()
     ordered = sorted(graph.sorted_edges(), key=lambda e: (abs(e[2]), e[0], e[1]))
     reach = graph.reach()
@@ -151,8 +129,8 @@ def prune_indirect(
         if not on_path.any():
             continue
         seed = _sweep_seed(config, i, config.intervention_magnitude)
-        out = oracle.query(base, (on_path, plus[i]), seed=seed)
-        diff = float(np.mean(out[:, j] - plus[i][:, j]))
+        out, ref = oracle._query_pair(base, (on_path, base + change[i]), seed)
+        diff = float(np.mean(out[:, j] - ref[:, j] - change[i][:, j]))
         if abs(diff) < config.prune_eps:
             graph.remove_edge(i, j)
             if _has_cycle(reach):  # a cycle: paths may change

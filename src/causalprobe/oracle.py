@@ -69,16 +69,23 @@ def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] 
     """
     if do is None:
         return None
+    d = model.n_nodes
     if isinstance(do, tuple):
         mask, values = do
     else:
-        mask, values = np.zeros(model.n_nodes, dtype=bool), np.zeros((n, model.n_nodes))
+        mask, values = np.zeros(d, dtype=bool), np.zeros((n, d))
         for key, val in do.items():
             idx = model.node_index(key)
+            if np.shape(val) not in ((), (n,)):
+                raise ValueError(f"do value of node {key!r} must be a scalar or have shape "
+                                 f"({n},), got {np.shape(val)}")
             mask[idx] = True
-            values[:, idx] = val  # a scalar or an (n,) array
-    shape = (1, n, model.n_nodes)
-    return np.broadcast_to(mask, shape), np.broadcast_to(values, shape)
+            values[:, idx] = val
+    try:
+        return np.broadcast_to(mask, (1, n, d)), np.broadcast_to(values, (1, n, d))
+    except ValueError:
+        shapes = f"mask {np.shape(mask)} and values {np.shape(values)}"
+        raise ValueError(f"do {shapes} must broadcast to ({n}, {d})") from None
 
 
 class Oracle:
@@ -186,6 +193,22 @@ class Oracle:
           whose mask is empty has an empty closure.
         Base rows and the do values under the mask must be finite.
         """
+        out, draw = self._query_parts(base, do, seeds)
+        return out if draw is None else out + draw
+
+    def _query_pair(self, base: np.ndarray, do, seed) -> tuple[np.ndarray, np.ndarray]:
+        """query(base, do, seed) and query(base, None, seed) of (n, d) rows,
+        bit for bit, from one draw of seed: both carry its round-trip draw,
+        which depends only on the seed, so their difference cancels it."""
+        rows = np.array(base, dtype=float, order="C")  # a copy: the reference at std 0
+        out, draw = self._query_parts(rows[None], _normalize_do(self.model, do, len(rows)), [seed])
+        if draw is None:  # adding 0.0 would turn -0.0 into 0.0
+            return out[0], rows
+        return out[0] + draw[0], rows + draw[0]
+
+    def _query_parts(self, base, do, seeds) -> tuple[np.ndarray, np.ndarray | None]:
+        """query_stacked's counterfactual rows and its round-trip draw, None
+        at roundtrip_noise_std 0; query_stacked returns their sum."""
         base = np.ascontiguousarray(base, dtype=float)
         if base.ndim != 3 or base.shape[2] != self.dim:
             raise ValueError(f"stacked base must have shape (m, n, {self.dim}), got {base.shape}")
@@ -227,9 +250,7 @@ class Oracle:
 
         fresh = per_block(lambda rng: self._charted.draw_noise(n, rng)) if resample else None
         out = self._counterfactual(base, mask, values, fresh)
-        if std > 0:
-            out = out + per_block(lambda rng: rng.normal(0.0, std, (n, d)))
-        return out
+        return out, per_block(lambda rng: rng.normal(0.0, std, (n, d))) if std > 0 else None
 
 
 class ClassifierHead:

@@ -113,24 +113,24 @@ def test_malformed_base_rows_rejected():
 
 
 def test_edge_weight_degenerate_flag():
-    # a zero-magnitude sweep leaves every source unchanged: no usable denominator
+    # a zero-magnitude sweep leaves every source unchanged: EW divides by it
     oracle = linear({(0, 1): 2.0}, 2)
     cfg = DiscoveryConfig(n_samples=8, seed=0)
     base = oracle.sample_latents(8, 0)
-    with pytest.warns(RuntimeWarning, match="denominator"):
-        assert edge_weight(oracle, 0, 1, base, cfg, magnitude=0.0) == 0.0
+    with pytest.raises(ValueError, match="nonzero magnitude"):
+        edge_weight(oracle, 0, 1, base, cfg, magnitude=0.0)
 
 
 def test_propose_edges_chain_candidates():
     oracle = linear({(0, 1): 0.5, (1, 2): 0.8}, 3)
     cfg = DiscoveryConfig(n_samples=128, seed=0)
     base = oracle.sample_latents(cfg.n_samples, 1)
-    candidates, (swept_base, plus) = propose_edges(oracle, base, cfg)
+    candidates, (swept_base, change) = propose_edges(oracle, base, cfg)
     assert candidates.edge_set() == {(0, 1), (0, 2), (1, 2)}
     assert np.array_equal(swept_base, base)
-    assert plus.shape == (3,) + base.shape
-    for i in range(3):  # plus[i] is feature i's +magnitude sweep
-        assert np.array_equal(plus[i][:, i], base[:, i] + cfg.intervention_magnitude)
+    assert change.shape == (3,) + base.shape
+    for i in range(3):  # change[i] is feature i's +magnitude paired change
+        assert change[i][:, i] == pytest.approx(np.full(len(base), cfg.intervention_magnitude))
 
 
 def test_propose_edges_empty_mechanism():
@@ -168,20 +168,6 @@ def test_propose_edges_weight_is_mean_of_both_edge_weight_sweeps():
             assert ew == (plus + minus) / 2.0
 
 
-def test_propose_edges_both_sweeps_degenerate():
-    # a guard above the sweep magnitude skips every row of both sweeps
-    oracle = Oracle(builtin("TI"), OracleConfig(roundtrip_noise_std=0.0))
-    cfg = DiscoveryConfig(n_samples=16, denom_guard_delta=2.0, seed=0)
-    base = oracle.sample_latents(cfg.n_samples, 1)
-    with pytest.warns(RuntimeWarning, match="both sweeps degenerate") as caught:
-        candidates, _ = propose_edges(oracle, base, cfg)
-    messages = [str(w.message) for w in caught]
-    assert [m for m in messages if "both sweeps degenerate" in m] == [
-        f"feature {k}: both sweeps degenerate under the denominator guard" for k in range(2)
-    ]
-    assert candidates.edge_set() == set()
-
-
 def test_prune_removes_transitive_chain_edge():
     oracle = linear({(0, 1): 0.5, (1, 2): 0.8}, 3)
     cfg = DiscoveryConfig(n_samples=128, seed=0)
@@ -212,10 +198,11 @@ def test_prune_no_triples_is_identity():
 
 
 class EchoOracle:
-    """Returns the clamped sweep itself, so any mediator set explains its edge."""
+    """Returns the clamp itself and the base as its reference, so the paired
+    change reproduces the sweep's and any mediator set explains its edge."""
 
-    def query(self, base, do, seed):
-        return np.broadcast_to(do[1], base.shape)
+    def _query_pair(self, base, do, seed):
+        return np.broadcast_to(do[1], base.shape), base
 
 
 def test_prune_recomputes_reach_once_a_cycle_breaks():
@@ -352,20 +339,33 @@ def test_discover_output_is_dag_on_random_linear_sems(d, noise, seed):
 
 
 @settings(max_examples=20, deadline=None)
-@given(d=st.integers(2, 12), seed=st.integers(0, 2**16))
-@example(d=9, seed=30790)  # two-hop mediators alone leave the shortcut 7 -> 6
-def test_discover_recovers_positive_weight_linear_sems(d, seed):
+@given(
+    d=st.integers(2, 12), noise=st.sampled_from([0.1, 0.5, 1.0]), seed=st.integers(0, 2**16)
+)
+@example(d=9, noise=0.1, seed=30790)  # two-hop mediators alone leave the shortcut 7 -> 6
+def test_discover_recovers_positive_weight_linear_sems(d, noise, seed):
     # every path adds, so no effect cancels; a shortcut over a long mediator
-    # chain must still be pruned once the chain's own shortcuts are gone
+    # chain must still be pruned once the chain's own shortcuts are gone.
+    # Paired sweeps cancel the round-trip draw, so its size does not matter
     rng = np.random.default_rng(seed)
     w = np.triu(rng.uniform(0.5, 1.0, (d, d)), k=1) * (rng.random((d, d)) < 0.25)
     perm = rng.permutation(d)
     w = w[np.ix_(perm, perm)]
     # under "resample" the prune query meets the fresh noise of its sweep
     for policy in ("fixed", "resample"):
-        oracle = Oracle(ScmModel.linear(w), OracleConfig(noise_policy=policy, standardize=False))
-        graph = discover(oracle, DiscoveryConfig(seed=3))
+        config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy, standardize=False)
+        graph = discover(Oracle(ScmModel.linear(w), config), DiscoveryConfig(seed=3))
         assert graph.edge_set() == {(i, j) for i, j in np.argwhere(w != 0).tolist()}, policy
+
+
+@pytest.mark.parametrize("policy", ["fixed", "resample"])
+@pytest.mark.parametrize("world", ["TI", "IT", "TS", "TSWI"])
+def test_discover_recovers_builtins_at_unit_roundtrip_noise(world, policy):
+    config = OracleConfig(roundtrip_noise_std=1.0, noise_policy=policy)
+    oracle = Oracle(builtin(world), config)
+    truth = oracle.model.ground_truth_graph().edge_set()
+    for seed in range(5):
+        assert discover(oracle, DiscoveryConfig(seed=seed)).edge_set() == truth, seed
 
 
 def test_discover_recovers_exact_diamond():

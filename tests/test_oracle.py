@@ -462,6 +462,52 @@ def same_bits(a, b):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["TSWI", "linear5"]),
+    policy=st.sampled_from(["fixed", "resample"]),
+    noise=st.sampled_from([0.0, 0.1]),
+    n=st.integers(1, 12),
+    as_dict=st.booleans(),
+    broadcast=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_query_pair_equals_two_same_seed_queries(kind, policy, noise, n, as_dict, broadcast, seed):
+    rng = np.random.default_rng(seed)
+    linear = kind.startswith("linear")
+    model = ScmModel.linear(random_dag_weights(5, rng)) if linear else builtin(kind)
+    config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy, standardize=not linear)
+    oracle = Oracle(model, config)
+    base = oracle.sample_latents(n, [seed, 1])
+    base[rng.random(base.shape) < 0.3] = -0.0  # off the closure at std 0 it comes back as -0.0
+    if broadcast:  # copies of one latent, as intervention_effect passes them
+        base = np.broadcast_to(base[0], base.shape)
+    if as_dict:
+        do = {int(k): rng.normal(size=n) for k in np.flatnonzero(rng.random(oracle.dim) < 0.4)}
+    else:
+        do = (rng.random(base.shape) < 0.3, rng.normal(size=base.shape))
+    out, ref = oracle._query_pair(base, do, [seed, 2])
+    assert same_bits(out, oracle.query(base, do, seed=[seed, 2]))
+    assert same_bits(ref, oracle.query(base, None, seed=[seed, 2]))
+    assert out.flags.c_contiguous and ref.flags.c_contiguous  # reductions round by layout
+    if noise == 0:
+        assert same_bits(ref, base)
+
+
+def test_malformed_do_names_the_expected_shape():
+    oracle = Oracle(builtin("TI"), OracleConfig())
+    base = oracle.sample_latents(4, 0)
+    cases = [
+        ((np.zeros(5, bool), 0.0), r"do mask \(5,\) and values \(\) must broadcast to \(4, 2\)"),
+        ({"t": np.ones(3)}, r"node 't' must be a scalar or have shape \(4,\), got \(3,\)"),
+    ]
+    for do, message in cases:
+        with pytest.raises(ValueError, match=message):
+            oracle.query(base, do, seed=0)
+        with pytest.raises(ValueError, match=message):
+            oracle._query_pair(base, do, 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(BUILTIN_NAMES),
