@@ -3,11 +3,11 @@
 Pipeline: propose candidate edges from ±magnitude intervention sweeps,
 prune edges explained by a mediator via controlled follow-up interventions,
 then break any remaining cycles by dropping the weakest edge. The output is
-always a DAG without self-loops. Each sweep comes with its same-seed,
-no-intervention reference (Oracle._query_pair); their difference, the
-paired change, cancels the oracle's round-trip draw exactly, because that
-draw depends only on the seed (an encoder error that depends on the
-re-encoded row would not cancel).
+always a DAG without self-loops. Each sweep reads its paired change
+(Oracle._paired_change), the intervened rows minus their same-seed,
+no-intervention reference. The oracle's round-trip draw depends only on the
+seed, so it cancels there and is not drawn: the output does not depend on
+its size (an encoder error that depends on the re-encoded row would not).
 """
 from __future__ import annotations
 
@@ -46,15 +46,14 @@ def _sweep_seed(config: DiscoveryConfig, src: int, magnitude: float) -> list[int
 def _sweep(
     oracle: Oracle, base: np.ndarray, src: int, magnitude: float, config: DiscoveryConfig
 ) -> np.ndarray:
-    """Re-encode base (n, d) under do(l_src = l_src + magnitude), seeded by
-    src and the sign of magnitude, and return the per-row paired change:
-    the intervened rows minus the same-seed reference rows."""
+    """The per-row paired change of base (n, d) under do(l_src = l_src +
+    magnitude), seeded by src and the sign of magnitude: the intervened rows
+    minus the same-seed reference rows, the round-trip draw not taken."""
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[1] != oracle.dim or not len(base):
         raise ValueError(f"base rows must have shape (n, {oracle.dim}), got {base.shape}")
-    seed = _sweep_seed(config, src, magnitude)
-    rows, ref = oracle._query_pair(base, {src: base[:, src] + magnitude}, seed)
-    return rows - ref
+    return oracle._paired_change(base, {src: base[:, src] + magnitude},
+                                 _sweep_seed(config, src, magnitude))
 
 
 def edge_weight(
@@ -110,14 +109,15 @@ def prune_indirect(
     its mediators are every node k other than i and j on a directed path
     i ~> k ~> j in the current graph. They are jointly clamped to their
     de-noised values under the +magnitude i-sweep, base + change[i], in a
-    query under that sweep's seed, so j meets the noise draws it met there;
-    if the mean paired change of j reproduces change[i]'s change of j
-    within prune_eps, the direct edge i -> j is deleted. (Joint clamping is
-    what the single-mediator check becomes on chains; it is required when
-    the indirect effect splits across parallel mediators.) Direct edges are
-    processed in ascending |EW| order and removals update the mediator
-    sets of later edges. In a DAG a removed edge has a path around it, so
-    the reachability closure only needs recomputing while a cycle remains.
+    query under that sweep's seed, so j meets the exogenous noise it met
+    there; if j's mean paired change (no round-trip draw taken) reproduces
+    change[i]'s change of j within prune_eps, the edge i -> j is deleted.
+    (Joint clamping is what the single-mediator check becomes on chains; it
+    is required when the indirect effect splits across parallel mediators.)
+    Direct edges are processed in ascending |EW| order and removals update
+    the mediator sets of later edges. In a DAG a removed edge has a path
+    around it, so the reachability closure only needs recomputing while a
+    cycle remains.
     """
     base, change = sweeps
     graph = candidates.copy()
@@ -129,8 +129,8 @@ def prune_indirect(
         if not on_path.any():
             continue
         seed = _sweep_seed(config, i, config.intervention_magnitude)
-        out, ref = oracle._query_pair(base, (on_path, base + change[i]), seed)
-        diff = float(np.mean(out[:, j] - ref[:, j] - change[i][:, j]))
+        change_j = oracle._paired_change(base, (on_path, base + change[i]), seed)[:, j]
+        diff = float(np.mean(change_j - change[i][:, j]))
         if abs(diff) < config.prune_eps:
             graph.remove_edge(i, j)
             if _has_cycle(reach):  # a cycle: paths may change

@@ -198,17 +198,25 @@ class Oracle:
 
     def _query_pair(self, base: np.ndarray, do, seed) -> tuple[np.ndarray, np.ndarray]:
         """query(base, do, seed) and query(base, None, seed) of (n, d) rows,
-        bit for bit, from one draw of seed: both carry its round-trip draw,
-        which depends only on the seed, so their difference cancels it."""
+        bit for bit, from one draw of seed, for a caller nonlinear in their
+        shared round-trip draw; their difference alone is _paired_change."""
         rows = np.array(base, dtype=float, order="C")  # a copy: the reference at std 0
         out, draw = self._query_parts(rows[None], _normalize_do(self.model, do, len(rows)), [seed])
         if draw is None:  # adding 0.0 would turn -0.0 into 0.0
             return out[0], rows
         return out[0] + draw[0], rows + draw[0]
 
-    def _query_parts(self, base, do, seeds) -> tuple[np.ndarray, np.ndarray | None]:
-        """query_stacked's counterfactual rows and its round-trip draw, None
-        at roundtrip_noise_std 0; query_stacked returns their sum."""
+    def _paired_change(self, base: np.ndarray, do, seed) -> np.ndarray:
+        """query(base, do, seed) - query(base, None, seed) of (n, d) rows, as
+        counterfactual - base: the round-trip draw depends only on the seed,
+        so it cancels and is not drawn ("resample" still draws fresh noise)."""
+        rows = np.ascontiguousarray(base, dtype=float)
+        do = _normalize_do(self.model, do, len(rows))
+        return self._query_parts(rows[None], do, [seed], roundtrip=False)[0][0] - rows
+
+    def _query_parts(self, base, do, seeds, roundtrip=True) -> tuple[np.ndarray, np.ndarray | None]:
+        """query_stacked's counterfactual rows and its round-trip draw, None at
+        roundtrip_noise_std 0 or roundtrip False; query_stacked returns their sum."""
         base = np.ascontiguousarray(base, dtype=float)
         if base.ndim != 3 or base.shape[2] != self.dim:
             raise ValueError(f"stacked base must have shape (m, n, {self.dim}), got {base.shape}")
@@ -234,7 +242,7 @@ class Oracle:
                 raise ValueError("oracle query do values must be finite where the mask is set")
 
         resample = self.config.noise_policy == "resample"
-        std = self.config.roundtrip_noise_std
+        std = self.config.roundtrip_noise_std if roundtrip else 0.0
         rngs, inverse = [], []
         if resample or std > 0:
             unique: dict = {}  # seed key -> (index of its draw, seed)

@@ -198,11 +198,11 @@ def test_prune_no_triples_is_identity():
 
 
 class EchoOracle:
-    """Returns the clamp itself and the base as its reference, so the paired
-    change reproduces the sweep's and any mediator set explains its edge."""
+    """Its paired change is the clamp minus the base, so the prune query
+    reproduces the sweep's change and any mediator set explains its edge."""
 
-    def _query_pair(self, base, do, seed):
-        return np.broadcast_to(do[1], base.shape), base
+    def _paired_change(self, base, do, seed):
+        return do[1] - base
 
 
 def test_prune_recomputes_reach_once_a_cycle_breaks():
@@ -346,7 +346,7 @@ def test_discover_output_is_dag_on_random_linear_sems(d, noise, seed):
 def test_discover_recovers_positive_weight_linear_sems(d, noise, seed):
     # every path adds, so no effect cancels; a shortcut over a long mediator
     # chain must still be pruned once the chain's own shortcuts are gone.
-    # Paired sweeps cancel the round-trip draw, so its size does not matter
+    # Discovery never draws the round-trip noise, so its size does not enter
     rng = np.random.default_rng(seed)
     w = np.triu(rng.uniform(0.5, 1.0, (d, d)), k=1) * (rng.random((d, d)) < 0.25)
     perm = rng.permutation(d)
@@ -366,6 +366,48 @@ def test_discover_recovers_builtins_at_unit_roundtrip_noise(world, policy):
     truth = oracle.model.ground_truth_graph().edge_set()
     for seed in range(5):
         assert discover(oracle, DiscoveryConfig(seed=seed)).edge_set() == truth, seed
+
+
+def sigma_invariance_cases():
+    rng = np.random.default_rng(12)
+    w = np.triu(rng.uniform(-1.0, 1.0, (12, 12)), k=1) * (rng.random((12, 12)) < 0.3)
+    perm = rng.permutation(12)
+    yield ScmModel.linear(w[np.ix_(perm, perm)]), False
+    for world in ("TI", "IT", "TS", "TSWI"):
+        yield builtin(world), True
+
+
+@pytest.mark.parametrize("policy", ["fixed", "resample"])
+def test_discover_is_bit_identical_across_roundtrip_noise(policy):
+    # the paired change never takes the round-trip draw, so every edge
+    # weight, not only the edge set, is the same at any roundtrip_noise_std
+    for model, standardize in sigma_invariance_cases():
+        graphs = [
+            discover(
+                Oracle(model, OracleConfig(roundtrip_noise_std=std, noise_policy=policy,
+                                           standardize=standardize)),
+                DiscoveryConfig(seed=3),
+            )
+            for std in (0.0, 0.1, 1.0)
+        ]
+        assert graphs[0].edges, model.labels  # a graph with something to compare
+        for graph in graphs[1:]:
+            assert graph.edges == graphs[0].edges, model.labels
+
+
+def test_fixed_policy_discovery_builds_no_generator(monkeypatch):
+    # under "fixed" a discovery query draws nothing, so it must not pay for
+    # building a Generator, a visible share of a d = 30 discover
+    oracle = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.3))
+    cfg = DiscoveryConfig(n_samples=64, seed=3)
+    base = oracle.sample_latents(cfg.n_samples, [cfg.seed, 0])
+    expected = discover(oracle, cfg, base=base).edges
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("discovery built a Generator under the fixed policy")
+
+    monkeypatch.setattr("causalprobe.oracle.np.random.default_rng", refuse)
+    assert discover(oracle, cfg, base=base).edges == expected
 
 
 def test_discover_recovers_exact_diamond():

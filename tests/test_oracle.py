@@ -494,6 +494,39 @@ def test_query_pair_equals_two_same_seed_queries(kind, policy, noise, n, as_dict
         assert same_bits(ref, base)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["TSWI", "linear5"]),
+    policy=st.sampled_from(["fixed", "resample"]),
+    n=st.integers(1, 12),
+    as_dict=st.booleans(),
+    broadcast=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_paired_change_is_the_pair_difference_without_the_draw(
+    kind, policy, n, as_dict, broadcast, seed
+):
+    rng = np.random.default_rng(seed)
+    linear = kind.startswith("linear")
+    model = ScmModel.linear(random_dag_weights(5, rng)) if linear else builtin(kind)
+    config = OracleConfig(roundtrip_noise_std=0.1, noise_policy=policy, standardize=not linear)
+    oracle, quiet = Oracle(model, config), Oracle(model, replace(config, roundtrip_noise_std=0.0))
+    base = oracle.sample_latents(n, [seed, 1])
+    base[rng.random(base.shape) < 0.3] = -0.0
+    if broadcast:
+        base = np.broadcast_to(base[0], base.shape)
+    if as_dict:
+        do = {int(k): rng.normal(size=n) for k in np.flatnonzero(rng.random(oracle.dim) < 0.4)}
+    else:
+        do = (rng.random(base.shape) < 0.3, rng.normal(size=base.shape))
+    change = oracle._paired_change(base, do, [seed, 2])
+    out, ref = quiet._query_pair(base, do, [seed, 2])
+    assert same_bits(change, out - ref)  # the draw-free pair, bit for bit
+    assert change.flags.c_contiguous
+    noisy_out, noisy_ref = oracle._query_pair(base, do, [seed, 2])
+    np.testing.assert_allclose(change, noisy_out - noisy_ref, rtol=0, atol=1e-12)
+
+
 def test_malformed_do_names_the_expected_shape():
     oracle = Oracle(builtin("TI"), OracleConfig())
     base = oracle.sample_latents(4, 0)
@@ -506,6 +539,8 @@ def test_malformed_do_names_the_expected_shape():
             oracle.query(base, do, seed=0)
         with pytest.raises(ValueError, match=message):
             oracle._query_pair(base, do, 0)
+        with pytest.raises(ValueError, match=message):
+            oracle._paired_change(base, do, 0)
 
 
 @settings(max_examples=60, deadline=None)
