@@ -159,7 +159,7 @@ def discover(
     """Full extraction: sample, propose, prune, break cycles.
 
     The result is acyclic and self-loop free, and deterministic given the
-    oracle and config seeds.
+    oracle and config seeds; given a base, under "fixed" it ignores config.seed.
     """
     if base is None:
         base = oracle.sample_latents(config.n_samples, [config.seed, 0])

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalprobe
-from causalprobe import CausalGraph, builtin, cli
+from causalprobe import CausalGraph, builtin, cli, discover
 from causalprobe.cli import main
 
 TI_CFG = {
@@ -102,6 +103,37 @@ def test_discover_zero_oracle_flags_correctness(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["correctness_index"] is None
     assert report["correctness_flag"].startswith("undefined")
+
+
+@pytest.mark.parametrize("policy", ["fixed", "resample"])
+def test_run_discover_computes_one_graph_per_subset_under_fixed(tmp_path, monkeypatch, policy):
+    # discover on a given base ignores its seed under "fixed", so each subset's
+    # graph is computed once there and written for all its Q seeds
+    n_sets, n_reps = 2, 3
+    cfg = {**TI_CFG, "oracle_config": {"noise_policy": policy},
+           "evaluation": {"p_subsets": n_sets, "q_repetitions": n_reps}}
+    seed = cfg["seed"]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return discover(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "discover", counted)
+    cli.run_discover(cfg, str(tmp_path), seed)
+    assert len(calls) == (n_sets if policy == "fixed" else n_sets * n_reps)
+
+    oracle = cli.build_oracle(cfg, seed)
+    dcfg = cli._build_section(cfg, "discovery", seed=seed)
+    pool = oracle.sample_latents(cfg["pool_size"], [seed, 10])
+    for p in range(n_sets):
+        subset = pool[np.random.default_rng([seed, 11, p]).integers(0, len(pool), dcfg.n_samples)]
+        for q in range(n_reps):
+            run_cfg = replace(dcfg, seed=cli._derive_seed(seed, 12, p, q))
+            doc = discover(oracle, run_cfg, base=subset).to_json_dict()
+            assert doc["edges"]  # a graph with weights to compare
+            text = (tmp_path / f"graphs/graph_p{p}_q{q}.json").read_text()
+            assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n", (p, q)
 
 
 def test_explain_outputs(tmp_path):

@@ -410,6 +410,27 @@ def test_fixed_policy_discovery_builds_no_generator(monkeypatch):
     assert discover(oracle, cfg, base=base).edges == expected
 
 
+@pytest.mark.parametrize("std", [0.0, 0.1])
+def test_discover_on_a_given_base_ignores_its_seed_only_under_fixed(std):
+    # run_discover writes one graph per subset for all its seeds under
+    # "fixed"; under "resample" the seeds draw the fresh exogenous noise, so
+    # some graph must move with them
+    moved = False
+    for model, standardize in sigma_invariance_cases():
+        for policy in ("fixed", "resample"):
+            oracle = Oracle(model, OracleConfig(roundtrip_noise_std=std, noise_policy=policy,
+                                                standardize=standardize))
+            base = oracle.sample_latents(64, [5, 0])
+            graphs = [discover(oracle, DiscoveryConfig(seed=s), base=base).edges
+                      for s in (0, 1, 7)]
+            if policy == "fixed":
+                assert graphs[0], model.labels  # a graph with something to compare
+                assert graphs[1] == graphs[0] and graphs[2] == graphs[0], model.labels
+            else:
+                moved |= graphs[1] != graphs[0] or graphs[2] != graphs[0]
+    assert moved
+
+
 def test_discover_recovers_exact_diamond():
     # noiseless SEM with comfortably above-threshold weights
     oracle = linear({(0, 1): 0.6, (0, 2): 0.8, (1, 3): 0.5, (2, 3): 0.4}, 4)
