@@ -3,11 +3,11 @@
 Pipeline: propose candidate edges from ±magnitude intervention sweeps,
 prune edges explained by a mediator via controlled follow-up interventions,
 then break any remaining cycles by dropping the weakest edge. The output is
-always a DAG without self-loops. Each sweep reads its paired change
-(Oracle._paired_change), the intervened rows minus their same-seed,
-no-intervention reference. The oracle's round-trip draw depends only on the
-seed, so it cancels there and is not drawn: the output does not depend on
-its size (an encoder error that depends on the re-encoded row would not).
+always a DAG without self-loops. Each stage abduces its base once; a query
+reads its paired change (Oracle._paired_change), the clamped rows minus their
+same-seed, no-intervention reference. The oracle's round-trip draw depends
+only on the seed, so it cancels there and is not drawn: the output does not
+depend on its size (an encoder error that depends on the re-encoded row would not).
 """
 from __future__ import annotations
 
@@ -43,17 +43,12 @@ def _sweep_seed(config: DiscoveryConfig, src: int, magnitude: float) -> list[int
     return [config.seed, 1, src, 0 if magnitude >= 0 else 1]
 
 
-def _sweep(
-    oracle: Oracle, base: np.ndarray, src: int, magnitude: float, config: DiscoveryConfig
-) -> np.ndarray:
-    """The per-row paired change of base (n, d) under do(l_src = l_src +
-    magnitude), seeded by src and the sign of magnitude: the intervened rows
-    minus the same-seed reference rows, the round-trip draw not taken."""
-    base = np.asarray(base, dtype=float)
-    if base.ndim != 2 or base.shape[1] != oracle.dim or not len(base):
-        raise ValueError(f"base rows must have shape (n, {oracle.dim}), got {base.shape}")
-    return oracle._paired_change(base, {src: base[:, src] + magnitude},
-                                 _sweep_seed(config, src, magnitude))
+def _sweep(oracle: Oracle, factual, src: int, magnitude: float, config: DiscoveryConfig,
+           read=None) -> np.ndarray:
+    """The per-row paired change of Oracle._factual's rows under do(l_src = l_src
+    + magnitude), seeded by src and the sign of magnitude; column read's if given."""
+    return oracle._paired_change(factual, np.arange(oracle.dim) == src, factual.values + magnitude,
+                                 _sweep_seed(config, src, magnitude), read)
 
 
 def edge_weight(
@@ -61,14 +56,16 @@ def edge_weight(
     magnitude: float | None = None,
 ) -> float:
     """Monte-Carlo edge weight for i -> j under do(l_i = l_i + magnitude): the
-    mean of _sweep's paired change of j over the magnitude, which must not be 0."""
+    mean of _sweep's paired change of j (summed in row order, as propose_edges'
+    axis-0 mean sums it) over the magnitude, which must not be 0."""
     i, j = oracle.model.node_index(i), oracle.model.node_index(j)
     if i == j:
         raise ValueError("edge weight needs distinct features")
     mag = config.intervention_magnitude if magnitude is None else magnitude
     if mag == 0:
         raise ValueError("edge weight needs a nonzero magnitude")
-    return float(_sweep(oracle, base, i, mag, config).mean(axis=0)[j] / mag)
+    change = _sweep(oracle, oracle._factual(base), i, mag, config, read=j)
+    return float(np.cumsum(change)[-1] / len(change) / mag)
 
 
 def propose_edges(
@@ -82,21 +79,21 @@ def propose_edges(
     sweeps the pruning stage reuses, (base, change): change[i] (n, d) is
     the paired change of feature i's +magnitude sweep.
     """
-    base = np.asarray(base, dtype=float)
+    factual = oracle._factual(base)
     d = oracle.dim
     graph = CausalGraph(list(oracle.labels))
-    change = np.empty((d,) + base.shape)
+    change = np.empty((d,) + factual.values.shape)
     mag = config.intervention_magnitude
     for i in range(d):
-        change[i] = _sweep(oracle, base, i, mag, config)
+        change[i] = _sweep(oracle, factual, i, mag, config)
         ew_plus = change[i].mean(axis=0) / mag
-        ew_minus = _sweep(oracle, base, i, -mag, config).mean(axis=0) / -mag
+        ew_minus = _sweep(oracle, factual, i, -mag, config).mean(axis=0) / -mag
         strength = (np.abs(ew_plus) + np.abs(ew_minus)) / 2.0
         signed = (ew_plus + ew_minus) / 2.0
         for j in range(d):
             if j != i and strength[j] > config.threshold:
                 graph.add_edge(i, j, signed[j])
-    return graph, (base, change)
+    return graph, (factual.values, change)
 
 
 def prune_indirect(
@@ -111,7 +108,8 @@ def prune_indirect(
     de-noised values under the +magnitude i-sweep, base + change[i], in a
     query under that sweep's seed, so j meets the exogenous noise it met
     there; if j's mean paired change (no round-trip draw taken) reproduces
-    change[i]'s change of j within prune_eps, the edge i -> j is deleted.
+    change[i]'s change of j within prune_eps, the edge i -> j is deleted; the
+    query propagates only the mediators' descendants that are ancestors of j.
     (Joint clamping is what the single-mediator check becomes on chains; it
     is required when the indirect effect splits across parallel mediators.)
     Direct edges are processed in ascending |EW| order and removals update
@@ -120,6 +118,7 @@ def prune_indirect(
     cycle remains.
     """
     base, change = sweeps
+    factual = oracle._factual(base)
     graph = candidates.copy()
     ordered = sorted(graph.sorted_edges(), key=lambda e: (abs(e[2]), e[0], e[1]))
     reach = graph.reach()
@@ -129,7 +128,7 @@ def prune_indirect(
         if not on_path.any():
             continue
         seed = _sweep_seed(config, i, config.intervention_magnitude)
-        change_j = oracle._paired_change(base, (on_path, base + change[i]), seed)[:, j]
+        change_j = oracle._paired_change(factual, on_path, base + change[i], seed, read=j)
         diff = float(np.mean(change_j - change[i][:, j]))
         if abs(diff) < config.prune_eps:
             graph.remove_edge(i, j)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scm import ScmModel, logistic
+from .scm import SampleSet, ScmModel, logistic
 
 _STANDARDIZE_DRAWS = 4096
 
@@ -127,9 +127,8 @@ class Oracle:
     def _counterfactual(self, base: np.ndarray, mask, values, fresh=None) -> np.ndarray:
         """Counterfactual chart rows of an (m, n, d) stack, on the charted
         model. base is (m, n, d), or (m, 1, d) when a block's n rows share
-        one factual row, abduced once. A row propagates its abduced noise,
-        or fresh noise (shaped like the rows) on the closure of its own
-        clamped columns when fresh is given. The blocks propagate together
+        one factual row, abduced once. A row propagates the noise of
+        _fresh_on_closure. The blocks propagate together
         into abduce's copy of the base, over the union of the closures of
         their clamped columns; a column outside its block's closure is left
         or clamped to that copy, so it comes back as the base bit for bit.
@@ -141,9 +140,7 @@ class Oracle:
         if mask is None or not closure.any():
             return np.repeat(base, widen, axis=1)
         factual = self._charted.abduce(_rows(base))
-        noise = factual.noise
-        if fresh is not None:
-            noise = np.where(self._charted.closure(_rows(mask)), _rows(fresh), noise)
+        noise = self._fresh_on_closure(factual.noise, _rows(mask), _rows(fresh))
         run = closure.any(axis=0)
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
         if kept.any():
@@ -196,27 +193,54 @@ class Oracle:
         out, draw = self._query_parts(base, do, seeds)
         return out if draw is None else out + draw
 
+    def _fresh_on_closure(self, noise, mask, fresh):
+        """The noise a counterfactual propagates: noise, or under "resample"
+        fresh in its place on the closure of each row's clamped columns."""
+        return noise if fresh is None else np.where(self._charted.closure(mask), fresh, noise)
+
     def _query_pair(self, base: np.ndarray, do, seed) -> tuple[np.ndarray, np.ndarray]:
         """query(base, do, seed) and query(base, None, seed) of (n, d) rows,
         bit for bit, from one draw of seed, for a caller nonlinear in their
-        shared round-trip draw; their difference alone is _paired_change."""
+        shared round-trip draw; _paired_change gives their difference alone."""
         rows = np.array(base, dtype=float, order="C")  # a copy: the reference at std 0
         out, draw = self._query_parts(rows[None], _normalize_do(self.model, do, len(rows)), [seed])
         if draw is None:  # adding 0.0 would turn -0.0 into 0.0
             return out[0], rows
         return out[0] + draw[0], rows + draw[0]
 
-    def _paired_change(self, base: np.ndarray, do, seed) -> np.ndarray:
-        """query(base, do, seed) - query(base, None, seed) of (n, d) rows, as
-        counterfactual - base: the round-trip draw depends only on the seed,
-        so it cancels and is not drawn ("resample" still draws fresh noise)."""
-        rows = np.ascontiguousarray(base, dtype=float)
-        do = _normalize_do(self.model, do, len(rows))
-        return self._query_parts(rows[None], do, [seed], roundtrip=False)[0][0] - rows
+    def _factual(self, base) -> SampleSet:
+        """(n, d) base rows, checked and abduced once for _paired_change."""
+        base = np.ascontiguousarray(base, dtype=float)
+        if base.ndim != 2 or base.shape[1] != self.dim or not len(base):
+            raise ValueError(f"base rows must have shape (n, {self.dim}), got {base.shape}")
+        if not np.isfinite(base).all():
+            raise ValueError("oracle query base rows must be finite")
+        return self._charted.abduce(base)
 
-    def _query_parts(self, base, do, seeds, roundtrip=True) -> tuple[np.ndarray, np.ndarray | None]:
+    def _paired_change(self, factual: SampleSet, mask, values, seed, read=None) -> np.ndarray:
+        """query(base, do, seed) - query(base, None, seed) for factual =
+        _factual(base), do clamping the (d,) mask's columns to (n, d) values;
+        the round-trip draw cancels and is not drawn. Given a column read,
+        only its ancestors in the closure propagate (no other column enters
+        their equations) and only its (n,) change returns."""
+        if mask.shape != (self.dim,) or values.shape != factual.values.shape:
+            raise ValueError(f"do mask {mask.shape} and values {values.shape} must be "
+                             f"({self.dim},) and {factual.values.shape}")
+        if not (np.isfinite(values).all() or np.isfinite(values[:, mask]).all()):
+            raise ValueError("oracle query do values must be finite where the mask is set")
+        fresh = None
+        if self.config.noise_policy == "resample":
+            fresh = self._charted.draw_noise(len(values), np.random.default_rng(seed))
+        noise = self._fresh_on_closure(factual.noise, mask, fresh)
+        nodes = self._charted.closure(mask)
+        if read is not None:
+            nodes &= self._charted._reach[:, read] > 0
+        out = self._charted.propagate(noise, mask, values, out=factual.values.copy(), nodes=nodes)
+        return out - factual.values if read is None else out[:, read] - factual.values[:, read]
+
+    def _query_parts(self, base, do, seeds) -> tuple[np.ndarray, np.ndarray | None]:
         """query_stacked's counterfactual rows and its round-trip draw, None at
-        roundtrip_noise_std 0 or roundtrip False; query_stacked returns their sum."""
+        roundtrip_noise_std 0; query_stacked returns their sum."""
         base = np.ascontiguousarray(base, dtype=float)
         if base.ndim != 3 or base.shape[2] != self.dim:
             raise ValueError(f"stacked base must have shape (m, n, {self.dim}), got {base.shape}")
@@ -242,7 +266,7 @@ class Oracle:
                 raise ValueError("oracle query do values must be finite where the mask is set")
 
         resample = self.config.noise_policy == "resample"
-        std = self.config.roundtrip_noise_std if roundtrip else 0.0
+        std = self.config.roundtrip_noise_std
         rngs, inverse = [], []
         if resample or std > 0:
             unique: dict = {}  # seed key -> (index of its draw, seed)

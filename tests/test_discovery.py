@@ -201,8 +201,12 @@ class EchoOracle:
     """Its paired change is the clamp minus the base, so the prune query
     reproduces the sweep's change and any mediator set explains its edge."""
 
-    def _paired_change(self, base, do, seed):
-        return do[1] - base
+    def _factual(self, base):
+        return base
+
+    def _paired_change(self, base, mask, values, seed, read=None):
+        change = values - base
+        return change if read is None else change[:, read]
 
 
 def test_prune_recomputes_reach_once_a_cycle_breaks():
@@ -408,6 +412,27 @@ def test_fixed_policy_discovery_builds_no_generator(monkeypatch):
 
     monkeypatch.setattr("causalprobe.oracle.np.random.default_rng", refuse)
     assert discover(oracle, cfg, base=base).edges == expected
+
+
+@pytest.mark.parametrize("policy", ["fixed", "resample"])
+def test_discover_abduces_its_base_once_per_stage(monkeypatch, policy):
+    # propose_edges and prune_indirect each abduce the base once and share it
+    # across their queries (2d sweeps and one query per mediated candidate)
+    model, _ = next(sigma_invariance_cases())
+    oracle = Oracle(model, OracleConfig(noise_policy=policy, standardize=False))
+    cfg = DiscoveryConfig(n_samples=64, seed=3)
+    base = oracle.sample_latents(cfg.n_samples, [cfg.seed, 0])
+    expected = discover(oracle, cfg, base=base).edges
+    rows = []
+    abduce = ScmModel.abduce
+
+    def counted(self, values):
+        rows.append(np.shape(values))
+        return abduce(self, values)
+
+    monkeypatch.setattr(ScmModel, "abduce", counted)
+    assert discover(oracle, cfg, base=base).edges == expected
+    assert expected and 1 <= len(rows) <= 2 and set(rows) == {base.shape}
 
 
 @pytest.mark.parametrize("std", [0.0, 0.1])

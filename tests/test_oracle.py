@@ -494,37 +494,70 @@ def test_query_pair_equals_two_same_seed_queries(kind, policy, noise, n, as_dict
         assert same_bits(ref, base)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["TSWI", "linear5"]),
+    kind=st.sampled_from([*BUILTIN_NAMES, "linear"]),
     policy=st.sampled_from(["fixed", "resample"]),
+    d=st.integers(2, 12),
     n=st.integers(1, 12),
     as_dict=st.booleans(),
     broadcast=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_paired_change_is_the_pair_difference_without_the_draw(
-    kind, policy, n, as_dict, broadcast, seed
+    kind, policy, d, n, as_dict, broadcast, seed
 ):
+    # a column clamp: the (d,) mask holds on every row, as in discovery
     rng = np.random.default_rng(seed)
-    linear = kind.startswith("linear")
-    model = ScmModel.linear(random_dag_weights(5, rng)) if linear else builtin(kind)
+    linear = kind == "linear"
+    model = ScmModel.linear(random_dag_weights(d, rng)) if linear else builtin(kind)
     config = OracleConfig(roundtrip_noise_std=0.1, noise_policy=policy, standardize=not linear)
     oracle, quiet = Oracle(model, config), Oracle(model, replace(config, roundtrip_noise_std=0.0))
     base = oracle.sample_latents(n, [seed, 1])
     base[rng.random(base.shape) < 0.3] = -0.0
     if broadcast:
         base = np.broadcast_to(base[0], base.shape)
-    if as_dict:
-        do = {int(k): rng.normal(size=n) for k in np.flatnonzero(rng.random(oracle.dim) < 0.4)}
-    else:
-        do = (rng.random(base.shape) < 0.3, rng.normal(size=base.shape))
-    change = oracle._paired_change(base, do, [seed, 2])
+    mask, values = rng.random(oracle.dim) < 0.4, rng.normal(size=base.shape)
+    do = {int(k): values[:, k] for k in np.flatnonzero(mask)} if as_dict else (mask, values)
+    factual = oracle._factual(base)
+    change = oracle._paired_change(factual, mask, values, [seed, 2])
     out, ref = quiet._query_pair(base, do, [seed, 2])
     assert same_bits(change, out - ref)  # the draw-free pair, bit for bit
     assert change.flags.c_contiguous
     noisy_out, noisy_ref = oracle._query_pair(base, do, [seed, 2])
     np.testing.assert_allclose(change, noisy_out - noisy_ref, rtol=0, atol=1e-12)
+    # a read column propagates only its ancestors in the closure, to the same bits
+    for j in range(oracle.dim):
+        assert same_bits(oracle._paired_change(factual, mask, values, [seed, 2], read=j),
+                         np.ascontiguousarray(change[:, j]))
+
+
+@pytest.mark.parametrize("policy", ["fixed", "resample"])
+def test_paired_change_rejects_what_a_query_rejects(policy):
+    oracle = Oracle(builtin("TSWI"), OracleConfig(noise_policy=policy))
+    base = oracle.sample_latents(4, 0)
+    nonfinite = base.copy()
+    nonfinite[2, 1] = np.nan
+    for bad, message in [
+        (base[0], r"base rows must have shape \(n, 4\), got \(4,\)"),
+        (base[:, :3], r"base rows must have shape \(n, 4\), got \(4, 3\)"),
+        (base[:0], r"base rows must have shape \(n, 4\), got \(0, 4\)"),
+        (nonfinite, "oracle query base rows must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            oracle._factual(bad)
+    with pytest.raises(ValueError, match="oracle query base rows must be finite"):
+        oracle.query(nonfinite, None, seed=0)  # the message a query gives
+    factual, mask = oracle._factual(base), np.array([False, True, False, False])
+    values = base + 1.0
+    change = oracle._paired_change(factual, mask, values, 0)
+    values[:, 0] = np.inf  # off the mask: never read
+    assert same_bits(oracle._paired_change(factual, mask, values, 0), change)
+    for value in (np.inf, np.nan):
+        values[1, 1] = value
+        for read in (None, 3):
+            with pytest.raises(ValueError, match="do values must be finite where the mask is set"):
+                oracle._paired_change(factual, mask, values, 0, read=read)
 
 
 def test_malformed_do_names_the_expected_shape():
@@ -539,8 +572,15 @@ def test_malformed_do_names_the_expected_shape():
             oracle.query(base, do, seed=0)
         with pytest.raises(ValueError, match=message):
             oracle._query_pair(base, do, 0)
-        with pytest.raises(ValueError, match=message):
-            oracle._paired_change(base, do, 0)
+    # the paired change clamps whole columns, a (d,) mask to (n, d) values:
+    # the two cases above as a column mask and its values
+    factual = oracle._factual(base)
+    for mask, values, got in [
+        (np.zeros(5, bool), np.zeros(()), r"mask \(5,\) and values \(\)"),
+        (np.ones(2, bool), np.ones((3, 2)), r"mask \(2,\) and values \(3, 2\)"),
+    ]:
+        with pytest.raises(ValueError, match=rf"do {got} must be \(2,\) and \(4, 2\)"):
+            oracle._paired_change(factual, mask, values, 0)
 
 
 @settings(max_examples=60, deadline=None)
