@@ -128,10 +128,10 @@ class Oracle:
         """Counterfactual chart rows of an (m, n, d) stack, on the charted
         model. base is (m, n, d), or (m, 1, d) when a block's n rows share
         one factual row, abduced once. A row propagates the noise of
-        _fresh_on_closure. The blocks propagate together
-        into abduce's copy of the base, over the union of the closures of
-        their clamped columns; a column outside its block's closure is left
-        or clamped to that copy, so it comes back as the base bit for bit.
+        _fresh_on_closure. The blocks propagate together into abduce's copy
+        of the base, over the union of the closures of their clamped
+        columns; a column outside its block's closure is left or clamped to
+        that copy, so it comes back as the base bit for bit.
         """
         n = base.shape[1] if mask is None else mask.shape[1]
         widen = n if base.shape[1] == 1 else 1  # a shared row repeats n times
