@@ -7,8 +7,8 @@ policy perturbations run through the oracle so descendants (per the
 discovered graph) co-move; the independent policy writes coordinates
 directly and serves as the ablation baseline. intervention_effect rounds
 out the local views: an intervention's class-probability shift and its
-latent counterfactual diff, from one draw that the intervened rows and
-their baseline share.
+latent counterfactual diff, from two queries under one seed, so the
+intervened rows and their baseline share their draws.
 """
 from __future__ import annotations
 
@@ -241,14 +241,17 @@ def intervention_effect(
     from the mean baseline vector.
 
     The intervened query(l, do) of _EFFECT_ROWS copies of the latent and
-    its baseline query(l, None) come from one draw of seed
-    (Oracle._query_pair), so each intervened row shares its noise with its
-    baseline row: a feature do does not reach differs by exactly 0.0, and
-    an empty do gives exact zeros.
+    its baseline query(l, None) are two queries under one SeedSequence, so
+    each intervened row shares its noise with its baseline row: a feature
+    do does not reach differs by exactly 0.0, and an empty do gives exact
+    zeros. A seed of None is drawn once for both; a Generator, which
+    cannot be replayed, raises TypeError.
     """
     values = np.asarray(latent, dtype=float)
     base = np.broadcast_to(values, (_EFFECT_ROWS, values.size))
-    intervened, baseline = oracle._query_pair(base, do, seed)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    intervened, baseline = oracle.query(base, do, seed), oracle.query(base, None, seed)
     shift = head.probabilities(intervened).mean(axis=0) - head.probabilities(baseline).mean(axis=0)
     mean = intervened.mean(axis=0)
     return shift, mean, mean - baseline.mean(axis=0)

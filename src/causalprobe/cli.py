@@ -512,6 +512,8 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
 
 
 def _resolve_latent(cfg: dict, oracle, seed: int, index: int | None, latent_csv: str | None):
+    if latent_csv is not None and index is not None:
+        raise ValueError("--index and --latent are alternatives: give one of them")
     if latent_csv is not None:
         try:
             values = np.asarray([float(v) for v in latent_csv.split(",")], dtype=float)

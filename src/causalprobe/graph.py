@@ -90,6 +90,7 @@ class CausalGraph:
     def to_dot(self) -> str:
         lines = ["digraph causal {"]
         for k, lab in enumerate(self.labels):
+            lab = lab.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{k} [label="{lab}"];')
         for i, j, w in self.sorted_edges():
             lines.append(f'  n{i} -> n{j} [label="{w:.3f}"];')

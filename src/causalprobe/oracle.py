@@ -53,12 +53,6 @@ def _seed_key(seed, k: int):
     return repr(seed) if isinstance(seed, (int, np.integer, list, tuple)) else k
 
 
-def _rows(a):
-    """A one-block (1, n, d) stack as plain (n, d) rows, which propagate with
-    cheaper indexing; any other stack, or None, as it is."""
-    return a[0] if a is not None and len(a) == 1 else a
-
-
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(mask, values) of one (1, n, d) block for an intervention, as
     read-only broadcast views, or None for do None.
@@ -139,8 +133,8 @@ class Oracle:
             closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
         if mask is None or not closure.any():
             return np.repeat(base, widen, axis=1)
-        factual = self._charted.abduce(_rows(base))
-        noise = self._fresh_on_closure(factual.noise, _rows(mask), _rows(fresh))
+        factual = self._charted.abduce(base)
+        noise = self._fresh_on_closure(factual.noise, mask, fresh)
         run = closure.any(axis=0)
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
         if kept.any():
@@ -148,8 +142,7 @@ class Oracle:
             values = np.where(kept, factual.values, values)
         # propagate writes into whole rows; the noise may broadcast
         rows = factual.values if widen == 1 else np.repeat(factual.values, widen, axis=-2)
-        out = self._charted.propagate(noise, _rows(mask), _rows(values), out=rows, nodes=run)
-        return out.reshape(base.shape[0], n, -1)
+        return self._charted.propagate(noise, mask, values, out=rows, nodes=run)
 
     def sample_latents(self, n: int, seed) -> np.ndarray:
         return self.to_chart(self.model.sample(n, seed).values)
@@ -187,60 +180,14 @@ class Oracle:
         - a column outside the closure of the block's clamped columns
           (clamped on any row, descendants included) comes back as the
           block's base value, bit for bit, before round-trip noise; a block
-          whose mask is empty has an empty closure.
+          whose mask is empty has an empty closure;
+        - at roundtrip_noise_std 0 nothing is added to that value, so a
+          -0.0 there stays -0.0.
+        Two queries under one int, int sequence or SeedSequence s share their
+        draws: query(base, do, s) and query(base, None, s) differ by exactly
+        0.0 off do's closure.
         Base rows and the do values under the mask must be finite.
         """
-        out, draw = self._query_parts(base, do, seeds)
-        return out if draw is None else out + draw
-
-    def _fresh_on_closure(self, noise, mask, fresh):
-        """The noise a counterfactual propagates: noise, or under "resample"
-        fresh in its place on the closure of each row's clamped columns."""
-        return noise if fresh is None else np.where(self._charted.closure(mask), fresh, noise)
-
-    def _query_pair(self, base: np.ndarray, do, seed) -> tuple[np.ndarray, np.ndarray]:
-        """query(base, do, seed) and query(base, None, seed) of (n, d) rows,
-        bit for bit, from one draw of seed, for a caller nonlinear in their
-        shared round-trip draw; _paired_change gives their difference alone."""
-        rows = np.array(base, dtype=float, order="C")  # a copy: the reference at std 0
-        out, draw = self._query_parts(rows[None], _normalize_do(self.model, do, len(rows)), [seed])
-        if draw is None:  # adding 0.0 would turn -0.0 into 0.0
-            return out[0], rows
-        return out[0] + draw[0], rows + draw[0]
-
-    def _factual(self, base) -> SampleSet:
-        """(n, d) base rows, checked and abduced once for _paired_change."""
-        base = np.ascontiguousarray(base, dtype=float)
-        if base.ndim != 2 or base.shape[1] != self.dim or not len(base):
-            raise ValueError(f"base rows must have shape (n, {self.dim}), got {base.shape}")
-        if not np.isfinite(base).all():
-            raise ValueError("oracle query base rows must be finite")
-        return self._charted.abduce(base)
-
-    def _paired_change(self, factual: SampleSet, mask, values, seed, read=None) -> np.ndarray:
-        """query(base, do, seed) - query(base, None, seed) for factual =
-        _factual(base), do clamping the (d,) mask's columns to (n, d) values;
-        the round-trip draw cancels and is not drawn. Given a column read,
-        only its ancestors in the closure propagate (no other column enters
-        their equations) and only its (n,) change returns."""
-        if mask.shape != (self.dim,) or values.shape != factual.values.shape:
-            raise ValueError(f"do mask {mask.shape} and values {values.shape} must be "
-                             f"({self.dim},) and {factual.values.shape}")
-        if not (np.isfinite(values).all() or np.isfinite(values[:, mask]).all()):
-            raise ValueError("oracle query do values must be finite where the mask is set")
-        fresh = None
-        if self.config.noise_policy == "resample":
-            fresh = self._charted.draw_noise(len(values), np.random.default_rng(seed))
-        noise = self._fresh_on_closure(factual.noise, mask, fresh)
-        nodes = self._charted.closure(mask)
-        if read is not None:
-            nodes &= self._charted._reach[:, read] > 0
-        out = self._charted.propagate(noise, mask, values, out=factual.values.copy(), nodes=nodes)
-        return out - factual.values if read is None else out[:, read] - factual.values[:, read]
-
-    def _query_parts(self, base, do, seeds) -> tuple[np.ndarray, np.ndarray | None]:
-        """query_stacked's counterfactual rows and its round-trip draw, None at
-        roundtrip_noise_std 0; query_stacked returns their sum."""
         base = np.ascontiguousarray(base, dtype=float)
         if base.ndim != 3 or base.shape[2] != self.dim:
             raise ValueError(f"stacked base must have shape (m, n, {self.dim}), got {base.shape}")
@@ -277,12 +224,48 @@ class Oracle:
         def per_block(draw):
             # copied out to every block, not broadcast: propagation allocates
             # its output like the noise, and a broadcast layout changes BLAS
-            draws = [draw(rng) for rng in rngs]
-            return draws[0][None] if m == 1 else np.stack(draws)[inverse]
+            return np.stack([draw(rng) for rng in rngs])[inverse]
 
         fresh = per_block(lambda rng: self._charted.draw_noise(n, rng)) if resample else None
         out = self._counterfactual(base, mask, values, fresh)
-        return out, per_block(lambda rng: rng.normal(0.0, std, (n, d))) if std > 0 else None
+        if std > 0:
+            out += per_block(lambda rng: rng.normal(0.0, std, (n, d)))
+        return out
+
+    def _fresh_on_closure(self, noise, mask, fresh):
+        """The noise a counterfactual propagates: noise, or under "resample"
+        fresh in its place on the closure of each row's clamped columns."""
+        return noise if fresh is None else np.where(self._charted.closure(mask), fresh, noise)
+
+    def _factual(self, base) -> SampleSet:
+        """(n, d) base rows, checked and abduced once for _paired_change."""
+        base = np.ascontiguousarray(base, dtype=float)
+        if base.ndim != 2 or base.shape[1] != self.dim or not len(base):
+            raise ValueError(f"base rows must have shape (n, {self.dim}), got {base.shape}")
+        if not np.isfinite(base).all():
+            raise ValueError("oracle query base rows must be finite")
+        return self._charted.abduce(base)
+
+    def _paired_change(self, factual: SampleSet, mask, values, seed, read=None) -> np.ndarray:
+        """query(base, do, seed) - query(base, None, seed) for factual =
+        _factual(base), do clamping the (d,) mask's columns to (n, d) values;
+        the round-trip draw cancels and is not drawn. Given a column read,
+        only its ancestors in the closure propagate (no other column enters
+        their equations) and only its (n,) change returns."""
+        if mask.shape != (self.dim,) or values.shape != factual.values.shape:
+            raise ValueError(f"do mask {mask.shape} and values {values.shape} must be "
+                             f"({self.dim},) and {factual.values.shape}")
+        if not (np.isfinite(values).all() or np.isfinite(values[:, mask]).all()):
+            raise ValueError("oracle query do values must be finite where the mask is set")
+        fresh = None
+        if self.config.noise_policy == "resample":
+            fresh = self._charted.draw_noise(len(values), np.random.default_rng(seed))
+        noise = self._fresh_on_closure(factual.noise, mask, fresh)
+        nodes = self._charted.closure(mask)
+        if read is not None:
+            nodes &= self._charted._reach[:, read] > 0
+        out = self._charted.propagate(noise, mask, values, out=factual.values.copy(), nodes=nodes)
+        return out - factual.values if read is None else out[:, read] - factual.values[:, read]
 
 
 class ClassifierHead:

@@ -240,6 +240,30 @@ def test_intervention_effect_is_zero_off_the_closure(
     assert np.all(delta == 0.0) and np.all(diff == 0.0)
 
 
+def test_intervention_effect_pairs_one_entropy_draw_for_seed_none():
+    # TSWI: t reaches every feature; i reaches only itself
+    oracle = Oracle(builtin("TSWI"), OracleConfig(noise_policy="resample"))
+    head = ClassifierHead(np.ones(4))
+    latent = oracle.sample_latents(1, 3)[0]
+    for do in ({"i": latent[3] + 1.0}, {"s": latent[1] - 0.5}, {}):
+        clamped = np.isin(oracle.labels, list(do))
+        _, _, diff = intervention_effect(oracle, head, latent, do, seed=None)
+        assert np.all(diff[~oracle.model.closure(clamped)] == 0.0)
+
+
+def test_intervention_effect_seed_must_be_replayable():
+    oracle, head, _ = ti_setup()
+    latent = oracle.sample_latents(1, 0)[0]
+    do = {"t": latent[0] + 1.0}
+    with pytest.raises(TypeError):
+        intervention_effect(oracle, head, latent, do, seed=np.random.default_rng(0))
+    # a SeedSequence is replayable, and gives the bits of the seed it wraps
+    for seed in (7, [7, 1]):
+        wrapped = intervention_effect(oracle, head, latent, do, np.random.SeedSequence(seed))
+        plain = intervention_effect(oracle, head, latent, do, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(wrapped, plain))
+
+
 def test_attribution_config_validation():
     with pytest.raises(ValueError):
         AttributionConfig(perturbation_policy="both")

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
@@ -289,6 +290,13 @@ def test_explain_rejects_non_finite_intervention(tmp_path, capsys):
     assert not (out / "confidence_delta.csv").exists()
 
 
+def test_latent_flag_overrides_the_config_index(tmp_path):
+    cfg = write_cfg(tmp_path, dict(TI_CFG, explain={"index": 1}))
+    out = tmp_path / "e"
+    assert main(["explain", "--config", cfg, "--out", str(out), "--latent", "0.1,0.2"]) == 0
+    assert json.loads((out / "explanation.json").read_text())["latent"] == [0.1, 0.2]
+
+
 def no_discovery(*args, **kwargs):
     raise AssertionError("discovery ran before the config was checked")
 
@@ -303,6 +311,8 @@ def no_discovery(*args, **kwargs):
         ("explain", TI_CFG, ["--index", "512"], "sample index 512 out of range for pool_size 512"),
         ("explain", TI_CFG, ["--latent", "1,,2"],
          "--latent takes comma-separated numbers, got '1,,2'"),
+        ("explain", TI_CFG, ["--index", "1", "--latent", "0.1,0.2"],
+         "--index and --latent are alternatives"),
         ("evaluate", dict(TI_CFG, evaluate={"n_explanations": 3}),
          [], "evaluate.n_explanations (3) must be at least evaluation.mi_bins (4)"),
         ("evaluate", dict(TI_CFG, evaluate={"n_explanations": 0}),
@@ -314,6 +324,7 @@ def no_discovery(*args, **kwargs):
         ("explain", TI_CFG, ["--seed", "-1"], "seed must be a non-negative integer"),
     ],
     ids=["pool-size-0", "pool-size-negative", "index-past-pool", "latent-not-a-number",
+         "index-and-latent",
          "fewer-explanations-than-bins", "no-explanations", "explain-attribution",
          "evaluate-attribution", "negative-seed"],
 )
@@ -768,6 +779,25 @@ def test_criterion_7_scores_are_pinned(model, weights, mi_bins, n_explanations, 
     faithfulness = report["faithfulness"]
     assert (faithfulness["engine"], faithfulness["shuffled_baseline"]) == expected
     assert report["stability"]["engine"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "policy, expected",
+    [
+        ("fixed", ("0b81804272369244aecfb8c1940c727df9f139c3d614aaa07d93f6753c89e5ff",
+                   "1d714b847c7ff3dab505480577f468c213a5a962c7b91296eabe0e1470cab7ba")),
+        ("resample", ("6a9258aa3cc44d5444a8df89daac5a86384b20aeac6d1b9c5f26b80f30c7a1ef",
+                      "0265afca326ee505b4602f67276c423e7e58c4ab0b3fc635c2d45920195ca3e5")),
+    ],
+)
+def test_intervention_effect_outputs_are_pinned(tmp_path, policy, expected):
+    """The README config's explain effect files, to the last byte."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = json.loads(re.findall(r"```json\n(.*?)```", readme, flags=re.S)[0])
+    cfg["oracle_config"]["noise_policy"] = policy
+    cli.run_explain(cfg, str(tmp_path), 0, do_specs=["i=2.0"])
+    names = ("confidence_delta.csv", "counterfactual_diff.csv")
+    assert tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names) == expected
 
 
 def test_manifest_embeds_the_loaded_config(tmp_path):

@@ -115,3 +115,11 @@ def test_dot_export():
     assert 'label="i"' in dot
     assert 'n0 -> n1 [label="0.988"]' in dot
     assert dot.startswith("digraph")
+
+
+def test_dot_export_escapes_labels():
+    # a backslash is escaped before the quote, so the quote's escape stays one
+    dot = CausalGraph(['a"b', "c\\", 'd\\"'], {(0, 1): 1.0}).to_dot()
+    assert '  n0 [label="a\\"b"];' in dot
+    assert '  n1 [label="c\\\\"];' in dot
+    assert '  n2 [label="d\\\\\\""];' in dot

@@ -472,7 +472,10 @@ def same_bits(a, b):
     broadcast=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_query_pair_equals_two_same_seed_queries(kind, policy, noise, n, as_dict, broadcast, seed):
+def test_same_seed_queries_pair_bit_for_bit_off_the_closure(
+    kind, policy, noise, n, as_dict, broadcast, seed
+):
+    # the two queries intervention_effect makes: do and its no-do baseline
     rng = np.random.default_rng(seed)
     linear = kind.startswith("linear")
     model = ScmModel.linear(random_dag_weights(5, rng)) if linear else builtin(kind)
@@ -484,12 +487,18 @@ def test_query_pair_equals_two_same_seed_queries(kind, policy, noise, n, as_dict
         base = np.broadcast_to(base[0], base.shape)
     if as_dict:
         do = {int(k): rng.normal(size=n) for k in np.flatnonzero(rng.random(oracle.dim) < 0.4)}
+        clamped = np.isin(np.arange(oracle.dim), list(do))
     else:
         do = (rng.random(base.shape) < 0.3, rng.normal(size=base.shape))
-    out, ref = oracle._query_pair(base, do, [seed, 2])
+        clamped = do[0].any(axis=0)
+    sequence = np.random.SeedSequence([seed, 2])
+    out, ref = oracle.query(base, do, sequence), oracle.query(base, None, sequence)
+    # a SeedSequence replays the stream of the seed it wraps
     assert same_bits(out, oracle.query(base, do, seed=[seed, 2]))
     assert same_bits(ref, oracle.query(base, None, seed=[seed, 2]))
     assert out.flags.c_contiguous and ref.flags.c_contiguous  # reductions round by layout
+    off = ~model.closure(clamped)
+    assert same_bits(out[:, off], ref[:, off])
     if noise == 0:
         assert same_bits(ref, base)
 
@@ -521,10 +530,10 @@ def test_paired_change_is_the_pair_difference_without_the_draw(
     do = {int(k): values[:, k] for k in np.flatnonzero(mask)} if as_dict else (mask, values)
     factual = oracle._factual(base)
     change = oracle._paired_change(factual, mask, values, [seed, 2])
-    out, ref = quiet._query_pair(base, do, [seed, 2])
+    out, ref = (quiet.query(base, d, [seed, 2]) for d in (do, None))
     assert same_bits(change, out - ref)  # the draw-free pair, bit for bit
     assert change.flags.c_contiguous
-    noisy_out, noisy_ref = oracle._query_pair(base, do, [seed, 2])
+    noisy_out, noisy_ref = (oracle.query(base, d, [seed, 2]) for d in (do, None))
     np.testing.assert_allclose(change, noisy_out - noisy_ref, rtol=0, atol=1e-12)
     # a read column propagates only its ancestors in the closure, to the same bits
     for j in range(oracle.dim):
@@ -570,8 +579,6 @@ def test_malformed_do_names_the_expected_shape():
     for do, message in cases:
         with pytest.raises(ValueError, match=message):
             oracle.query(base, do, seed=0)
-        with pytest.raises(ValueError, match=message):
-            oracle._query_pair(base, do, 0)
     # the paired change clamps whole columns, a (d,) mask to (n, d) values:
     # the two cases above as a column mask and its values
     factual = oracle._factual(base)
