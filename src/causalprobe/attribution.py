@@ -5,10 +5,14 @@ target-class probability on intervention deltas around many latents at
 once (lime_latent is its one-item case). Under the interventional
 policy perturbations run through the oracle so descendants (per the
 discovered graph) co-move; the independent policy writes coordinates
-directly and serves as the ablation baseline. intervention_effect rounds
-out the local views: an intervention's class-probability shift and its
-latent counterfactual diff, from two queries under one seed, so the
-intervened rows and their baseline share their draws.
+directly and serves as the ablation baseline. lime realises its
+perturbations without the oracle's round-trip draw: that draw depends only
+on the seed, so a same-seed pair would cancel it exactly, and lime is
+bit-identical at any roundtrip_noise_std. intervention_effect rounds out
+the local views: an intervention's class-probability shift and its latent
+counterfactual diff, from two queries under one seed, so the intervened
+rows and their baseline share their draws. The draw reaches its shift and
+intervened vector; the diff cancels it up to rounding.
 """
 from __future__ import annotations
 
@@ -99,7 +103,7 @@ def _ridge(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     raise np.linalg.LinAlgError("ridge system unsolvable even after lambda floor")
 
 
-# perturbation rows per stacked oracle query and batched ridge solve
+# perturbation rows per oracle realisation and batched ridge solve
 _CHUNK_ROWS = 8192
 
 
@@ -121,10 +125,14 @@ def lime_batch(
     config.seed when seeds is None) and the predicted class of its latent
     unless target_class is given.
 
+    Seeds are non-negative integers and target_class lies in
+    [0, head.n_classes); either is checked before any query.
+
     Batch invariance: item k equals lime_latent(latents[k]) under its seed
     bit for bit, however many items share the call. Items with equal seeds
-    share one draw of masks and deltas; each chunk of items sends one
-    stacked oracle query and solves all its ridge systems at once.
+    share one draw of masks and deltas; each chunk of items realises its
+    perturbations in one oracle propagation, without the round-trip draw,
+    and solves all its ridge systems at once.
     """
     values = np.asarray(latents, dtype=float)
     d = oracle.dim
@@ -135,13 +143,20 @@ def lime_batch(
     if config.n_perturbations < d + 1:
         raise ValueError("n_perturbations must be at least dim + 1 for a solvable fit")
     m, n = values.shape[0], config.n_perturbations
-    seeds = [config.seed] * m if seeds is None else [int(s) for s in seeds]
+    seeds = [config.seed] * m if seeds is None else list(seeds)
     if len(seeds) != m:
         raise ValueError(f"{len(seeds)} seeds for {m} latents")
+    for s in seeds:
+        if not isinstance(s, (int, np.integer)) or s < 0:
+            raise ValueError(f"seeds must be non-negative integers, got {s!r}")
+    seeds = [int(s) for s in seeds]
     if target_class is None:
         classes = head.probabilities(values[:, None, :])[:, 0].argmax(axis=1)
-    else:
+    elif isinstance(target_class, (int, np.integer)) and 0 <= target_class < head.n_classes:
         classes = np.full(m, target_class)
+    else:
+        raise ValueError(f"target_class must be an integer in [0, {head.n_classes}), "
+                         f"got {target_class!r}")
     # float, so the 0/1 contraction below is exact and runs on BLAS
     reach = graph.reach().astype(float) if config.perturbation_policy == "interventional" else None
     width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
@@ -170,7 +185,7 @@ def lime_batch(
         latent = values[lo : lo + step, None, :]
         base = np.repeat(latent, n, axis=1)
         if reach is not None:
-            realized = oracle.query_stacked(latent, (masks, base + deltas), [[s, 8] for s in chunk])
+            realized = oracle._realise(latent, (masks, base + deltas), [(s, 8) for s in chunk])
             realized = np.where(moved, realized, base)
         else:
             realized = np.where(masks, base + deltas, base)

@@ -22,7 +22,10 @@ _STANDARDIZE_DRAWS = 4096
 class OracleConfig:
     """Observable semantics of the re-encode round trip.
 
-    roundtrip_noise_std: per-coordinate Gaussian observation noise.
+    roundtrip_noise_std: per-coordinate Gaussian observation noise, drawn
+        only by Oracle.query (so it reaches intervention_effect's shift and
+        intervened vector). It depends only on the query's seed, so a
+        same-seed pair cancels it exactly: discovery and lime never draw it.
     noise_policy: "fixed" propagates the exogenous noise abducted from the
         base row; "resample" draws fresh noise on the closure of the row's
         clamped columns and keeps the abducted noise elsewhere.
@@ -41,16 +44,6 @@ class OracleConfig:
             raise ValueError("roundtrip_noise_std must be >= 0 and finite")
         if self.noise_policy not in ("fixed", "resample"):
             raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
-
-
-def _seed_key(seed, k: int):
-    """Blocks whose seeds share a key share their draws.
-
-    Integer seeds and lists or tuples of them are keyed by value; any other
-    seed (None, an array, a SeedSequence or a Generator) gets the block's
-    own index, so its block draws alone.
-    """
-    return repr(seed) if isinstance(seed, (int, np.integer, list, tuple)) else k
 
 
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -118,32 +111,6 @@ class Oracle:
         raw = np.asarray(raw, dtype=float)
         return (raw - self.chart_mean) / self.chart_scale if self.config.standardize else raw
 
-    def _counterfactual(self, base: np.ndarray, mask, values, fresh=None) -> np.ndarray:
-        """Counterfactual chart rows of an (m, n, d) stack, on the charted
-        model. base is (m, n, d), or (m, 1, d) when a block's n rows share
-        one factual row, abduced once. A row propagates the noise of
-        _fresh_on_closure. The blocks propagate together into abduce's copy
-        of the base, over the union of the closures of their clamped
-        columns; a column outside its block's closure is left or clamped to
-        that copy, so it comes back as the base bit for bit.
-        """
-        n = base.shape[1] if mask is None else mask.shape[1]
-        widen = n if base.shape[1] == 1 else 1  # a shared row repeats n times
-        if mask is not None:
-            closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
-        if mask is None or not closure.any():
-            return np.repeat(base, widen, axis=1)
-        factual = self._charted.abduce(base)
-        noise = self._fresh_on_closure(factual.noise, mask, fresh)
-        run = closure.any(axis=0)
-        kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
-        if kept.any():
-            mask = mask | kept
-            values = np.where(kept, factual.values, values)
-        # propagate writes into whole rows; the noise may broadcast
-        rows = factual.values if widen == 1 else np.repeat(factual.values, widen, axis=-2)
-        return self._charted.propagate(noise, mask, values, out=rows, nodes=run)
-
     def sample_latents(self, n: int, seed) -> np.ndarray:
         return self.to_chart(self.model.sample(n, seed).values)
 
@@ -152,40 +119,51 @@ class Oracle:
 
         base: (d,) or (n, d) latent rows in the oracle's chart; do: any
         intervention _normalize_do accepts, its values in the chart.
-        Returns the intervened, noise-perturbed rows with matching shape.
-        This is query_stacked with a single block.
+        Returns the intervened rows of _realise plus the round-trip noise,
+        with matching shape. One default_rng(seed) draws first the exogenous
+        noise ("resample" policy), then the round-trip noise. Two queries
+        under one int, int sequence or SeedSequence s share their draws:
+        query(base, do, s) and query(base, None, s) differ by exactly 0.0
+        off do's closure. At roundtrip_noise_std 0 nothing is added, so a
+        -0.0 off the closure stays -0.0.
         """
         arr = np.asarray(base, dtype=float)
         single = arr.ndim == 1
         rows = np.atleast_2d(arr)
-        out = self.query_stacked(rows[None], _normalize_do(self.model, do, len(rows)), [seed])[0]
+        std = self.config.roundtrip_noise_std
+        rng = None
+        if std > 0 or self.config.noise_policy == "resample":
+            rng = np.random.default_rng(seed)
+        out = self._realise(rows[None], _normalize_do(self.model, do, len(rows)), [rng])[0]
+        if std > 0:
+            out += rng.normal(0.0, std, out.shape)
         return out[0] if single else out
 
-    def query_stacked(self, base: np.ndarray, do, seeds) -> np.ndarray:
-        """Re-encode m independent blocks of rows in one propagation.
+    def _realise(self, base: np.ndarray, do, seeds) -> np.ndarray:
+        """Counterfactual chart rows of m independent blocks in one
+        propagation, without the round-trip noise.
 
         base: (m, n, d) rows, or (m, 1, d) when every row of a block shares
-        one factual row; do: None or a (mask, values) pair of (m, n, d)
-        arrays; seeds: one seed per block. Returns (m, n, d) rows, n taken
-        from do when it is given. Block k equals
+        one factual row, abduced once; do: None or a (mask, values) pair of
+        (m, n, d) arrays; seeds: one hashable seed per block (an int, a
+        tuple of ints or a Generator). Returns (m, n, d) rows, n taken from
+        do when it is given. Block k equals
         query(base[k] repeated to n rows, (mask[k], values[k]), seeds[k])
-        bit for bit on the builtin models; a shared row is abduced once, and
-        BLAS may round that one row's contraction an ulp away from the same
-        row among n (seen from d = 9 on). Further:
-        - its draws come from default_rng(seeds[k]) in query's order, first
-          the exogenous noise ("resample" policy), then the round-trip noise;
-          blocks with equal integer seeds share one draw;
+        less its round-trip draw, bit for bit on the builtin models; a
+        shared row is abduced once, and BLAS may round that one row's
+        contraction an ulp away from the same row among n (seen from d = 9
+        on). Further:
+        - under "resample", block k's fresh exogenous noise is the first
+          draw of default_rng(seeds[k]); blocks with equal seeds share it;
         - every row contraction runs per block with the block's own shape
           (BLAS rounds a row differently with the number of rows it gets);
-        - a column outside the closure of the block's clamped columns
-          (clamped on any row, descendants included) comes back as the
-          block's base value, bit for bit, before round-trip noise; a block
-          whose mask is empty has an empty closure;
-        - at roundtrip_noise_std 0 nothing is added to that value, so a
-          -0.0 there stays -0.0.
-        Two queries under one int, int sequence or SeedSequence s share their
-        draws: query(base, do, s) and query(base, None, s) differ by exactly
-        0.0 off do's closure.
+        - a row propagates the noise of _fresh_on_closure. The blocks
+          propagate together into abduce's copy of the base, over the union
+          of the closures of their clamped columns (clamped on any row,
+          descendants included); a column outside its block's closure is
+          left or clamped to that copy, so it comes back as the block's base
+          value bit for bit. A block whose mask is empty has an empty
+          closure.
         Base rows and the do values under the mask must be finite.
         """
         base = np.ascontiguousarray(base, dtype=float)
@@ -212,25 +190,28 @@ class Oracle:
             if not (np.isfinite(values).all() or np.isfinite(values[mask]).all()):
                 raise ValueError("oracle query do values must be finite where the mask is set")
 
-        resample = self.config.noise_policy == "resample"
-        std = self.config.roundtrip_noise_std
-        rngs, inverse = [], []
-        if resample or std > 0:
-            unique: dict = {}  # seed key -> (index of its draw, seed)
-            for k, s in enumerate(seeds):
-                inverse.append(unique.setdefault(_seed_key(s, k), (len(unique), s))[0])
-            rngs = [np.random.default_rng(s) for _, s in unique.values()]
-
-        def per_block(draw):
+        fresh = None  # drawn even for an empty closure: query draws after it
+        if self.config.noise_policy == "resample":
             # copied out to every block, not broadcast: propagation allocates
             # its output like the noise, and a broadcast layout changes BLAS
-            return np.stack([draw(rng) for rng in rngs])[inverse]
-
-        fresh = per_block(lambda rng: self._charted.draw_noise(n, rng)) if resample else None
-        out = self._counterfactual(base, mask, values, fresh)
-        if std > 0:
-            out += per_block(lambda rng: rng.normal(0.0, std, (n, d)))
-        return out
+            drawn = {s: self._charted.draw_noise(n, np.random.default_rng(s))
+                     for s in dict.fromkeys(seeds)}
+            fresh = np.stack([drawn[s] for s in seeds])
+        widen = n if base.shape[1] == 1 else 1  # a shared row repeats n times
+        if mask is not None:
+            closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
+        if mask is None or not closure.any():
+            return np.repeat(base, widen, axis=1)
+        factual = self._charted.abduce(base)
+        noise = self._fresh_on_closure(factual.noise, mask, fresh)
+        run = closure.any(axis=0)
+        kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
+        if kept.any():
+            mask = mask | kept
+            values = np.where(kept, factual.values, values)
+        # propagate writes into whole rows; the noise may broadcast
+        rows = factual.values if widen == 1 else np.repeat(factual.values, widen, axis=-2)
+        return self._charted.propagate(noise, mask, values, out=rows, nodes=run)
 
     def _fresh_on_closure(self, noise, mask, fresh):
         """The noise a counterfactual propagates: noise, or under "resample"

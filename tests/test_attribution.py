@@ -358,7 +358,10 @@ def reference_lime(oracle, head, graph, latent, cfg):
     deltas = np.where(masks, rng.normal(0.0, cfg.perturbation_std, (n, d)), 0.0)
     base = np.broadcast_to(latent, (n, d))
     if cfg.perturbation_policy == "interventional":
-        realized = oracle.query(base, (masks, base + deltas), seed=[cfg.seed, 8])
+        # the same-seed pair cancels the round-trip draw, which lime never takes
+        seed = [cfg.seed, 8]
+        realized = oracle.query(base, (masks, base + deltas), seed)
+        realized = realized - (oracle.query(base, None, seed) - base)
         # its own closure, not graph.reach(): follow edges until nothing grows
         reach = np.eye(d, dtype=bool)
         grown = True
@@ -393,6 +396,53 @@ def test_lime_batch_matches_reference_loop(policy, softmax):
         # the same arithmetic, apart from BLAS summation order
         np.testing.assert_allclose(batch[k].weights, beta[1:], rtol=1e-9, atol=1e-12)
         assert batch[k].intercept == pytest.approx(beta[0], rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(["TSWI", "linear"]),
+    noise_policy=st.sampled_from(["fixed", "resample"]),
+    perturbation_policy=st.sampled_from(["interventional", "independent"]),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_lime_is_bit_identical_across_roundtrip_noise(
+    kind, noise_policy, perturbation_policy, m, seed
+):
+    oracle, graph = batch_setup(kind, noise_policy)
+    head = ClassifierHead(np.random.default_rng(seed).normal(size=oracle.dim), bias=-1.0)
+    latents = oracle.sample_latents(m, seed)
+    cfg = AttributionConfig(
+        n_perturbations=2 * oracle.dim + 1, perturbation_policy=perturbation_policy, seed=seed
+    )
+    fits = [
+        [(f.weights.tobytes(), f.intercept, f.local_fit_r2) for f in lime_batch(
+            Oracle(oracle.model, replace(oracle.config, roundtrip_noise_std=std)),
+            head, graph, latents, cfg,
+        )]
+        for std in (0.0, 0.1, 1.0)
+    ]
+    assert fits[0] == fits[1] == fits[2]
+
+
+@pytest.mark.parametrize(
+    "target_class, seeds, message",
+    [
+        pytest.param(-1, None, r"integer in \[0, 2\), got -1", id="negative-class"),
+        pytest.param(2, None, r"integer in \[0, 2\), got 2", id="class-past-the-head"),
+        pytest.param(1.0, None, r"integer in \[0, 2\), got 1.0", id="float-class"),
+        pytest.param(None, [1.7, 2.2], "non-negative integers, got 1.7", id="float-seeds"),
+        pytest.param(None, [1, -2], "non-negative integers, got -2", id="negative-seed"),
+    ],
+)
+def test_lime_batch_rejects_bad_targets_and_seeds_before_any_query(target_class, seeds, message):
+    oracle, graph = batch_setup("TSWI", "fixed")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents = oracle.sample_latents(2, 0)
+    cfg = AttributionConfig(n_perturbations=20)
+    with mock.patch.object(Oracle, "_realise", side_effect=AssertionError("queried")):
+        with pytest.raises(ValueError, match=message):
+            lime_batch(oracle, head, graph, latents, cfg, seeds, target_class)
 
 
 def test_lime_batch_unsolvable_item_raises_like_lime_latent():

@@ -256,17 +256,16 @@ def random_dag_weights(d, rng):
     kind="linear9", policy="fixed", noise=0.0, m=3, n=4, shared_seed=False, whole_columns=True,
     seed=228,
 )
-def test_query_stacked_blocks_equal_solo_queries(
+def test_realise_blocks_equal_solo_queries(
     kind, policy, noise, m, n, shared_seed, whole_columns, seed
 ):
     rng = np.random.default_rng(seed)
     linear = kind.startswith("linear")
     config = OracleConfig(roundtrip_noise_std=noise, noise_policy=policy, standardize=not linear)
-    if linear:
-        # d = 9 reaches the BLAS kernels that round a row by its position
-        oracle = Oracle(ScmModel.linear(random_dag_weights(int(kind[6:]), rng)), config)
-    else:
-        oracle = Oracle(builtin(kind), config)
+    # d = 9 reaches the BLAS kernels that round a row by its position
+    model = ScmModel.linear(random_dag_weights(int(kind[6:]), rng)) if linear else builtin(kind)
+    oracle = Oracle(model, config)
+    quiet = Oracle(model, replace(config, roundtrip_noise_std=0.0))
     base = oracle.sample_latents(m * n, seed).reshape(m, n, oracle.dim)
     if whole_columns:  # each block clamps its own columns on every row: closures differ
         mask = np.repeat(rng.random((m, 1, oracle.dim)) < 0.4, n, axis=1)
@@ -275,12 +274,13 @@ def test_query_stacked_blocks_equal_solo_queries(
     mask[rng.random(m) < 0.3] = False  # blocks without an intervention
     values = base + rng.normal(size=base.shape)
     # repeated seeds share draws
-    seeds = [[int(s), 8] for s in rng.integers(0, 1 if shared_seed else 3, m)]
-    stacked = oracle.query_stacked(base, (mask, values), seeds)
-    plain = oracle.query_stacked(base, None, seeds)
+    seeds = [(int(s), 8) for s in rng.integers(0, 1 if shared_seed else 3, m)]
+    stacked = oracle._realise(base, (mask, values), seeds)
+    plain = oracle._realise(base, None, seeds)
+    # a block is its solo query without the round-trip draw: the query at std 0
     for k in range(m):
-        assert np.array_equal(stacked[k], oracle.query(base[k], (mask[k], values[k]), seeds[k]))
-        assert np.array_equal(plain[k], oracle.query(base[k], None, seeds[k]))
+        assert np.array_equal(stacked[k], quiet.query(base[k], (mask[k], values[k]), seeds[k]))
+        assert np.array_equal(plain[k], quiet.query(base[k], None, seeds[k]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,12 +310,13 @@ def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_colu
     else:
         mask = rng.random(base.shape) < 0.1
     values = base + rng.normal(size=base.shape)
-    seeds = [[int(s), 9] for s in rng.integers(0, 3, m)]
+    seeds = [(int(s), 9) for s in rng.integers(0, 3, m)]
     # the closure of each block's clamped columns, from the model's graph
     reach = model.ground_truth_graph().reach()
     closure = (mask.any(axis=1)[:, :, None] & reach).any(axis=1)
-    stacked = clean.query_stacked(base, (mask, values), seeds)
-    noisy = oracle.query_stacked(base, (mask, values), seeds)
+    stacked = clean._realise(base, (mask, values), seeds)
+    # realised rows never carry the round-trip draw
+    assert same_bits(oracle._realise(base, (mask, values), seeds), stacked)
     for k in range(m):
         # the reference propagates every node from the abduced noise, under
         # "resample" with fresh noise on the closure of each row's columns
@@ -331,10 +332,10 @@ def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_colu
             assert np.array_equal(out[:, kept], base[k][:, kept])
             np.testing.assert_allclose(out[:, run], ref[:, run], rtol=1e-12, atol=tol)
             np.testing.assert_allclose(out[~own], base[k][~own], rtol=1e-12, atol=tol)
-        # round-trip noise is added on top of the noiseless rows
+        # a query adds the round-trip noise on top of the realised rows
         draw = draws.normal(0.0, noise, (n, d)) if noise else 0.0
-        assert np.array_equal(noisy[k], stacked[k] + draw)
-        assert np.array_equal(oracle.query(base[k], (mask[k], values[k]), seeds[k]), noisy[k])
+        assert np.array_equal(oracle.query(base[k], (mask[k], values[k]), seeds[k]),
+                              stacked[k] + draw)
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,7 +354,7 @@ def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_colu
     kind="TSWI", policy="resample", noise=0.1, m=3, n=12, row_masks=True, shared_seed=False,
     seed=1,
 )
-def test_query_stacked_shared_row_equals_repeated_rows(
+def test_realise_shared_row_equals_repeated_rows(
     kind, policy, noise, m, n, row_masks, shared_seed, seed
 ):
     """A (m, 1, d) base gives the rows of that base repeated to (m, n, d).
@@ -374,42 +375,46 @@ def test_query_stacked_shared_row_equals_repeated_rows(
     else:
         mask = np.repeat(rng.random((m, 1, oracle.dim)) < 0.4, n, axis=1)
     values = base + rng.normal(size=base.shape)
-    seeds = [[int(s), 8] for s in rng.integers(0, 1 if shared_seed else 3, m)]
-    shared = oracle.query_stacked(row, (mask, values), seeds)
-    repeated = oracle.query_stacked(base, (mask, values), seeds)
+    seeds = [(int(s), 8) for s in rng.integers(0, 1 if shared_seed else 3, m)]
+    shared = oracle._realise(row, (mask, values), seeds)
+    repeated = oracle._realise(base, (mask, values), seeds)
     if linear:
         np.testing.assert_allclose(shared, repeated, rtol=1e-12, atol=1e-12)
     else:
         assert np.array_equal(shared, repeated)
 
 
-def test_query_stacked_rejects_bad_shapes():
+def test_realise_rejects_bad_shapes():
     oracle = Oracle(builtin("TI"), NOISELESS)
     with pytest.raises(ValueError, match="shape"):
-        oracle.query_stacked(np.zeros((4, 2)), None, [0] * 4)
+        oracle._realise(np.zeros((4, 2)), None, [0] * 4)
+    with pytest.raises(ValueError, match="shape"):
+        oracle.query(np.zeros((4, 3)), None, 0)  # a query reaches the same check
     with pytest.raises(ValueError, match="seeds"):
-        oracle.query_stacked(np.zeros((3, 4, 2)), None, [0, 1])
+        oracle._realise(np.zeros((3, 4, 2)), None, [0, 1])
     mask, values = np.ones((2, 5, 2), dtype=bool), np.ones((2, 5, 2))
     # a base must hold 1 or n rows per block; the message names both shapes
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(2, 3, 2\)"):
-        oracle.query_stacked(np.ones((2, 3, 2)), (mask, values), [0, 1])
+        oracle._realise(np.ones((2, 3, 2)), (mask, values), [0, 1])
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(2, 4, 2\).*\(2, 1, 2\)"):
-        oracle.query_stacked(np.ones((2, 1, 2)), (mask, values[:, :4]), [0, 1])
+        oracle._realise(np.ones((2, 1, 2)), (mask, values[:, :4]), [0, 1])
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(3, 1, 2\)"):
-        oracle.query_stacked(np.ones((3, 1, 2)), (mask, values), [0, 1, 2])
+        oracle._realise(np.ones((3, 1, 2)), (mask, values), [0, 1, 2])
 
 
-def test_query_stacked_shared_row_without_do_is_a_one_row_query():
+def test_realise_shared_row_without_do_is_a_one_row_query():
     oracle = Oracle(builtin("TSWI"), OracleConfig())
+    quiet = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.0))
     base = oracle.sample_latents(3, 0)[:, None, :]
-    out = oracle.query_stacked(base, None, [0, 1, 2])
+    out = oracle._realise(base, None, [0, 1, 2])
     assert out.shape == (3, 1, 4)
     for k in range(3):
-        assert np.array_equal(out[k], oracle.query(base[k], None, k))
+        assert same_bits(out[k], base[k])
+        assert same_bits(out[k], quiet.query(base[k], None, k))
     # blocks of zero rows stay empty, with or without an intervention
     empty = np.zeros((2, 0, 4))
-    assert oracle.query_stacked(empty, None, [0, 1]).shape == (2, 0, 4)
-    assert oracle.query_stacked(empty, (empty > 0, empty), [0, 1]).shape == (2, 0, 4)
+    assert oracle._realise(empty, None, [0, 1]).shape == (2, 0, 4)
+    assert oracle._realise(empty, (empty > 0, empty), [0, 1]).shape == (2, 0, 4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
