@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -403,17 +404,16 @@ def _mean_jaccard(sets: list[set]) -> float:
     return float(np.mean(pairs)) if pairs else 1.0
 
 
+def _majority(runs: list[CausalGraph]) -> list[tuple[int, int]]:
+    """The edges found in more than half of the runs, sorted."""
+    counts = Counter(e for g in runs for e in g.edges)
+    return [e for e, c in sorted(counts.items()) if c > len(runs) / 2]
+
+
 def _consensus(runs: list[CausalGraph], labels) -> CausalGraph:
-    counts: dict[tuple[int, int], int] = {}
-    weights: dict[tuple[int, int], list[float]] = {}
-    for g in runs:
-        for (i, j), w in g.edges.items():
-            counts[(i, j)] = counts.get((i, j), 0) + 1
-            weights.setdefault((i, j), []).append(w)
-    cut = len(runs) / 2.0
-    edges = {
-        e: float(np.mean(weights[e])) for e, c in sorted(counts.items()) if c > cut
-    }
+    """The majority edges, each weighted by its mean over the runs that hold it."""
+    edges = {e: float(np.mean([g.edges[e] for g in runs if e in g.edges]))
+             for e in _majority(runs)}
     return CausalGraph(list(labels), edges)
 
 
@@ -476,9 +476,7 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     graph_consistency = float(
         np.mean([_mean_jaccard([g.edge_set() for g in group]) for group in per_subset])
     )
-    graph_stability = _mean_jaccard(
-        [_consensus(group, oracle.labels).edge_set() for group in per_subset]
-    )
+    graph_stability = _mean_jaccard([set(_majority(group)) for group in per_subset])
 
     report = {
         "correctness_index": correctness,

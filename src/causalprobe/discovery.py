@@ -90,8 +90,8 @@ def propose_edges(
         ew_minus = _sweep(oracle, factual, i, -mag, config).mean(axis=0) / -mag
         strength = (np.abs(ew_plus) + np.abs(ew_minus)) / 2.0
         signed = (ew_plus + ew_minus) / 2.0
-        for j in range(d):
-            if j != i and strength[j] > config.threshold:
+        for j in np.flatnonzero(strength > config.threshold).tolist():
+            if j != i:
                 graph.add_edge(i, j, signed[j])
     return graph, (factual.values, change)
 
@@ -122,6 +122,7 @@ def prune_indirect(
     graph = candidates.copy()
     ordered = sorted(graph.sorted_edges(), key=lambda e: (abs(e[2]), e[0], e[1]))
     reach = graph.reach()
+    cyclic = _has_cycle(reach)
     for i, j, _w in ordered:
         on_path = reach[i] & reach[:, j]
         on_path[[i, j]] = False
@@ -132,8 +133,9 @@ def prune_indirect(
         diff = float(np.mean(change_j - change[i][:, j]))
         if abs(diff) < config.prune_eps:
             graph.remove_edge(i, j)
-            if _has_cycle(reach):  # a cycle: paths may change
+            if cyclic:  # paths may change while a cycle remains
                 reach = graph.reach()
+                cyclic = _has_cycle(reach)
     return graph
 
 

@@ -69,9 +69,11 @@ class CausalGraph:
         reach = np.eye(self.n_nodes, dtype=bool)
         for i, j in self.edges:
             reach[i, j] = True
-        for k in range(self.n_nodes):  # Warshall: admit paths through node k
-            reach |= np.outer(reach[:, k], reach[k])
-        return reach
+        while True:  # squaring doubles the path length covered; 0/1 sums <= d are exact
+            wider = reach.astype(float) @ reach > 0
+            if np.count_nonzero(wider) == np.count_nonzero(reach):  # wider holds reach
+                return reach
+            reach = wider
 
     def copy(self) -> "CausalGraph":
         return CausalGraph(list(self.labels), dict(self.edges))

@@ -130,6 +130,9 @@ class Oracle:
         arr = np.asarray(base, dtype=float)
         single = arr.ndim == 1
         rows = np.atleast_2d(arr)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            d = self.dim
+            raise ValueError(f"base rows must have shape (n, {d}) or ({d},), got {arr.shape}")
         std = self.config.roundtrip_noise_std
         rng = None
         if std > 0 or self.config.noise_policy == "resample":
@@ -230,22 +233,27 @@ class Oracle:
     def _paired_change(self, factual: SampleSet, mask, values, seed, read=None) -> np.ndarray:
         """query(base, do, seed) - query(base, None, seed) for factual =
         _factual(base), do clamping the (d,) mask's columns to (n, d) values;
-        the round-trip draw cancels and is not drawn. Given a column read,
-        only its ancestors in the closure propagate (no other column enters
-        their equations) and only its (n,) change returns."""
+        the round-trip draw cancels and is not drawn. The clamped columns are
+        written into a copy of the factual rows, never evaluated; the rest of
+        their closure propagates. Given a column read, only its ancestors
+        among those propagate (no other column enters their equations) and
+        only its (n,) change returns."""
         if mask.shape != (self.dim,) or values.shape != factual.values.shape:
             raise ValueError(f"do mask {mask.shape} and values {values.shape} must be "
                              f"({self.dim},) and {factual.values.shape}")
-        if not (np.isfinite(values).all() or np.isfinite(values[:, mask]).all()):
+        clamped = values[:, mask]
+        if not np.isfinite(clamped).all():
             raise ValueError("oracle query do values must be finite where the mask is set")
         fresh = None
         if self.config.noise_policy == "resample":
             fresh = self._charted.draw_noise(len(values), np.random.default_rng(seed))
         noise = self._fresh_on_closure(factual.noise, mask, fresh)
-        nodes = self._charted.closure(mask)
+        nodes = self._charted.closure(mask) & ~mask
         if read is not None:
             nodes &= self._charted._reach[:, read] > 0
-        out = self._charted.propagate(noise, mask, values, out=factual.values.copy(), nodes=nodes)
+        out = factual.values.copy()
+        out[:, mask] = clamped
+        out = self._charted.propagate(noise, out=out, nodes=nodes)
         return out - factual.values if read is None else out[:, read] - factual.values[:, read]
 
 

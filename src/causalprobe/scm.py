@@ -231,14 +231,17 @@ class ScmModel:
         The result is written into out (a finite float array like noise,
         returned) when given, else into zeros. When nodes (a (d,) boolean)
         is given, only those nodes' equations run: every other column keeps
-        the value out held.
+        the value out held. A caller that clamps the same columns on every
+        row writes them into out and leaves them out of nodes, so their
+        equations are never evaluated and no do_mask is needed.
         """
         noise = np.asarray(noise, dtype=float)
         if out is None:
             # zeros, not empty: columns not yet evaluated meet zero
             # coefficients, and NaN * 0 would still be NaN
             out = np.zeros_like(noise)
-        steps = self._steps if nodes is None else [s for s in self._steps if nodes[s[0]]]
+        keep = None if nodes is None else nodes.tolist()
+        steps = self._steps if keep is None else [s for s in self._steps if keep[s[0]]]
         for v, const, lin, sig in steps:
             mech = None if lin is None else out @ lin
             if const:

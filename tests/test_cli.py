@@ -800,6 +800,39 @@ def test_intervention_effect_outputs_are_pinned(tmp_path, policy, expected):
     assert tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names) == expected
 
 
+@pytest.mark.parametrize(
+    "policy, expected",
+    [
+        ("fixed", "4d63789d2af93c28080569351e94ce209c1feb5a1b5e0662dfa152713690adbc"),
+        ("resample", "498874eaed9e0cb18f97c32e313ac4f27e04f93d9fc71de33d27bc24dc107897"),
+    ],
+)
+def test_discover_outputs_are_pinned(tmp_path, policy, expected):
+    """run_discover's graphs and report on a seeded d = 12 mixed-sign linear
+    SEM over permuted ids, to the last byte: one sha256 over names and bytes."""
+    rng = np.random.default_rng(12)
+    ids = rng.permutation(12)
+    edges = [{"from": int(ids[a]), "to": int(ids[b]),
+              "weight": float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5))}
+             for a in range(12) for b in range(a + 1, 12) if rng.random() < 0.25]
+    cfg = {
+        "seed": 5,
+        "oracle": {"kind": "linear", "dim": 12, "edges": edges},
+        "oracle_config": {"noise_policy": policy},
+        "discovery": {"n_samples": 64},
+        "evaluation": {"p_subsets": 3, "q_repetitions": 2},
+        "pool_size": 256,
+    }
+    cli.run_discover(cfg, str(tmp_path), cfg["seed"])
+    names = ["graph.json", "report.json", *sorted(
+        str(p.relative_to(tmp_path)) for p in (tmp_path / "graphs").glob("*.json"))]
+    assert len(names) == 8
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+    assert digest.hexdigest() == expected
+
+
 def test_manifest_embeds_the_loaded_config(tmp_path):
     cfg = json.loads(json.dumps(TI_CFG))
     cfg["oracle_config"] = {"standardize": True}

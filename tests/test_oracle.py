@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -388,8 +389,11 @@ def test_realise_rejects_bad_shapes():
     oracle = Oracle(builtin("TI"), NOISELESS)
     with pytest.raises(ValueError, match="shape"):
         oracle._realise(np.zeros((4, 2)), None, [0] * 4)
-    with pytest.raises(ValueError, match="shape"):
-        oracle.query(np.zeros((4, 3)), None, 0)  # a query reaches the same check
+    for rows in (np.zeros((4, 3)), np.zeros((1, 4, 2)), np.zeros(3)):
+        # a query names the shapes it takes, not _realise's stacked one
+        message = r"\(n, 2\) or \(2,\), got " + re.escape(str(rows.shape))
+        with pytest.raises(ValueError, match=message):
+            oracle.query(rows, None, 0)
     with pytest.raises(ValueError, match="seeds"):
         oracle._realise(np.zeros((3, 4, 2)), None, [0, 1])
     mask, values = np.ones((2, 5, 2), dtype=bool), np.ones((2, 5, 2))
