@@ -107,7 +107,12 @@ def _ridge(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
 _CHUNK_ROWS = 8192
 
 
-def lime_batch(
+def _is_index(value) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _lime_fits(
     oracle: Oracle,
     head: ClassifierHead,
     graph: CausalGraph,
@@ -115,25 +120,9 @@ def lime_batch(
     config: AttributionConfig,
     seeds=None,
     target_class: int | None = None,
-) -> list[Explanation]:
-    """Local surrogate fits around each row of latents (m, d).
-
-    Each perturbation picks a random feature subset and draws Gaussian
-    intervention deltas for it. The regressors are those applied deltas;
-    the response is the classifier's target-class probability on the
-    realized vector. Item k uses seeds[k] in place of config.seed (all use
-    config.seed when seeds is None) and the predicted class of its latent
-    unless target_class is given.
-
-    Seeds are non-negative integers and target_class lies in
-    [0, head.n_classes); either is checked before any query.
-
-    Batch invariance: item k equals lime_latent(latents[k]) under its seed
-    bit for bit, however many items share the call. Items with equal seeds
-    share one draw of masks and deltas; each chunk of items realises its
-    perturbations in one oracle propagation, without the round-trip draw,
-    and solves all its ridge systems at once.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lime_batch's fits as stacked arrays: the (m, d + 1) ridge solutions,
+    intercept first, the (m,) local_fit_r2 and the (m,) target classes."""
     values = np.asarray(latents, dtype=float)
     d = oracle.dim
     if values.ndim != 2 or values.shape[1] != d:
@@ -147,12 +136,12 @@ def lime_batch(
     if len(seeds) != m:
         raise ValueError(f"{len(seeds)} seeds for {m} latents")
     for s in seeds:
-        if not isinstance(s, (int, np.integer)) or s < 0:
+        if not _is_index(s) or s < 0:
             raise ValueError(f"seeds must be non-negative integers, got {s!r}")
     seeds = [int(s) for s in seeds]
     if target_class is None:
         classes = head.probabilities(values[:, None, :])[:, 0].argmax(axis=1)
-    elif isinstance(target_class, (int, np.integer)) and 0 <= target_class < head.n_classes:
+    elif _is_index(target_class) and 0 <= target_class < head.n_classes:
         classes = np.full(m, target_class)
     else:
         raise ValueError(f"target_class must be an integer in [0, {head.n_classes}), "
@@ -161,7 +150,8 @@ def lime_batch(
     reach = graph.reach().astype(float) if config.perturbation_policy == "interventional" else None
     width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
 
-    explanations: list[Explanation] = []
+    beta = np.empty((m, d + 1))
+    r2 = np.empty(m)
     drawn: dict = {}
     chunk = None
     step = max(1, _CHUNK_ROWS // n)
@@ -189,8 +179,7 @@ def lime_batch(
             realized = np.where(moved, realized, base)
         else:
             realized = np.where(masks, base + deltas, base)
-        tc = classes[lo : lo + step]
-        scores = head.probabilities(realized)[np.arange(len(chunk)), :, tc]
+        scores = head.probabilities(realized)[np.arange(len(chunk)), :, classes[lo : lo + step]]
 
         # squared gaps summed feature-major, (d, c, n), into a C-ordered (c, n):
         # an F-ordered sample_w would change the pairwise sums below. From d = 8
@@ -201,25 +190,64 @@ def lime_batch(
         wx = design * np.repeat(sample_w, d + 1, axis=1).reshape(design.shape)
         gram = design.transpose(0, 2, 1) @ wx
         rhs = wx.transpose(0, 2, 1) @ scores[..., None]
-        beta = _ridge(gram, rhs, config.ridge_lambda)
+        fit = _ridge(gram, rhs, config.ridge_lambda)
+        beta[lo : lo + step] = fit
 
-        pred = (design @ beta[..., None])[..., 0]
-        ybar = np.average(scores, axis=1, weights=sample_w)
-        ss_res = np.sum(sample_w * (scores - pred) ** 2, axis=1)
-        ss_tot = np.sum(sample_w * (scores - ybar[:, None]) ** 2, axis=1)
+        # plain ufuncs: at these sizes np.average's and np.clip's Python
+        # wrappers cost more than their arithmetic
+        pred = (design @ fit[..., None])[..., 0]
+        ybar = (scores * sample_w).sum(axis=1) / sample_w.sum(axis=1)
+        ss_res = (sample_w * (scores - pred) ** 2).sum(axis=1)
+        ss_tot = (sample_w * (scores - ybar[:, None]) ** 2).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r2 = np.where(ss_tot <= 1e-300, 0.0, np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0))
-        explanations += [
-            Explanation(
-                weights=b[1:],
-                intercept=float(b[0]),
-                local_fit_r2=float(r),
-                target_class=int(c),
-                degenerate_fit=config.ridge_lambda == 0,
+            r2[lo : lo + step] = np.where(
+                ss_tot <= 1e-300, 0.0, np.minimum(np.maximum(1.0 - ss_res / ss_tot, 0.0), 1.0)
             )
-            for b, r, c in zip(beta, r2, tc)
-        ]
-    return explanations
+    return beta, r2, classes
+
+
+def lime_batch(
+    oracle: Oracle,
+    head: ClassifierHead,
+    graph: CausalGraph,
+    latents: np.ndarray,
+    config: AttributionConfig,
+    seeds=None,
+    target_class: int | None = None,
+) -> list[Explanation]:
+    """Local surrogate fits around each row of latents (m, d).
+
+    Each perturbation picks a random feature subset and draws Gaussian
+    intervention deltas for it. The regressors are those applied deltas;
+    the response is the classifier's target-class probability on the
+    realized vector. Item k uses seeds[k] in place of config.seed (all use
+    config.seed when seeds is None) and the predicted class of its latent
+    unless target_class is given.
+
+    Seeds are non-negative integers and target_class lies in
+    [0, head.n_classes); either is checked before any query, and a bool
+    is neither.
+
+    Batch invariance: item k equals lime_latent(latents[k]) under its seed
+    bit for bit, however many items share the call. Items with equal seeds
+    share one draw of masks and deltas; each chunk of items realises its
+    perturbations in one oracle propagation, without the round-trip draw,
+    and solves all its ridge systems at once. The fits come back stacked
+    from _lime_fits, and the records are built from those arrays once, at
+    the end; item k's weights are a view of row k of the stacked solutions.
+    """
+    beta, r2, classes = _lime_fits(oracle, head, graph, latents, config, seeds, target_class)
+    degenerate = config.ridge_lambda == 0
+    return [
+        Explanation(
+            weights=b[1:],
+            intercept=b0,
+            local_fit_r2=r,
+            target_class=c,
+            degenerate_fit=degenerate,
+        )
+        for b, b0, r, c in zip(beta, beta[:, 0].tolist(), r2.tolist(), classes.tolist())
+    ]
 
 
 def lime_latent(

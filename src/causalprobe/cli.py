@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attribution import POLICIES, AttributionConfig, intervention_effect, lime_batch, lime_latent
+from .attribution import POLICIES, AttributionConfig, _lime_fits, intervention_effect, lime_latent
 from .discovery import DiscoveryConfig, discover
 from .graph import CausalGraph
 from .metrics import (
@@ -611,7 +611,8 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
 
     latents = oracle.sample_latents(n_expl, [seed, 16])
     seeds = [fixed_seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
-    weights = np.array([e.weights for e in lime_batch(oracle, head, graph, latents, acfg, seeds)])
+    # lime_batch's weights, read from the stacked fits without its records
+    weights = _lime_fits(oracle, head, graph, latents, acfg, seeds)[0][:, 1:]
     f_engine = faithfulness_index(latents, weights, ecfg)
     perm = np.random.default_rng([seed, 17]).permutation(n_expl)
     f_shuffled = faithfulness_index(latents, weights[perm], ecfg)
@@ -628,8 +629,8 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
         for p in range(n_sets)
         for q in range(fits)
     ]
-    stab = lime_batch(oracle, head, graph, np.repeat(noisy, fits, axis=0), acfg, stab_seeds)
-    sets = np.array([e.weights for e in stab]).reshape(n_sets, fits, oracle.dim)
+    stab = _lime_fits(oracle, head, graph, np.repeat(noisy, fits, axis=0), acfg, stab_seeds)[0]
+    sets = stab[:, 1:].reshape(n_sets, fits, oracle.dim)
     s_engine = stability(sets.repeat(n_reps // fits, axis=1))
 
     return {

@@ -160,7 +160,8 @@ class Oracle:
           draw of default_rng(seeds[k]); blocks with equal seeds share it;
         - every row contraction runs per block with the block's own shape
           (BLAS rounds a row differently with the number of rows it gets);
-        - a row propagates the noise of _fresh_on_closure. The blocks
+        - a row propagates its factual noise or, under "resample", the
+          fresh noise on the closure of its own clamped columns. The blocks
           propagate together into abduce's copy of the base, over the union
           of the closures of their clamped columns (clamped on any row,
           descendants included); a column outside its block's closure is
@@ -206,7 +207,9 @@ class Oracle:
         if mask is None or not closure.any():
             return np.repeat(base, widen, axis=1)
         factual = self._charted.abduce(base)
-        noise = self._fresh_on_closure(factual.noise, mask, fresh)
+        noise = factual.noise
+        if fresh is not None:
+            noise = np.where(self._charted.closure(mask), fresh, noise)
         run = closure.any(axis=0)
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
         if kept.any():
@@ -215,11 +218,6 @@ class Oracle:
         # propagate writes into whole rows; the noise may broadcast
         rows = factual.values if widen == 1 else np.repeat(factual.values, widen, axis=-2)
         return self._charted.propagate(noise, mask, values, out=rows, nodes=run)
-
-    def _fresh_on_closure(self, noise, mask, fresh):
-        """The noise a counterfactual propagates: noise, or under "resample"
-        fresh in its place on the closure of each row's clamped columns."""
-        return noise if fresh is None else np.where(self._charted.closure(mask), fresh, noise)
 
     def _factual(self, base) -> SampleSet:
         """(n, d) base rows, checked and abduced once for _paired_change."""
@@ -244,11 +242,12 @@ class Oracle:
         clamped = values[:, mask]
         if not np.isfinite(clamped).all():
             raise ValueError("oracle query do values must be finite where the mask is set")
-        fresh = None
+        closure = self._charted.closure(mask)
+        noise = factual.noise
         if self.config.noise_policy == "resample":
             fresh = self._charted.draw_noise(len(values), np.random.default_rng(seed))
-        noise = self._fresh_on_closure(factual.noise, mask, fresh)
-        nodes = self._charted.closure(mask) & ~mask
+            noise = np.where(closure, fresh, noise)
+        nodes = closure & ~mask
         if read is not None:
             nodes &= self._charted._reach[:, read] > 0
         out = factual.values.copy()

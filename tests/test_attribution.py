@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -21,7 +22,7 @@ from causalprobe import (
     lime_batch,
     lime_latent,
 )
-from causalprobe import attribution
+from causalprobe import attribution, cli
 
 NOISELESS = OracleConfig(roundtrip_noise_std=0.0, standardize=False)
 
@@ -431,8 +432,10 @@ def test_lime_is_bit_identical_across_roundtrip_noise(
         pytest.param(-1, None, r"integer in \[0, 2\), got -1", id="negative-class"),
         pytest.param(2, None, r"integer in \[0, 2\), got 2", id="class-past-the-head"),
         pytest.param(1.0, None, r"integer in \[0, 2\), got 1.0", id="float-class"),
+        pytest.param(True, None, r"integer in \[0, 2\), got True", id="bool-class"),
         pytest.param(None, [1.7, 2.2], "non-negative integers, got 1.7", id="float-seeds"),
         pytest.param(None, [1, -2], "non-negative integers, got -2", id="negative-seed"),
+        pytest.param(None, [2, True], "non-negative integers, got True", id="bool-seed"),
     ],
 )
 def test_lime_batch_rejects_bad_targets_and_seeds_before_any_query(target_class, seeds, message):
@@ -496,3 +499,54 @@ def test_underflowed_kernel_weights_raise_unsolvable(policy):
         lime_batch(oracle, head, graph, latents, cfg)
     with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
         lime_latent(oracle, head, graph, latents[1], cfg)
+
+
+def criterion_7_fit_inputs(model, policy):
+    """The oracle, head, graph, latents and attribution config that the
+    criterion-7 evaluate_explainer fits its faithfulness explanations with."""
+    weights, n_explanations = {
+        "TI": ([0.0, 1.0], 4200),
+        "TSWI": ([0.0, 0.0, 0.0, 1.0], 1500),
+    }[model]
+    cfg = {
+        "oracle": {"kind": "scm", "model": model},
+        "classifier": {"weights": weights, "bias": -3.0},
+        "discovery": {"n_samples": 256},
+        "attribution": {"n_perturbations": 300, "perturbation_policy": policy},
+    }
+    oracle = cli.build_oracle(cfg, 0)
+    head = cli.build_head(cfg, oracle.dim)
+    graph = discover(oracle, cli._build_section(cfg, "discovery", seed=cli._derive_seed(0, 13)))
+    acfg = cli._build_section(cfg, "attribution", seed=cli._derive_seed(0, 14))
+    return oracle, head, graph, oracle.sample_latents(n_explanations, [0, 16]), acfg
+
+
+@pytest.mark.parametrize(
+    "model, policy, expected",
+    [
+        pytest.param("TI", "interventional",
+                     "7934030b62b74e9e2ec6706b93489525f27f68c49cecc330e2bd3a3506103a52",
+                     id="TI-interventional"),
+        pytest.param("TI", "independent",
+                     "5c3f4c3c40253af31b52aa3e90b39ea07a3228f2fd32308d5078d6061946e4fe",
+                     id="TI-independent"),
+        pytest.param("TSWI", "interventional",
+                     "01062eff6b095f68783142865f5047583e0c37f0384437e5276ae65650ea3d80",
+                     id="TSWI-interventional"),
+        pytest.param("TSWI", "independent",
+                     "668495451cb59eeb32e8298943502a6d861b3ea948390d694c7fbcabde8012d8",
+                     id="TSWI-independent"),
+    ],
+)
+def test_lime_batch_records_are_pinned(model, policy, expected):
+    """lime_batch's records at the criterion-7 settings, to the last bit:
+    one sha256 over every record's weights, intercept, local_fit_r2 and
+    target_class."""
+    oracle, head, graph, latents, cfg = criterion_7_fit_inputs(model, policy)
+    digest = hashlib.sha256()
+    for fit in lime_batch(oracle, head, graph, latents, cfg):
+        digest.update(fit.weights.tobytes())
+        digest.update(np.array([fit.intercept, fit.local_fit_r2]).tobytes())
+        digest.update(np.int64(fit.target_class).tobytes())
+    assert digest.hexdigest() == expected
+    assert lime_batch(oracle, head, graph, latents[:0], cfg) == []

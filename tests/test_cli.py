@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,6 +245,30 @@ def test_evaluate_outputs(tmp_path):
     assert rows[0] == "method,faithfulness,stability"
     assert rows[1].startswith("engine,")
     assert rows[2].startswith("shuffled-baseline,") and rows[2].endswith(",")
+
+
+@pytest.mark.parametrize("deterministic_seed", [True, False])
+def test_evaluate_scores_the_stacked_lime_batch_weights(deterministic_seed):
+    """The weights evaluate_explainer scores for faithfulness and stability
+    are lime_batch's weights on the same inputs, stacked, bit for bit."""
+    cfg = json.loads(json.dumps(TI_CFG))
+    cfg["evaluate"]["deterministic_seed"] = deterministic_seed
+    with (
+        mock.patch.object(cli, "_lime_fits", wraps=cli._lime_fits) as fits,
+        mock.patch.object(cli, "faithfulness_index", wraps=cli.faithfulness_index) as faith,
+        mock.patch.object(cli, "stability", wraps=cli.stability) as stab,
+    ):
+        cli.evaluate_explainer(cfg, 0)
+    engine, noisy = (
+        np.array([e.weights for e in causalprobe.lime_batch(*call.args)])
+        for call in fits.call_args_list
+    )
+    assert faith.call_args_list[0].args[1].tobytes() == engine.tobytes()
+    sets = stab.call_args.args[0]
+    n_sets, n_reps, d = sets.shape
+    assert len(noisy) == n_sets * (1 if deterministic_seed else n_reps)
+    per_set = noisy.reshape(n_sets, -1, d)
+    assert sets.tobytes() == per_set.repeat(n_reps // per_set.shape[1], axis=1).tobytes()
 
 
 def test_evaluate_rejects_out_of_range_stability_index(tmp_path, capsys):
