@@ -2,12 +2,15 @@
 
 lime_batch fits proximity-weighted ridge surrogates of the classifier's
 target-class probability on intervention deltas around many latents at
-once (lime_latent is its one-item case). Under the interventional
-policy perturbations run through the oracle so descendants (per the
-discovered graph) co-move; the independent policy writes coordinates
-directly and serves as the ablation baseline. lime realises its
-perturbations without the oracle's round-trip draw: that draw depends only
-on the seed, so a same-seed pair would cancel it exactly, and lime is
+once (lime_latent is its one-item case). One private core, _lime_fits,
+runs every fit and returns them as stacked arrays (the ridge solutions,
+local_fit_r2 and target classes); lime_batch builds its records from those
+arrays, and cli's evaluate reads its weights from them directly. Under the
+interventional policy perturbations run through the oracle so descendants
+(per the discovered graph) co-move; the independent policy writes
+coordinates directly and serves as the ablation baseline. lime realises
+its perturbations without the oracle's round-trip draw: that draw depends
+only on the seed, so a same-seed pair would cancel it exactly, and lime is
 bit-identical at any roundtrip_noise_std. intervention_effect rounds out
 the local views: an intervention's class-probability shift and its latent
 counterfactual diff, from two queries under one seed, so the intervened
@@ -107,11 +110,6 @@ def _ridge(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
 _CHUNK_ROWS = 8192
 
 
-def _is_index(value) -> bool:
-    """An integer, numpy's included, that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _lime_fits(
     oracle: Oracle,
     head: ClassifierHead,
@@ -136,12 +134,16 @@ def _lime_fits(
     if len(seeds) != m:
         raise ValueError(f"{len(seeds)} seeds for {m} latents")
     for s in seeds:
-        if not _is_index(s) or s < 0:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
             raise ValueError(f"seeds must be non-negative integers, got {s!r}")
     seeds = [int(s) for s in seeds]
     if target_class is None:
         classes = head.probabilities(values[:, None, :])[:, 0].argmax(axis=1)
-    elif _is_index(target_class) and 0 <= target_class < head.n_classes:
+    elif (
+        not isinstance(target_class, bool)
+        and isinstance(target_class, (int, np.integer))
+        and 0 <= target_class < head.n_classes
+    ):
         classes = np.full(m, target_class)
     else:
         raise ValueError(f"target_class must be an integer in [0, {head.n_classes}), "
