@@ -18,7 +18,6 @@ from .attribution import (
     AttributionConfig,
     Explanation,
     intervention_effect,
-    lime_batch,
     lime_latent,
 )
 from .discovery import (
@@ -76,7 +75,6 @@ __all__ = [
     "faithfulness_index",
     "frozen_loss",
     "intervention_effect",
-    "lime_batch",
     "lime_latent",
     "loss_gradient_fd",
     "mutual_information",

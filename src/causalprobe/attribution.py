@@ -1,11 +1,11 @@
 """Globally-inspired local explanations over aligned latent features.
 
-lime_batch fits proximity-weighted ridge surrogates of the classifier's
-target-class probability on intervention deltas around many latents at
-once (lime_latent is its one-item case). One private core, _lime_fits,
-runs every fit and returns them as stacked arrays (the ridge solutions,
-local_fit_r2 and target classes); lime_batch builds its records from those
-arrays, and cli's evaluate reads its weights from them directly. Under the
+lime_latent fits a proximity-weighted ridge surrogate of the classifier's
+target-class probability on intervention deltas around one latent. One
+private core, _lime_fits, runs every fit, for one latent or many at once,
+and returns them as stacked arrays (the ridge solutions, local_fit_r2 and
+target classes); lime_latent builds its one record from row 0, and cli's
+evaluate reads its weights from the arrays directly. Under the
 interventional policy perturbations run through the oracle so descendants
 (per the discovered graph) co-move; the independent policy writes
 coordinates directly and serves as the ablation baseline. lime realises
@@ -119,8 +119,14 @@ def _lime_fits(
     seeds=None,
     target_class: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lime_batch's fits as stacked arrays: the (m, d + 1) ridge solutions,
-    intercept first, the (m,) local_fit_r2 and the (m,) target classes."""
+    """Local surrogate fits around each row of latents (m, d), stacked: the
+    (m, d + 1) ridge solutions, intercept first, the (m,) local_fit_r2 and
+    the (m,) target classes. Row k uses seeds[k] (config.seed when seeds is
+    None), non-negative integers, and the predicted class of its latent
+    unless target_class, in [0, head.n_classes), is given; both are checked
+    before any query, and a bool is neither. Batch invariance: row k equals
+    lime_latent(latents[k]) under its seed bit for bit, whatever else
+    shares the call."""
     values = np.asarray(latents, dtype=float)
     d = oracle.dim
     if values.ndim != 2 or values.shape[1] != d:
@@ -208,50 +214,6 @@ def _lime_fits(
     return beta, r2, classes
 
 
-def lime_batch(
-    oracle: Oracle,
-    head: ClassifierHead,
-    graph: CausalGraph,
-    latents: np.ndarray,
-    config: AttributionConfig,
-    seeds=None,
-    target_class: int | None = None,
-) -> list[Explanation]:
-    """Local surrogate fits around each row of latents (m, d).
-
-    Each perturbation picks a random feature subset and draws Gaussian
-    intervention deltas for it. The regressors are those applied deltas;
-    the response is the classifier's target-class probability on the
-    realized vector. Item k uses seeds[k] in place of config.seed (all use
-    config.seed when seeds is None) and the predicted class of its latent
-    unless target_class is given.
-
-    Seeds are non-negative integers and target_class lies in
-    [0, head.n_classes); either is checked before any query, and a bool
-    is neither.
-
-    Batch invariance: item k equals lime_latent(latents[k]) under its seed
-    bit for bit, however many items share the call. Items with equal seeds
-    share one draw of masks and deltas; each chunk of items realises its
-    perturbations in one oracle propagation, without the round-trip draw,
-    and solves all its ridge systems at once. The fits come back stacked
-    from _lime_fits, and the records are built from those arrays once, at
-    the end; item k's weights are a view of row k of the stacked solutions.
-    """
-    beta, r2, classes = _lime_fits(oracle, head, graph, latents, config, seeds, target_class)
-    degenerate = config.ridge_lambda == 0
-    return [
-        Explanation(
-            weights=b[1:],
-            intercept=b0,
-            local_fit_r2=r,
-            target_class=c,
-            degenerate_fit=degenerate,
-        )
-        for b, b0, r, c in zip(beta, beta[:, 0].tolist(), r2.tolist(), classes.tolist())
-    ]
-
-
 def lime_latent(
     oracle: Oracle,
     head: ClassifierHead,
@@ -260,14 +222,23 @@ def lime_latent(
     config: AttributionConfig,
     target_class: int | None = None,
 ) -> Explanation:
-    """Local surrogate fit around one latent vector: lime_batch with one item.
+    """Local surrogate fit around one latent vector: row 0 of _lime_fits.
 
     Deterministic given the config seed.
     """
     values = np.asarray(latent, dtype=float)
     if values.shape != (oracle.dim,):
         raise ValueError(f"latent shape {values.shape} != oracle dimension ({oracle.dim},)")
-    return lime_batch(oracle, head, graph, values[None], config, target_class=target_class)[0]
+    beta, r2, classes = _lime_fits(
+        oracle, head, graph, values[None], config, target_class=target_class
+    )
+    return Explanation(
+        weights=beta[0, 1:],
+        intercept=float(beta[0, 0]),
+        local_fit_r2=float(r2[0]),
+        target_class=int(classes[0]),
+        degenerate_fit=config.ridge_lambda == 0,
+    )
 
 
 # copies of the latent each side of an intervention effect averages over

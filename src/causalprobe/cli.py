@@ -220,7 +220,10 @@ def _linear_model(doc: dict, where: str) -> ScmModel:
             raise ValueError(f"config key '{where}.edges[{k}]' repeats edge {pair}")
         seen.add(pair)
         weights[pair] = edge["weight"]
-    return ScmModel.linear(weights, doc.get("noise_std", 1.0))
+    noise_std = doc.get("noise_std", 1.0)
+    if noise_std < 0:
+        raise ValueError(f"config key '{where}.noise_std' must be at least 0, got {noise_std}")
+    return ScmModel.linear(weights, noise_std)
 
 
 def build_scm_model(cfg: dict) -> ScmModel:
@@ -301,6 +304,15 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
             f"weights, got {spec['n_classes']}"
         )
     return ClassifierHead(weights, bias, spec.get("n_classes"))
+
+
+def _check_lime_size(acfg: AttributionConfig, dim: int) -> None:
+    """lime's ridge fit needs a perturbation per unknown: dim + 1 of them."""
+    if acfg.n_perturbations < dim + 1:
+        raise ValueError(
+            f"config key 'attribution.n_perturbations' must be at least {dim + 1} "
+            f"(oracle dimension + 1) for a solvable fit, got {acfg.n_perturbations}"
+        )
 
 
 def _build_section(cfg: dict, section: str, **defaults):
@@ -548,6 +560,7 @@ def run_explain(
     acfg = _build_section(cfg, "attribution", seed=_derive_seed(seed, 14))
     if policy is not None:
         acfg = replace(acfg, perturbation_policy=policy)
+    _check_lime_size(acfg, oracle.dim)
     latent = _resolve_latent(cfg, oracle, seed, index, latent_csv)
     specs = list(cfg.get("explain", {}).get("interventions", [])) + list(do_specs)
     parsed = [_parse_intervention(s, oracle, latent) for s in specs]
@@ -607,11 +620,11 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     acfg = _build_section(cfg, "attribution", seed=fixed_seed)
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg, oracle.dim)
+    _check_lime_size(acfg, oracle.dim)
     graph = discover(oracle, dcfg)
 
     latents = oracle.sample_latents(n_expl, [seed, 16])
     seeds = [fixed_seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
-    # lime_batch's weights, read from the stacked fits without its records
     weights = _lime_fits(oracle, head, graph, latents, acfg, seeds)[0][:, 1:]
     f_engine = faithfulness_index(latents, weights, ecfg)
     perm = np.random.default_rng([seed, 17]).permutation(n_expl)

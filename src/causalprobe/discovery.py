@@ -47,7 +47,8 @@ def _sweep(oracle: Oracle, factual, src: int, magnitude: float, config: Discover
            read=None) -> np.ndarray:
     """The per-row paired change of Oracle._factual's rows under do(l_src = l_src
     + magnitude), seeded by src and the sign of magnitude; column read's if given."""
-    return oracle._paired_change(factual, np.arange(oracle.dim) == src, factual.values + magnitude,
+    return oracle._paired_change(factual, np.arange(oracle.dim) == src,
+                                 factual.values[:, src : src + 1] + magnitude,
                                  _sweep_seed(config, src, magnitude), read)
 
 
@@ -129,7 +130,8 @@ def prune_indirect(
         if not on_path.any():
             continue
         seed = _sweep_seed(config, i, config.intervention_magnitude)
-        change_j = oracle._paired_change(factual, on_path, base + change[i], seed, read=j)
+        clamped = base[:, on_path] + change[i][:, on_path]
+        change_j = oracle._paired_change(factual, on_path, clamped, seed, read=j)
         diff = float(np.mean(change_j - change[i][:, j]))
         if abs(diff) < config.prune_eps:
             graph.remove_edge(i, j)

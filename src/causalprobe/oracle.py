@@ -228,24 +228,24 @@ class Oracle:
             raise ValueError("oracle query base rows must be finite")
         return self._charted.abduce(base)
 
-    def _paired_change(self, factual: SampleSet, mask, values, seed, read=None) -> np.ndarray:
+    def _paired_change(self, factual: SampleSet, mask, clamped, seed, read=None) -> np.ndarray:
         """query(base, do, seed) - query(base, None, seed) for factual =
-        _factual(base), do clamping the (d,) mask's columns to (n, d) values;
-        the round-trip draw cancels and is not drawn. The clamped columns are
-        written into a copy of the factual rows, never evaluated; the rest of
-        their closure propagates. Given a column read, only its ancestors
-        among those propagate (no other column enters their equations) and
-        only its (n,) change returns."""
-        if mask.shape != (self.dim,) or values.shape != factual.values.shape:
-            raise ValueError(f"do mask {mask.shape} and values {values.shape} must be "
-                             f"({self.dim},) and {factual.values.shape}")
-        clamped = values[:, mask]
+        _factual(base), do clamping the (d,) mask's k columns to the (n, k)
+        clamped values, in column order; the round-trip draw cancels and is
+        not drawn. The clamped columns are written into a copy of the factual
+        rows, never evaluated; the rest of their closure propagates. Given a
+        column read, only its ancestors among those propagate (no other
+        column enters their equations) and only its (n,) change returns."""
+        n = len(factual.values)
+        if mask.shape != (self.dim,) or clamped.shape != (n, np.count_nonzero(mask)):
+            raise ValueError(f"do mask {mask.shape} and clamped columns {clamped.shape} must be "
+                             f"({self.dim},) and ({n}, the mask's set count)")
         if not np.isfinite(clamped).all():
             raise ValueError("oracle query do values must be finite where the mask is set")
         closure = self._charted.closure(mask)
         noise = factual.noise
         if self.config.noise_policy == "resample":
-            fresh = self._charted.draw_noise(len(values), np.random.default_rng(seed))
+            fresh = self._charted.draw_noise(n, np.random.default_rng(seed))
             noise = np.where(closure, fresh, noise)
         nodes = closure & ~mask
         if read is not None:

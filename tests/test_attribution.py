@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from causalprobe import (
     BUILTIN_NAMES,
     AttributionConfig,
+    CausalGraph,
     ClassifierHead,
     DiscoveryConfig,
     Oracle,
@@ -19,7 +20,6 @@ from causalprobe import (
     builtin,
     discover,
     intervention_effect,
-    lime_batch,
     lime_latent,
 )
 from causalprobe import attribution, cli
@@ -313,16 +313,15 @@ def test_lime_batch_rows_equal_lime_latent(
     seeds = [int(s) for s in rng.integers(0, 4, m)] if per_item_seeds else None
     # two items per chunk, so an odd m leaves a short last chunk
     with mock.patch.object(attribution, "_CHUNK_ROWS", 2 * cfg.n_perturbations + 1):
-        batch = lime_batch(oracle, head, graph, latents, cfg, seeds, target_class)
+        beta, r2, classes = attribution._lime_fits(
+            oracle, head, graph, latents, cfg, seeds, target_class
+        )
     for k in range(m):
         solo_cfg = cfg if seeds is None else replace(cfg, seed=seeds[k])
         solo = lime_latent(oracle, head, graph, latents[k], solo_cfg, target_class)
-        assert np.array_equal(batch[k].weights, solo.weights)
-        assert (batch[k].intercept, batch[k].local_fit_r2) == (solo.intercept, solo.local_fit_r2)
-        assert (batch[k].target_class, batch[k].degenerate_fit) == (
-            solo.target_class,
-            solo.degenerate_fit,
-        )
+        assert np.array_equal(beta[k, 1:], solo.weights)
+        assert (beta[k, 0], r2[k]) == (solo.intercept, solo.local_fit_r2)
+        assert (classes[k], solo.degenerate_fit) == (solo.target_class, False)
 
 
 @pytest.mark.parametrize("perturbation_policy", attribution.POLICIES)
@@ -339,8 +338,8 @@ def test_lime_batch_does_not_depend_on_the_latents_layout(kind, perturbation_pol
     def explain(rows):
         # six items per chunk: the second chunk reuses the first's draws
         with mock.patch.object(attribution, "_CHUNK_ROWS", 6 * cfg.n_perturbations):
-            fits = lime_batch(oracle, head, graph, rows, cfg, seeds)
-        return [(f.weights.tobytes(), f.intercept, f.local_fit_r2, f.target_class) for f in fits]
+            fits = attribution._lime_fits(oracle, head, graph, rows, cfg, seeds)
+        return [a.tobytes() for a in fits]
 
     plain = explain(latents)
     assert explain(np.asfortranarray(latents)) == plain
@@ -349,7 +348,7 @@ def test_lime_batch_does_not_depend_on_the_latents_layout(kind, perturbation_pol
 
 
 def reference_lime(oracle, head, graph, latent, cfg):
-    """The per-explanation loop lime_batch replaced, kept as the reference."""
+    """The per-explanation loop _lime_fits replaced, kept as the reference."""
     d, n = oracle.dim, cfg.n_perturbations
     rng = np.random.default_rng([cfg.seed, 7])
     masks = rng.random((n, d)) < 0.5
@@ -391,12 +390,12 @@ def test_lime_batch_matches_reference_loop(policy, softmax):
     latents = oracle.sample_latents(5, 2)
     seeds = [3, 3, 9, 1, 9]
     cfg = AttributionConfig(n_perturbations=40, perturbation_policy=policy)
-    batch = lime_batch(oracle, head, graph, latents, cfg, seeds)
+    batch = attribution._lime_fits(oracle, head, graph, latents, cfg, seeds)[0]
     for k, seed in enumerate(seeds):
         beta = reference_lime(oracle, head, graph, latents[k], replace(cfg, seed=seed))
         # the same arithmetic, apart from BLAS summation order
-        np.testing.assert_allclose(batch[k].weights, beta[1:], rtol=1e-9, atol=1e-12)
-        assert batch[k].intercept == pytest.approx(beta[0], rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(batch[k, 1:], beta[1:], rtol=1e-9, atol=1e-12)
+        assert batch[k, 0] == pytest.approx(beta[0], rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=12, deadline=None)
@@ -417,7 +416,7 @@ def test_lime_is_bit_identical_across_roundtrip_noise(
         n_perturbations=2 * oracle.dim + 1, perturbation_policy=perturbation_policy, seed=seed
     )
     fits = [
-        [(f.weights.tobytes(), f.intercept, f.local_fit_r2) for f in lime_batch(
+        [a.tobytes() for a in attribution._lime_fits(
             Oracle(oracle.model, replace(oracle.config, roundtrip_noise_std=std)),
             head, graph, latents, cfg,
         )]
@@ -445,7 +444,32 @@ def test_lime_batch_rejects_bad_targets_and_seeds_before_any_query(target_class,
     cfg = AttributionConfig(n_perturbations=20)
     with mock.patch.object(Oracle, "_realise", side_effect=AssertionError("queried")):
         with pytest.raises(ValueError, match=message):
-            lime_batch(oracle, head, graph, latents, cfg, seeds, target_class)
+            attribution._lime_fits(oracle, head, graph, latents, cfg, seeds, target_class)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        pytest.param("flat-latents", r"latents shape \(4,\) != \(m, 4\)", id="flat-latents"),
+        pytest.param("small-graph", "graph node count disagrees with oracle dimension",
+                     id="small-graph"),
+        pytest.param("seed-count", "3 seeds for 2 latents", id="seed-count"),
+    ],
+)
+def test_lime_fits_rejects_bad_shapes_before_any_query(case, message):
+    oracle, graph = batch_setup("TSWI", "fixed")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents, seeds = oracle.sample_latents(2, 0), None
+    if case == "flat-latents":
+        latents = latents[0]
+    elif case == "small-graph":
+        graph = CausalGraph(list(oracle.labels)[:3])
+    else:
+        seeds = [1, 2, 3]
+    cfg = AttributionConfig(n_perturbations=20)
+    with mock.patch.object(Oracle, "_realise", side_effect=AssertionError("queried")):
+        with pytest.raises(ValueError, match=message):
+            attribution._lime_fits(oracle, head, graph, latents, cfg, seeds)
 
 
 def test_lime_batch_unsolvable_item_raises_like_lime_latent():
@@ -456,7 +480,7 @@ def test_lime_batch_unsolvable_item_raises_like_lime_latent():
     # the independent policy makes no oracle query, so the NaN reaches the ridge solve
     cfg = AttributionConfig(n_perturbations=20, seed=1, perturbation_policy="independent")
     with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
-        lime_batch(oracle, head, graph, latents, cfg)
+        attribution._lime_fits(oracle, head, graph, latents, cfg)
     with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
         lime_latent(oracle, head, graph, latents[1], cfg)
 
@@ -468,7 +492,7 @@ def test_interventional_non_finite_latent_rejected_at_the_oracle():
     latents[1, 2] = np.nan
     cfg = AttributionConfig(n_perturbations=20, seed=1)
     with pytest.raises(ValueError, match="base rows must be finite"):
-        lime_batch(oracle, head, graph, latents, cfg)
+        attribution._lime_fits(oracle, head, graph, latents, cfg)
     with pytest.raises(ValueError, match="base rows must be finite"):
         lime_latent(oracle, head, graph, latents[1], cfg)
 
@@ -478,12 +502,16 @@ def test_zero_ridge_lambda_fits_at_the_floor():
     head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
     latents = oracle.sample_latents(4, 0)
     cfg = AttributionConfig(n_perturbations=40, seed=1)
-    floor = lime_batch(oracle, head, graph, latents, cfg)
-    zero = lime_batch(oracle, head, graph, latents, replace(cfg, ridge_lambda=0.0))
+    zero_cfg = replace(cfg, ridge_lambda=0.0)
+    floor = attribution._lime_fits(oracle, head, graph, latents, cfg)
+    zero = attribution._lime_fits(oracle, head, graph, latents, zero_cfg)
     for a, b in zip(zero, floor):
-        assert a.degenerate_fit and not b.degenerate_fit
-        assert np.array_equal(a.weights, b.weights)
-        assert (a.intercept, a.local_fit_r2) == (b.intercept, b.local_fit_r2)
+        assert a.tobytes() == b.tobytes()
+    # the flag lives on lime_latent's record only
+    a, b = (lime_latent(oracle, head, graph, latents[0], c) for c in (zero_cfg, cfg))
+    assert a.degenerate_fit and not b.degenerate_fit
+    assert np.array_equal(a.weights, b.weights)
+    assert (a.intercept, a.local_fit_r2) == (b.intercept, b.local_fit_r2)
 
 
 @pytest.mark.parametrize("policy", attribution.POLICIES)
@@ -496,7 +524,7 @@ def test_underflowed_kernel_weights_raise_unsolvable(policy):
         n_perturbations=20, kernel_width=1e-100, perturbation_policy=policy, seed=1
     )
     with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
-        lime_batch(oracle, head, graph, latents, cfg)
+        attribution._lime_fits(oracle, head, graph, latents, cfg)
     with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
         lime_latent(oracle, head, graph, latents[1], cfg)
 
@@ -539,14 +567,16 @@ def criterion_7_fit_inputs(model, policy):
     ],
 )
 def test_lime_batch_records_are_pinned(model, policy, expected):
-    """lime_batch's records at the criterion-7 settings, to the last bit:
-    one sha256 over every record's weights, intercept, local_fit_r2 and
-    target_class."""
+    """_lime_fits' stacked fits at the criterion-7 settings, to the last bit:
+    one sha256 over every row's weights, intercept, local_fit_r2 and target
+    class, in the order the per-fit records were hashed in."""
     oracle, head, graph, latents, cfg = criterion_7_fit_inputs(model, policy)
+    beta, r2, classes = attribution._lime_fits(oracle, head, graph, latents, cfg)
     digest = hashlib.sha256()
-    for fit in lime_batch(oracle, head, graph, latents, cfg):
-        digest.update(fit.weights.tobytes())
-        digest.update(np.array([fit.intercept, fit.local_fit_r2]).tobytes())
-        digest.update(np.int64(fit.target_class).tobytes())
+    for k in range(len(latents)):
+        digest.update(beta[k, 1:].tobytes())
+        digest.update(np.array([beta[k, 0], r2[k]]).tobytes())
+        digest.update(np.int64(classes[k]).tobytes())
     assert digest.hexdigest() == expected
-    assert lime_batch(oracle, head, graph, latents[:0], cfg) == []
+    empty = attribution._lime_fits(oracle, head, graph, latents[:0], cfg)
+    assert [a.shape for a in empty] == [(0, oracle.dim + 1), (0,), (0,)]

@@ -250,7 +250,8 @@ def test_evaluate_outputs(tmp_path):
 @pytest.mark.parametrize("deterministic_seed", [True, False])
 def test_evaluate_scores_the_stacked_lime_batch_weights(deterministic_seed):
     """The weights evaluate_explainer scores for faithfulness and stability
-    are lime_batch's weights on the same inputs, stacked, bit for bit."""
+    are, bit for bit, lime_latent's weights of each latent it fits under
+    that latent's seed, stacked."""
     cfg = json.loads(json.dumps(TI_CFG))
     cfg["evaluate"]["deterministic_seed"] = deterministic_seed
     with (
@@ -260,8 +261,11 @@ def test_evaluate_scores_the_stacked_lime_batch_weights(deterministic_seed):
     ):
         cli.evaluate_explainer(cfg, 0)
     engine, noisy = (
-        np.array([e.weights for e in causalprobe.lime_batch(*call.args)])
-        for call in fits.call_args_list
+        np.array([
+            causalprobe.lime_latent(oracle, head, graph, latent, replace(acfg, seed=s)).weights
+            for latent, s in zip(latents, seeds)
+        ])
+        for oracle, head, graph, latents, acfg, seeds in (c.args for c in fits.call_args_list)
     )
     assert faith.call_args_list[0].args[1].tobytes() == engine.tobytes()
     sets = stab.call_args.args[0]
@@ -347,11 +351,18 @@ def no_discovery(*args, **kwargs):
         ("evaluate", dict(TI_CFG, attribution={"n_perturbations": 1}), [],
          "n_perturbations must be >= 2"),
         ("explain", TI_CFG, ["--seed", "-1"], "seed must be a non-negative integer"),
+        # TI has d = 2: a fit has 3 unknowns
+        ("explain", dict(TI_CFG, attribution={"n_perturbations": 2}), [],
+         "config key 'attribution.n_perturbations' must be at least 3 (oracle dimension + 1) "
+         "for a solvable fit, got 2"),
+        ("evaluate", dict(TI_CFG, attribution={"n_perturbations": 2}), [],
+         "config key 'attribution.n_perturbations' must be at least 3"),
     ],
     ids=["pool-size-0", "pool-size-negative", "index-past-pool", "latent-not-a-number",
          "index-and-latent",
          "fewer-explanations-than-bins", "no-explanations", "explain-attribution",
-         "evaluate-attribution", "negative-seed"],
+         "evaluate-attribution", "negative-seed", "explain-too-few-perturbations",
+         "evaluate-too-few-perturbations"],
 )
 def test_explain_and_evaluate_fail_before_discovery(
     tmp_path, capsys, monkeypatch, command, cfg, flags, message
@@ -686,6 +697,11 @@ _REPEATED_PARENT = dict(
         ("ti", "pool_size", 100, "discover",
          "config key 'pool_size' (100) must be at least discovery.n_samples (256)"),
         ("ti", "sample.n", 0, "sample", "config key 'sample.n' must be at least 1, got 0"),
+        # a linear spec's noise scale, inline and in its file
+        ("linear", "oracle.noise_std", -1.0, "sample",
+         "config key 'oracle.noise_std' must be at least 0, got -1.0"),
+        ("file", "noise_std", -0.5, "discover",
+         "config key 'oracle.file.noise_std' must be at least 0, got -0.5"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
@@ -1078,7 +1094,8 @@ def _numbers(doc):
 
 
 def _csv_numbers(path):
-    cells = [cell for row in csv.reader(path.open()) for cell in row]
+    with path.open(newline="") as fh:
+        cells = [cell for row in csv.reader(fh) for cell in row]
     numbers = []
     for cell in cells:
         try:

@@ -198,15 +198,17 @@ def test_prune_no_triples_is_identity():
 
 
 class EchoOracle:
-    """Its paired change is the clamp minus the base, so the prune query
-    reproduces the sweep's change and any mediator set explains its edge."""
+    """Its paired change of every column is the mean shift of the clamped
+    columns from the base, so under sweeps that move every column alike the
+    prune query reproduces the sweep's change and any mediator set explains
+    its edge."""
 
     def _factual(self, base):
         return base
 
-    def _paired_change(self, base, mask, values, seed, read=None):
-        change = values - base
-        return change if read is None else change[:, read]
+    def _paired_change(self, base, mask, clamped, seed, read=None):
+        shift = (clamped - base[:, mask]).mean(axis=1)
+        return np.repeat(shift[:, None], len(mask), axis=1) if read is None else shift
 
 
 def test_prune_recomputes_reach_once_a_cycle_breaks():

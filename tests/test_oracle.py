@@ -538,7 +538,7 @@ def test_paired_change_is_the_pair_difference_without_the_draw(
     mask, values = rng.random(oracle.dim) < 0.4, rng.normal(size=base.shape)
     do = {int(k): values[:, k] for k in np.flatnonzero(mask)} if as_dict else (mask, values)
     factual = oracle._factual(base)
-    change = oracle._paired_change(factual, mask, values, [seed, 2])
+    change = oracle._paired_change(factual, mask, values[:, mask], [seed, 2])
     out, ref = (quiet.query(base, d, [seed, 2]) for d in (do, None))
     assert same_bits(change, out - ref)  # the draw-free pair, bit for bit
     assert change.flags.c_contiguous
@@ -546,7 +546,7 @@ def test_paired_change_is_the_pair_difference_without_the_draw(
     np.testing.assert_allclose(change, noisy_out - noisy_ref, rtol=0, atol=1e-12)
     # a read column propagates only its ancestors in the closure, to the same bits
     for j in range(oracle.dim):
-        assert same_bits(oracle._paired_change(factual, mask, values, [seed, 2], read=j),
+        assert same_bits(oracle._paired_change(factual, mask, values[:, mask], [seed, 2], read=j),
                          np.ascontiguousarray(change[:, j]))
 
 
@@ -567,15 +567,12 @@ def test_paired_change_rejects_what_a_query_rejects(policy):
     with pytest.raises(ValueError, match="oracle query base rows must be finite"):
         oracle.query(nonfinite, None, seed=0)  # the message a query gives
     factual, mask = oracle._factual(base), np.array([False, True, False, False])
-    values = base + 1.0
-    change = oracle._paired_change(factual, mask, values, 0)
-    values[:, 0] = np.inf  # off the mask: never read
-    assert same_bits(oracle._paired_change(factual, mask, values, 0), change)
+    clamped = base[:, mask] + 1.0
     for value in (np.inf, np.nan):
-        values[1, 1] = value
+        clamped[1, 0] = value
         for read in (None, 3):
             with pytest.raises(ValueError, match="do values must be finite where the mask is set"):
-                oracle._paired_change(factual, mask, values, 0, read=read)
+                oracle._paired_change(factual, mask, clamped, 0, read=read)
 
 
 def test_malformed_do_names_the_expected_shape():
@@ -588,15 +585,16 @@ def test_malformed_do_names_the_expected_shape():
     for do, message in cases:
         with pytest.raises(ValueError, match=message):
             oracle.query(base, do, seed=0)
-    # the paired change clamps whole columns, a (d,) mask to (n, d) values:
-    # the two cases above as a column mask and its values
+    # the paired change clamps whole columns, a (d,) mask's k columns to
+    # (n, k) values: the two cases above as a column mask and its columns
     factual = oracle._factual(base)
-    for mask, values, got in [
-        (np.zeros(5, bool), np.zeros(()), r"mask \(5,\) and values \(\)"),
-        (np.ones(2, bool), np.ones((3, 2)), r"mask \(2,\) and values \(3, 2\)"),
+    for mask, clamped, got in [
+        (np.zeros(5, bool), np.zeros(()), r"mask \(5,\) and clamped columns \(\)"),
+        (np.ones(2, bool), np.ones((3, 2)), r"mask \(2,\) and clamped columns \(3, 2\)"),
+        (np.array([True, False]), np.ones((4, 2)), r"mask \(2,\) and clamped columns \(4, 2\)"),
     ]:
-        with pytest.raises(ValueError, match=rf"do {got} must be \(2,\) and \(4, 2\)"):
-            oracle._paired_change(factual, mask, values, 0)
+        with pytest.raises(ValueError, match=rf"do {got} must be \(2,\) and \(4, the mask's"):
+            oracle._paired_change(factual, mask, clamped, 0)
 
 
 @settings(max_examples=60, deadline=None)
