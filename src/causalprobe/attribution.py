@@ -160,55 +160,76 @@ def _lime_fits(
 
     beta = np.empty((m, d + 1))
     r2 = np.empty(m)
+    step = max(1, _CHUNK_ROWS // n)
+    # the chunks' working arrays, made once per call and written in place:
+    # arrays made and freed chunk by chunk let malloc hand the top of its heap
+    # back to the system and fault it in again, as often as earlier
+    # allocations left them there, so a call's time would hang on history
+    rows = min(step, m)
+    masks = np.empty((rows, n, d), dtype=bool)
+    still = np.empty((rows, n, d), dtype=bool)  # coordinates left at the latent
+    deltas, shifted = np.empty((rows, n, d)), np.empty((rows, n, d))
+    design, wx = np.empty((rows, n, d + 1)), np.empty((rows, n, d + 1))
+    design[..., 0] = 1.0
+    gaps = np.empty(d * rows * n)  # (d, c, n) for c rows, contiguous
+    sample_w, work, pred = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n, 1))
     drawn: dict = {}
     chunk = None
-    step = max(1, _CHUNK_ROWS // n)
     for lo in range(0, m, step):
-        if seeds[lo : lo + step] != chunk:
+        c = min(step, m - lo)
+        if seeds[lo : lo + c] != chunk:
             # stacked again only when the seeds change; a seed drawn for the
             # previous chunk is reused and older draws are dropped, so memory
             # stays bounded by the chunk
-            chunk = seeds[lo : lo + step]
+            chunk = seeds[lo : lo + c]
             drawn = {
                 s: drawn[s] if s in drawn else _perturbations(s, n, d, config.perturbation_std)
                 for s in dict.fromkeys(chunk)
             }
-            masks = np.stack([drawn[s][0] for s in chunk])
-            deltas = np.stack([drawn[s][1] for s in chunk])
-            design = np.concatenate([np.ones((len(chunk), n, 1)), deltas], axis=2)
-            moved = None if reach is None else masks @ reach > 0
+            np.stack([drawn[s][0] for s in chunk], out=masks[:c])
+            np.stack([drawn[s][1] for s in chunk], out=deltas[:c])
+            design[:c, :, 1:] = deltas[:c]
+            if reach is None:
+                np.logical_not(masks[:c], out=still[:c])
+            else:
+                np.equal(masks[:c] @ reach, 0.0, out=still[:c])
         # whole (c, n, d) rows, not broadcast views: numpy's elementwise ops
         # and reductions would otherwise loop over the short feature axis.
         # The oracle takes each latent as one shared row and abduces it once.
-        latent = values[lo : lo + step, None, :]
+        latent = values[lo : lo + c, None, :]
         base = np.repeat(latent, n, axis=1)
+        realized = np.add(base, deltas[:c], out=shifted[:c])
         if reach is not None:
-            realized = oracle._realise(latent, (masks, base + deltas), [(s, 8) for s in chunk])
-            realized = np.where(moved, realized, base)
-        else:
-            realized = np.where(masks, base + deltas, base)
-        scores = head.probabilities(realized)[np.arange(len(chunk)), :, classes[lo : lo + step]]
+            realized = oracle._realise(latent, (masks[:c], realized), [(s, 8) for s in chunk])
+        realized = np.where(still[:c], base, realized)
+        scores = head.probabilities(realized)[np.arange(c), :, classes[lo : lo + c]]
 
         # squared gaps summed feature-major, (d, c, n), into a C-ordered (c, n):
         # an F-ordered sample_w would change the pairwise sums below. From d = 8
         # on, numpy's last-axis sum would pair terms and round differently
-        sq = np.ascontiguousarray(np.moveaxis(realized - base, 2, 0)) ** 2
-        sample_w = np.exp(-sq.sum(axis=0) / width**2)
-        del base, sq  # held into the next chunk, they would raise peak memory
-        wx = design * np.repeat(sample_w, d + 1, axis=1).reshape(design.shape)
-        gram = design.transpose(0, 2, 1) @ wx
-        rhs = wx.transpose(0, 2, 1) @ scores[..., None]
+        sq = gaps[: d * c * n].reshape(d, c, n)
+        for j in range(d):
+            np.square(np.subtract(realized[..., j], base[..., j], out=sq[j]), out=sq[j])
+        del base  # held into the next chunk, it would raise peak memory
+        w = sq.sum(axis=0, out=sample_w[:c])
+        np.exp(np.divide(np.negative(w, out=w), width**2, out=w), out=w)
+        np.multiply(design[:c], w[..., None], out=wx[:c])
+        gram = design[:c].transpose(0, 2, 1) @ wx[:c]
+        rhs = wx[:c].transpose(0, 2, 1) @ scores[..., None]
         fit = _ridge(gram, rhs, config.ridge_lambda)
-        beta[lo : lo + step] = fit
+        beta[lo : lo + c] = fit
 
         # plain ufuncs: at these sizes np.average's and np.clip's Python
         # wrappers cost more than their arithmetic
-        pred = (design @ fit[..., None])[..., 0]
-        ybar = (scores * sample_w).sum(axis=1) / sample_w.sum(axis=1)
-        ss_res = (sample_w * (scores - pred) ** 2).sum(axis=1)
-        ss_tot = (sample_w * (scores - ybar[:, None]) ** 2).sum(axis=1)
+        fitted = np.matmul(design[:c], fit[..., None], out=pred[:c])[..., 0]
+        t = np.multiply(scores, w, out=work[:c])
+        ybar = t.sum(axis=1) / w.sum(axis=1)
+        np.square(np.subtract(scores, fitted, out=t), out=t)
+        ss_res = np.multiply(w, t, out=t).sum(axis=1)
+        np.square(np.subtract(scores, ybar[:, None], out=t), out=t)
+        ss_tot = np.multiply(w, t, out=t).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r2[lo : lo + step] = np.where(
+            r2[lo : lo + c] = np.where(
                 ss_tot <= 1e-300, 0.0, np.minimum(np.maximum(1.0 - ss_res / ss_tot, 0.0), 1.0)
             )
     return beta, r2, classes
