@@ -5,17 +5,19 @@ target-class probability on intervention deltas around one latent. One
 private core, _lime_fits, runs every fit, for one latent or many at once,
 and returns them as stacked arrays (the ridge solutions, local_fit_r2 and
 target classes); lime_latent builds its one record from row 0, and cli's
-evaluate reads its weights from the arrays directly. Under the
-interventional policy perturbations run through the oracle so descendants
-(per the discovered graph) co-move; the independent policy writes
-coordinates directly and serves as the ablation baseline. lime realises
-its perturbations without the oracle's round-trip draw: that draw depends
-only on the seed, so a same-seed pair would cancel it exactly, and lime is
-bit-identical at any roundtrip_noise_std. intervention_effect rounds out
-the local views: an intervention's class-probability shift and its latent
-counterfactual diff, from two queries under one seed, so the intervened
-rows and their baseline share their draws. The draw reaches its shift and
-intervened vector; the diff cancels it up to rounding.
+evaluate reads only the weights, so its fits skip local_fit_r2. A fit
+scores only its target class's probability. Under the interventional
+policy perturbations run through the oracle so descendants (per the
+discovered graph) co-move, and a call abduces its latents once; the
+independent policy writes coordinates directly and serves as the
+ablation baseline. lime realises its perturbations without the oracle's
+round-trip draw: that draw depends only on the seed, so a same-seed pair
+would cancel it exactly, and lime is bit-identical at any
+roundtrip_noise_std. intervention_effect rounds out the local views: an
+intervention's class-probability shift and its latent counterfactual
+diff, from two queries under one seed, so the intervened rows and their
+baseline share their draws. The draw reaches its shift and intervened
+vector; the diff cancels it up to rounding.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from .graph import CausalGraph
 from .oracle import ClassifierHead, Oracle
+from .scm import SampleSet
 
 POLICIES = ("interventional", "independent")
 
@@ -118,21 +121,27 @@ def _lime_fits(
     config: AttributionConfig,
     seeds=None,
     target_class: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    *,
+    with_r2: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Local surrogate fits around each row of latents (m, d), stacked: the
-    (m, d + 1) ridge solutions, intercept first, the (m,) local_fit_r2 and
-    the (m,) target classes. Row k uses seeds[k] (config.seed when seeds is
-    None), non-negative integers, and the predicted class of its latent
-    unless target_class, in [0, head.n_classes), is given; both are checked
-    before any query, and a bool is neither. Batch invariance: row k equals
-    lime_latent(latents[k]) under its seed bit for bit, whatever else
-    shares the call."""
+    (m, d + 1) ridge solutions, intercept first, the (m,) local_fit_r2 (None
+    when with_r2 is false; evaluate reads only the solutions) and the (m,)
+    target classes. Row k uses seeds[k] (config.seed when seeds is None),
+    non-negative integers, and the predicted class of its latent unless
+    target_class, in [0, head.n_classes), is given; both are checked before
+    any query, and a bool is neither. Under the interventional policy the
+    latents are checked and abduced once per call, each as its own 1-row
+    block. Batch invariance: row k equals lime_latent(latents[k]) under its
+    seed bit for bit, whatever else shares the call."""
     values = np.asarray(latents, dtype=float)
     d = oracle.dim
     if values.ndim != 2 or values.shape[1] != d:
         raise ValueError(f"latents shape {values.shape} != (m, {d})")
     if graph.n_nodes != d:
         raise ValueError("graph node count disagrees with oracle dimension")
+    if head.dim != d:
+        raise ValueError(f"head dimension {head.dim} != oracle dimension {d}")
     if config.n_perturbations < d + 1:
         raise ValueError("n_perturbations must be at least dim + 1 for a solvable fit")
     m, n = values.shape[0], config.n_perturbations
@@ -154,12 +163,15 @@ def _lime_fits(
     else:
         raise ValueError(f"target_class must be an integer in [0, {head.n_classes}), "
                          f"got {target_class!r}")
-    # float, so the 0/1 contraction below is exact and runs on BLAS
-    reach = graph.reach().astype(float) if config.perturbation_policy == "interventional" else None
+    reach = factual = None
+    if config.perturbation_policy == "interventional":
+        # float, so the 0/1 contraction below is exact and runs on BLAS
+        reach = graph.reach().astype(float)
+        factual = oracle._factual(values[:, None, :])
     width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
 
     beta = np.empty((m, d + 1))
-    r2 = np.empty(m)
+    r2 = np.empty(m) if with_r2 else None
     step = max(1, _CHUNK_ROWS // n)
     # the chunks' working arrays, made once per call and written in place:
     # arrays made and freed chunk by chunk let malloc hand the top of its heap
@@ -195,14 +207,14 @@ def _lime_fits(
                 np.equal(masks[:c] @ reach, 0.0, out=still[:c])
         # whole (c, n, d) rows, not broadcast views: numpy's elementwise ops
         # and reductions would otherwise loop over the short feature axis.
-        # The oracle takes each latent as one shared row and abduces it once.
-        latent = values[lo : lo + c, None, :]
-        base = np.repeat(latent, n, axis=1)
+        # The oracle takes each latent as one shared row, abduced above.
+        base = np.repeat(values[lo : lo + c, None, :], n, axis=1)
         realized = np.add(base, deltas[:c], out=shifted[:c])
         if reach is not None:
-            realized = oracle._realise(latent, (masks[:c], realized), [(s, 8) for s in chunk])
+            block = SampleSet(factual.values[lo : lo + c], factual.noise[lo : lo + c])
+            realized = oracle._realise(block, (masks[:c], realized), [(s, 8) for s in chunk])
         realized = np.where(still[:c], base, realized)
-        scores = head.probabilities(realized)[np.arange(c), :, classes[lo : lo + c]]
+        scores = head._class_probabilities(realized, classes[lo : lo + c])
 
         # squared gaps summed feature-major, (d, c, n), into a C-ordered (c, n):
         # an F-ordered sample_w would change the pairwise sums below. From d = 8
@@ -218,6 +230,8 @@ def _lime_fits(
         rhs = wx[:c].transpose(0, 2, 1) @ scores[..., None]
         fit = _ridge(gram, rhs, config.ridge_lambda)
         beta[lo : lo + c] = fit
+        if not with_r2:
+            continue
 
         # plain ufuncs: at these sizes np.average's and np.clip's Python
         # wrappers cost more than their arithmetic

@@ -625,7 +625,7 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
 
     latents = oracle.sample_latents(n_expl, [seed, 16])
     seeds = [fixed_seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
-    weights = _lime_fits(oracle, head, graph, latents, acfg, seeds)[0][:, 1:]
+    weights = _lime_fits(oracle, head, graph, latents, acfg, seeds, with_r2=False)[0][:, 1:]
     f_engine = faithfulness_index(latents, weights, ecfg)
     perm = np.random.default_rng([seed, 17]).permutation(n_expl)
     f_shuffled = faithfulness_index(latents, weights[perm], ecfg)
@@ -642,7 +642,9 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
         for p in range(n_sets)
         for q in range(fits)
     ]
-    stab = _lime_fits(oracle, head, graph, np.repeat(noisy, fits, axis=0), acfg, stab_seeds)[0]
+    stab = _lime_fits(
+        oracle, head, graph, np.repeat(noisy, fits, axis=0), acfg, stab_seeds, with_r2=False
+    )[0]
     sets = stab[:, 1:].reshape(n_sets, fits, oracle.dim)
     s_engine = stability(sets.repeat(n_reps // fits, axis=1))
 

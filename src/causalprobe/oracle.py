@@ -137,20 +137,22 @@ class Oracle:
         rng = None
         if std > 0 or self.config.noise_policy == "resample":
             rng = np.random.default_rng(seed)
-        out = self._realise(rows[None], _normalize_do(self.model, do, len(rows)), [rng])[0]
+        factual = self._factual(rows[None])
+        out = self._realise(factual, _normalize_do(self.model, do, len(rows)), [rng])[0]
         if std > 0:
             out += rng.normal(0.0, std, out.shape)
         return out[0] if single else out
 
-    def _realise(self, base: np.ndarray, do, seeds) -> np.ndarray:
+    def _realise(self, factual: SampleSet, do, seeds) -> np.ndarray:
         """Counterfactual chart rows of m independent blocks in one
         propagation, without the round-trip noise.
 
-        base: (m, n, d) rows, or (m, 1, d) when every row of a block shares
-        one factual row, abduced once; do: None or a (mask, values) pair of
-        (m, n, d) arrays; seeds: one hashable seed per block (an int, a
-        tuple of ints or a Generator). Returns (m, n, d) rows, n taken from
-        do when it is given. Block k equals
+        factual: _factual of an (m, n, d) base stack, or of an (m, 1, d) one
+        when every row of a block shares one factual row; it is read, never
+        written. do: None or a (mask, values) pair of (m, n, d) arrays;
+        seeds: one hashable seed per block (an int, a tuple of ints or a
+        Generator). Returns (m, n, d) rows, n taken from do when it is given.
+        Block k equals
         query(base[k] repeated to n rows, (mask[k], values[k]), seeds[k])
         less its round-trip draw, bit for bit on the builtin models; a
         shared row is abduced once, and BLAS may round that one row's
@@ -162,19 +164,15 @@ class Oracle:
           (BLAS rounds a row differently with the number of rows it gets);
         - a row propagates its factual noise or, under "resample", the
           fresh noise on the closure of its own clamped columns. The blocks
-          propagate together into abduce's copy of the base, over the union
+          propagate together into a copy of the factual rows, over the union
           of the closures of their clamped columns (clamped on any row,
           descendants included); a column outside its block's closure is
           left or clamped to that copy, so it comes back as the block's base
           value bit for bit. A block whose mask is empty has an empty
           closure.
-        Base rows and the do values under the mask must be finite.
+        The do values under the mask must be finite.
         """
-        base = np.ascontiguousarray(base, dtype=float)
-        if base.ndim != 3 or base.shape[2] != self.dim:
-            raise ValueError(f"stacked base must have shape (m, n, {self.dim}), got {base.shape}")
-        if not np.isfinite(base).all():
-            raise ValueError("oracle query base rows must be finite")
+        base = factual.values
         m, n, d = base.shape
         seeds = list(seeds)
         if len(seeds) != m:
@@ -206,7 +204,6 @@ class Oracle:
             closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
         if mask is None or not closure.any():
             return np.repeat(base, widen, axis=1)
-        factual = self._charted.abduce(base)
         noise = factual.noise
         if fresh is not None:
             noise = np.where(self._charted.closure(mask), fresh, noise)
@@ -214,16 +211,23 @@ class Oracle:
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
         if kept.any():
             mask = mask | kept
-            values = np.where(kept, factual.values, values)
+            values = np.where(kept, base, values)
         # propagate writes into whole rows; the noise may broadcast
-        rows = factual.values if widen == 1 else np.repeat(factual.values, widen, axis=-2)
+        rows = base.copy() if widen == 1 else np.repeat(base, widen, axis=-2)
         return self._charted.propagate(noise, mask, values, out=rows, nodes=run)
 
     def _factual(self, base) -> SampleSet:
-        """(n, d) base rows, checked and abduced once for _paired_change."""
+        """Base rows checked and abduced once: (n, d) rows, n > 0, for
+        _paired_change, or an (m, n, d) stack of blocks for _realise, each
+        block contracted on its own (so an (m, 1, d) stack abduces every row
+        as its own 1-row block). The rows must be finite."""
         base = np.ascontiguousarray(base, dtype=float)
-        if base.ndim != 2 or base.shape[1] != self.dim or not len(base):
-            raise ValueError(f"base rows must have shape (n, {self.dim}), got {base.shape}")
+        d = self.dim
+        if base.ndim == 3:
+            if base.shape[2] != d:
+                raise ValueError(f"stacked base must have shape (m, n, {d}), got {base.shape}")
+        elif base.ndim != 2 or base.shape[1] != d or not len(base):
+            raise ValueError(f"base rows must have shape (n, {d}), got {base.shape}")
         if not np.isfinite(base).all():
             raise ValueError("oracle query base rows must be finite")
         return self._charted.abduce(base)
@@ -280,6 +284,10 @@ class ClassifierHead:
             self.bias = np.broadcast_to(b, (self.n_classes,)).copy()
         else:
             raise ValueError("weights must be a vector or a matrix")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if not np.isfinite(self.bias).all():
+            raise ValueError("bias must be finite")
         self.weights = w
 
     @property
@@ -304,3 +312,11 @@ class ClassifierHead:
             probs = e / e.sum(axis=-1, keepdims=True)
         return probs[0] if single else probs
 
+    def _class_probabilities(self, blocks: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """probabilities(blocks)[k, :, classes[k]] for (c, n, d) blocks and
+        (c,) classes, bit for bit. A binary head computes p once and takes
+        1 - p, the ufunc probabilities applies, only where the class is 0."""
+        if self.weights.ndim == 2:
+            return self.probabilities(blocks)[np.arange(len(blocks)), :, classes]
+        p = logistic(blocks @ self.weights + self.bias[0])
+        return np.subtract(1.0, p, out=p, where=(classes == 0)[:, None])

@@ -454,6 +454,8 @@ def test_lime_batch_rejects_bad_targets_and_seeds_before_any_query(target_class,
         pytest.param("small-graph", "graph node count disagrees with oracle dimension",
                      id="small-graph"),
         pytest.param("seed-count", "3 seeds for 2 latents", id="seed-count"),
+        pytest.param("head-dimension", r"head dimension 3 != oracle dimension 4",
+                     id="head-dimension"),
     ],
 )
 def test_lime_fits_rejects_bad_shapes_before_any_query(case, message):
@@ -464,6 +466,8 @@ def test_lime_fits_rejects_bad_shapes_before_any_query(case, message):
         latents = latents[0]
     elif case == "small-graph":
         graph = CausalGraph(list(oracle.labels)[:3])
+    elif case == "head-dimension":
+        head = ClassifierHead(np.array([0.0, 0.0, 1.0]))
     else:
         seeds = [1, 2, 3]
     cfg = AttributionConfig(n_perturbations=20)
@@ -491,10 +495,52 @@ def test_interventional_non_finite_latent_rejected_at_the_oracle():
     latents = oracle.sample_latents(3, 0)
     latents[1, 2] = np.nan
     cfg = AttributionConfig(n_perturbations=20, seed=1)
-    with pytest.raises(ValueError, match="base rows must be finite"):
-        attribution._lime_fits(oracle, head, graph, latents, cfg)
-    with pytest.raises(ValueError, match="base rows must be finite"):
-        lime_latent(oracle, head, graph, latents[1], cfg)
+    # checked once per call, with the abduction, before any chunk realises
+    with mock.patch.object(Oracle, "_realise", side_effect=AssertionError("queried")):
+        with pytest.raises(ValueError, match="base rows must be finite"):
+            attribution._lime_fits(oracle, head, graph, latents, cfg)
+        with pytest.raises(ValueError, match="base rows must be finite"):
+            lime_latent(oracle, head, graph, latents[1], cfg)
+
+
+def test_lime_fits_abduce_once_per_call(monkeypatch):
+    # the latents are abduced once per call, each as its own 1-row block,
+    # not once per chunk
+    oracle, graph = batch_setup("TSWI", "resample")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents = oracle.sample_latents(7, 0)
+    cfg = AttributionConfig(n_perturbations=20, seed=1)
+    monkeypatch.setattr(attribution, "_CHUNK_ROWS", 2 * cfg.n_perturbations)  # 4 chunks
+    seeds = [1, 2, 1, 3, 3, 0, 2]
+    fits = attribution._lime_fits(oracle, head, graph, latents, cfg, seeds)
+    shapes = []
+    abduce = ScmModel.abduce
+
+    def counted(self, values):
+        shapes.append(np.shape(values))
+        return abduce(self, values)
+
+    monkeypatch.setattr(ScmModel, "abduce", counted)
+    again = attribution._lime_fits(oracle, head, graph, latents, cfg, seeds)
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in fits]
+    assert shapes == [(7, 1, 4)]
+
+
+@pytest.mark.parametrize("softmax", [False, True])
+@pytest.mark.parametrize("perturbation_policy", attribution.POLICIES)
+def test_lime_fits_without_r2_keep_every_solution_bit(perturbation_policy, softmax):
+    oracle, graph = batch_setup("TSWI", "resample")
+    rng = np.random.default_rng(6)
+    head = ClassifierHead(rng.normal(size=(3, 4) if softmax else 4), bias=0.5)
+    latents = oracle.sample_latents(9, 3)
+    cfg = AttributionConfig(n_perturbations=30, perturbation_policy=perturbation_policy)
+    seeds = [int(s) for s in rng.integers(0, 5, 9)]
+    with mock.patch.object(attribution, "_CHUNK_ROWS", 4 * cfg.n_perturbations):
+        beta, r2, classes = attribution._lime_fits(oracle, head, graph, latents, cfg, seeds)
+        bare = attribution._lime_fits(oracle, head, graph, latents, cfg, seeds, with_r2=False)
+    assert r2.shape == (9,) and bare[1] is None
+    assert bare[0].tobytes() == beta.tobytes()
+    assert bare[2].tobytes() == classes.tobytes()
 
 
 def test_zero_ridge_lambda_fits_at_the_floor():
@@ -529,15 +575,17 @@ def test_underflowed_kernel_weights_raise_unsolvable(policy):
         lime_latent(oracle, head, graph, latents[1], cfg)
 
 
-def criterion_7_fit_inputs(model, policy):
+def criterion_7_fit_inputs(model, policy, noise_policy="fixed"):
     """The oracle, head, graph, latents and attribution config that the
-    criterion-7 evaluate_explainer fits its faithfulness explanations with."""
+    criterion-7 evaluate_explainer fits its faithfulness explanations with
+    (criterion 7 runs the fixed noise policy)."""
     weights, n_explanations = {
         "TI": ([0.0, 1.0], 4200),
         "TSWI": ([0.0, 0.0, 0.0, 1.0], 1500),
     }[model]
     cfg = {
         "oracle": {"kind": "scm", "model": model},
+        "oracle_config": {"noise_policy": noise_policy},
         "classifier": {"weights": weights, "bias": -3.0},
         "discovery": {"n_samples": 256},
         "attribution": {"n_perturbations": 300, "perturbation_policy": policy},
@@ -572,11 +620,36 @@ def test_lime_batch_records_are_pinned(model, policy, expected):
     class, in the order the per-fit records were hashed in."""
     oracle, head, graph, latents, cfg = criterion_7_fit_inputs(model, policy)
     beta, r2, classes = attribution._lime_fits(oracle, head, graph, latents, cfg)
+    assert fits_digest(beta, r2, classes) == expected
+    empty = attribution._lime_fits(oracle, head, graph, latents[:0], cfg)
+    assert [a.shape for a in empty] == [(0, oracle.dim + 1), (0,), (0,)]
+
+
+def fits_digest(beta, r2, classes):
     digest = hashlib.sha256()
-    for k in range(len(latents)):
+    for k in range(len(beta)):
         digest.update(beta[k, 1:].tobytes())
         digest.update(np.array([beta[k, 0], r2[k]]).tobytes())
         digest.update(np.int64(classes[k]).tobytes())
-    assert digest.hexdigest() == expected
-    empty = attribution._lime_fits(oracle, head, graph, latents[:0], cfg)
-    assert [a.shape for a in empty] == [(0, oracle.dim + 1), (0,), (0,)]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        pytest.param("TI", "75de75649bcc555d5616fd266ecc38ef71c6a96086a7c837e140c75f5b927629",
+                     id="TI-interventional-resample"),
+        pytest.param("TSWI", "d994d6a4bbf6f823a746be1ce78e203ceecc1d7d85b6e0541a599229d0d44872",
+                     id="TSWI-interventional-resample"),
+    ],
+)
+def test_lime_fits_under_resample_are_pinned(model, expected):
+    """The fits under "resample", which draws each chunk's fresh exogenous
+    noise from its items' seeds, to the last bit: the first 100 criterion-7
+    latents under evaluate's per-item seeds, over four chunks."""
+    oracle, head, graph, latents, cfg = criterion_7_fit_inputs(model, "interventional", "resample")
+    latents = latents[:100]
+    seeds = [cli._derive_seed(0, 15, k) for k in range(len(latents))]
+    assert len(latents) > 3 * (attribution._CHUNK_ROWS // cfg.n_perturbations)
+    beta, r2, classes = attribution._lime_fits(oracle, head, graph, latents, cfg, seeds)
+    assert fits_digest(beta, r2, classes) == expected

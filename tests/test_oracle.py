@@ -235,6 +235,34 @@ def test_classifier_dimension_mismatch():
         head.probabilities(np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classifier_rejects_non_finite_weights_and_bias(bad):
+    # a NaN weight would reach lime's ridge solve as an unsolvable system,
+    # and an infinite bias would saturate every probability silently
+    for weights, bias in [(np.zeros(2), 0.0), (np.zeros((3, 2)), np.zeros(3))]:
+        w = weights.copy()
+        w.flat[1] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ClassifierHead(w, bias)
+        b = np.array(bias, dtype=float)
+        b.flat[0] = bad
+        with pytest.raises(ValueError, match="bias must be finite"):
+            ClassifierHead(weights, b if b.ndim else float(b))
+
+
+@pytest.mark.parametrize("softmax", [False, True])
+def test_class_probabilities_gather_the_probabilities_bit_for_bit(softmax):
+    rng = np.random.default_rng(3)
+    weights = rng.normal(size=(3, 2) if softmax else 2)
+    head = ClassifierHead(weights, bias=rng.normal(size=3) if softmax else -1.0)
+    # wide enough that the head saturates on some rows
+    blocks = rng.normal(scale=40.0, size=(6, 50, 2))
+    classes = np.array([0, 1, 2, 1, 0, 2] if softmax else [0, 1, 1, 0, 0, 1])
+    probs = head.probabilities(blocks)
+    expected = np.stack([probs[k, :, classes[k]] for k in range(len(blocks))])
+    assert same_bits(head._class_probabilities(blocks, classes), expected)
+
+
 def random_dag_weights(d, rng):
     w = np.triu(rng.uniform(-1.0, 1.0, (d, d)), k=1) * (rng.random((d, d)) < 0.5)
     perm = rng.permutation(d)  # node ids away from topological order
@@ -276,8 +304,10 @@ def test_realise_blocks_equal_solo_queries(
     values = base + rng.normal(size=base.shape)
     # repeated seeds share draws
     seeds = [(int(s), 8) for s in rng.integers(0, 1 if shared_seed else 3, m)]
-    stacked = oracle._realise(base, (mask, values), seeds)
-    plain = oracle._realise(base, None, seeds)
+    factual = oracle._factual(base)
+    stacked = oracle._realise(factual, (mask, values), seeds)
+    plain = oracle._realise(factual, None, seeds)
+    assert same_bits(factual.values, base)  # read, never written
     # a block is its solo query without the round-trip draw: the query at std 0
     for k in range(m):
         assert np.array_equal(stacked[k], quiet.query(base[k], (mask[k], values[k]), seeds[k]))
@@ -315,9 +345,9 @@ def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_colu
     # the closure of each block's clamped columns, from the model's graph
     reach = model.ground_truth_graph().reach()
     closure = (mask.any(axis=1)[:, :, None] & reach).any(axis=1)
-    stacked = clean._realise(base, (mask, values), seeds)
+    stacked = clean._realise(clean._factual(base), (mask, values), seeds)
     # realised rows never carry the round-trip draw
-    assert same_bits(oracle._realise(base, (mask, values), seeds), stacked)
+    assert same_bits(oracle._realise(oracle._factual(base), (mask, values), seeds), stacked)
     for k in range(m):
         # the reference propagates every node from the abduced noise, under
         # "resample" with fresh noise on the closure of each row's columns
@@ -377,8 +407,8 @@ def test_realise_shared_row_equals_repeated_rows(
         mask = np.repeat(rng.random((m, 1, oracle.dim)) < 0.4, n, axis=1)
     values = base + rng.normal(size=base.shape)
     seeds = [(int(s), 8) for s in rng.integers(0, 1 if shared_seed else 3, m)]
-    shared = oracle._realise(row, (mask, values), seeds)
-    repeated = oracle._realise(base, (mask, values), seeds)
+    shared = oracle._realise(oracle._factual(row), (mask, values), seeds)
+    repeated = oracle._realise(oracle._factual(base), (mask, values), seeds)
     if linear:
         np.testing.assert_allclose(shared, repeated, rtol=1e-12, atol=1e-12)
     else:
@@ -387,38 +417,40 @@ def test_realise_shared_row_equals_repeated_rows(
 
 def test_realise_rejects_bad_shapes():
     oracle = Oracle(builtin("TI"), NOISELESS)
-    with pytest.raises(ValueError, match="shape"):
-        oracle._realise(np.zeros((4, 2)), None, [0] * 4)
+    # _factual checks the base stack that _realise's factual rows come from
+    with pytest.raises(ValueError, match=r"stacked base must have shape \(m, n, 2\)"):
+        oracle._factual(np.zeros((3, 4, 3)))
     for rows in (np.zeros((4, 3)), np.zeros((1, 4, 2)), np.zeros(3)):
         # a query names the shapes it takes, not _realise's stacked one
         message = r"\(n, 2\) or \(2,\), got " + re.escape(str(rows.shape))
         with pytest.raises(ValueError, match=message):
             oracle.query(rows, None, 0)
     with pytest.raises(ValueError, match="seeds"):
-        oracle._realise(np.zeros((3, 4, 2)), None, [0, 1])
+        oracle._realise(oracle._factual(np.zeros((3, 4, 2))), None, [0, 1])
     mask, values = np.ones((2, 5, 2), dtype=bool), np.ones((2, 5, 2))
     # a base must hold 1 or n rows per block; the message names both shapes
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(2, 3, 2\)"):
-        oracle._realise(np.ones((2, 3, 2)), (mask, values), [0, 1])
+        oracle._realise(oracle._factual(np.ones((2, 3, 2))), (mask, values), [0, 1])
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(2, 4, 2\).*\(2, 1, 2\)"):
-        oracle._realise(np.ones((2, 1, 2)), (mask, values[:, :4]), [0, 1])
+        oracle._realise(oracle._factual(np.ones((2, 1, 2))), (mask, values[:, :4]), [0, 1])
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(3, 1, 2\)"):
-        oracle._realise(np.ones((3, 1, 2)), (mask, values), [0, 1, 2])
+        oracle._realise(oracle._factual(np.ones((3, 1, 2))), (mask, values), [0, 1, 2])
 
 
 def test_realise_shared_row_without_do_is_a_one_row_query():
     oracle = Oracle(builtin("TSWI"), OracleConfig())
     quiet = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.0))
     base = oracle.sample_latents(3, 0)[:, None, :]
-    out = oracle._realise(base, None, [0, 1, 2])
+    out = oracle._realise(oracle._factual(base), None, [0, 1, 2])
     assert out.shape == (3, 1, 4)
     for k in range(3):
         assert same_bits(out[k], base[k])
         assert same_bits(out[k], quiet.query(base[k], None, k))
     # blocks of zero rows stay empty, with or without an intervention
     empty = np.zeros((2, 0, 4))
-    assert oracle._realise(empty, None, [0, 1]).shape == (2, 0, 4)
-    assert oracle._realise(empty, (empty > 0, empty), [0, 1]).shape == (2, 0, 4)
+    factual = oracle._factual(empty)
+    assert oracle._realise(factual, None, [0, 1]).shape == (2, 0, 4)
+    assert oracle._realise(factual, (empty > 0, empty), [0, 1]).shape == (2, 0, 4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
