@@ -27,7 +27,6 @@ import numpy as np
 
 from .graph import CausalGraph
 from .oracle import ClassifierHead, Oracle
-from .scm import SampleSet
 
 POLICIES = ("interventional", "independent")
 
@@ -132,8 +131,9 @@ def _lime_fits(
     target_class, in [0, head.n_classes), is given; both are checked before
     any query, and a bool is neither. Under the interventional policy the
     latents are checked and abduced once per call, each as its own 1-row
-    block. Batch invariance: row k equals lime_latent(latents[k]) under its
-    seed bit for bit, whatever else shares the call."""
+    block, and _realise propagates each chunk's perturbed rows in place.
+    Batch invariance: row k equals lime_latent(latents[k]) under its seed
+    bit for bit, whatever else shares the call."""
     values = np.asarray(latents, dtype=float)
     d = oracle.dim
     if values.ndim != 2 or values.shape[1] != d:
@@ -163,11 +163,11 @@ def _lime_fits(
     else:
         raise ValueError(f"target_class must be an integer in [0, {head.n_classes}), "
                          f"got {target_class!r}")
-    reach = factual = None
+    reach = noise = None
     if config.perturbation_policy == "interventional":
         # float, so the 0/1 contraction below is exact and runs on BLAS
         reach = graph.reach().astype(float)
-        factual = oracle._factual(values[:, None, :])
+        noise = oracle._factual(values[:, None, :]).noise
     width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
 
     beta = np.empty((m, d + 1))
@@ -201,19 +201,18 @@ def _lime_fits(
             np.stack([drawn[s][0] for s in chunk], out=masks[:c])
             np.stack([drawn[s][1] for s in chunk], out=deltas[:c])
             design[:c, :, 1:] = deltas[:c]
-            if reach is None:
-                np.logical_not(masks[:c], out=still[:c])
-            else:
+            if reach is not None:
                 np.equal(masks[:c] @ reach, 0.0, out=still[:c])
         # whole (c, n, d) rows, not broadcast views: numpy's elementwise ops
         # and reductions would otherwise loop over the short feature axis.
-        # The oracle takes each latent as one shared row, abduced above.
+        # The shifted rows hold base + 0.0 off the mask. Reset to the latent
+        # bit for bit outside a row's own closure; unreset, the independent
+        # policy only turns a -0.0 into +0.0, which moves no score or gap
         base = np.repeat(values[lo : lo + c, None, :], n, axis=1)
         realized = np.add(base, deltas[:c], out=shifted[:c])
         if reach is not None:
-            block = SampleSet(factual.values[lo : lo + c], factual.noise[lo : lo + c])
-            realized = oracle._realise(block, (masks[:c], realized), [(s, 8) for s in chunk])
-        realized = np.where(still[:c], base, realized)
+            oracle._realise(noise[lo : lo + c], masks[:c], realized, [(s, 8) for s in chunk])
+            np.copyto(realized, base, where=still[:c])
         scores = head._class_probabilities(realized, classes[lo : lo + c])
 
         # squared gaps summed feature-major, (d, c, n), into a C-ordered (c, n):

@@ -625,11 +625,6 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
 
     latents = oracle.sample_latents(n_expl, [seed, 16])
     seeds = [fixed_seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
-    weights = _lime_fits(oracle, head, graph, latents, acfg, seeds, with_r2=False)[0][:, 1:]
-    f_engine = faithfulness_index(latents, weights, ecfg)
-    perm = np.random.default_rng([seed, 17]).permutation(n_expl)
-    f_shuffled = faithfulness_index(latents, weights[perm], ecfg)
-
     n_sets, n_reps = ecfg.p_subsets, ecfg.q_repetitions
     base = latents[stability_index]
     noisy = [
@@ -642,10 +637,13 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
         for p in range(n_sets)
         for q in range(fits)
     ]
-    stab = _lime_fits(
-        oracle, head, graph, np.repeat(noisy, fits, axis=0), acfg, stab_seeds, with_r2=False
-    )[0]
-    sets = stab[:, 1:].reshape(n_sets, fits, oracle.dim)
+    # one call fits both sets: batch invariance makes each row its solo fit
+    stack = np.concatenate([latents, np.repeat(noisy, fits, axis=0)])
+    weights = _lime_fits(oracle, head, graph, stack, acfg, seeds + stab_seeds, with_r2=False)[0]
+    weights, sets = weights[:n_expl, 1:], weights[n_expl:, 1:].reshape(n_sets, fits, oracle.dim)
+    f_engine = faithfulness_index(latents, weights, ecfg)
+    perm = np.random.default_rng([seed, 17]).permutation(n_expl)
+    f_shuffled = faithfulness_index(latents, weights[perm], ecfg)
     s_engine = stability(sets.repeat(n_reps // fits, axis=1))
 
     return {

@@ -46,16 +46,15 @@ class OracleConfig:
             raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
 
 
-def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(mask, values) of one (1, n, d) block for an intervention, as
-    read-only broadcast views, or None for do None.
+    read-only broadcast views.
 
-    do is None, {node: scalar | (n,) array} with nodes given as in
-    ScmModel.node_index, or a (mask, values) pair broadcastable to (n, d).
-    A dict clamps its columns on every row: a (d,) mask with (n, d) values.
+    do is {node: scalar | (n,) array} with nodes given as in
+    ScmModel.node_index ({} intervenes on nothing), or a (mask, values)
+    pair broadcastable to (n, d). A dict clamps its columns on every row:
+    a (d,) mask with (n, d) values.
     """
-    if do is None:
-        return None
     d = model.n_nodes
     if isinstance(do, tuple):
         mask, values = do
@@ -117,10 +116,11 @@ class Oracle:
     def query(self, base: np.ndarray, do=None, seed=0) -> np.ndarray:
         """Re-encode base rows under an optional intervention.
 
-        base: (d,) or (n, d) latent rows in the oracle's chart; do: any
-        intervention _normalize_do accepts, its values in the chart.
-        Returns the intervened rows of _realise plus the round-trip noise,
-        with matching shape. One default_rng(seed) draws first the exogenous
+        base: (d,) or (n, d) latent rows in the oracle's chart; do: None
+        (no intervention) or any intervention _normalize_do accepts, its
+        values in the chart. Returns _realise of the base rows with the do
+        values written under do's mask, plus the round-trip noise, with
+        matching shape. One default_rng(seed) draws first the exogenous
         noise ("resample" policy), then the round-trip noise. Two queries
         under one int, int sequence or SeedSequence s share their draws:
         query(base, do, s) and query(base, None, s) differ by exactly 0.0
@@ -138,22 +138,23 @@ class Oracle:
         if std > 0 or self.config.noise_policy == "resample":
             rng = np.random.default_rng(seed)
         factual = self._factual(rows[None])
-        out = self._realise(factual, _normalize_do(self.model, do, len(rows)), [rng])[0]
+        mask, values = _normalize_do(self.model, {} if do is None else do, len(rows))
+        out = self._realise(factual.noise, mask, np.where(mask, values, factual.values), [rng])[0]
         if std > 0:
             out += rng.normal(0.0, std, out.shape)
         return out[0] if single else out
 
-    def _realise(self, factual: SampleSet, do, seeds) -> np.ndarray:
+    def _realise(self, noise, mask, rows, seeds) -> np.ndarray:
         """Counterfactual chart rows of m independent blocks in one
-        propagation, without the round-trip noise.
+        propagation, without the round-trip noise, written into rows.
 
-        factual: _factual of an (m, n, d) base stack, or of an (m, 1, d) one
-        when every row of a block shares one factual row; it is read, never
-        written. do: None or a (mask, values) pair of (m, n, d) arrays;
-        seeds: one hashable seed per block (an int, a tuple of ints or a
-        Generator). Returns (m, n, d) rows, n taken from do when it is given.
-        Block k equals
-        query(base[k] repeated to n rows, (mask[k], values[k]), seeds[k])
+        noise: _factual(base).noise of an (m, n, d) base stack, or of an
+        (m, 1, d) one when every row of a block shares one factual row,
+        read and never written. mask: the (m, n, d) clamped entries. rows:
+        (m, n, d) floats, the do values under the mask and the base rows
+        elsewhere, propagated in place and returned. seeds: one hashable
+        seed per block (an int, a tuple of ints or a Generator). Block k
+        equals query(base[k] repeated to n rows, (mask[k], rows[k]), seeds[k])
         less its round-trip draw, bit for bit on the builtin models; a
         shared row is abduced once, and BLAS may round that one row's
         contraction an ulp away from the same row among n (seen from d = 9
@@ -164,57 +165,40 @@ class Oracle:
           (BLAS rounds a row differently with the number of rows it gets);
         - a row propagates its factual noise or, under "resample", the
           fresh noise on the closure of its own clamped columns. The blocks
-          propagate together into a copy of the factual rows, over the union
-          of the closures of their clamped columns (clamped on any row,
-          descendants included); a column outside its block's closure is
-          left or clamped to that copy, so it comes back as the block's base
-          value bit for bit. A block whose mask is empty has an empty
-          closure.
-        The do values under the mask must be finite.
+          propagate together over the union of the closures of their
+          clamped columns (clamped on any row, descendants included); a
+          column outside its block's closure joins the mask, so it comes
+          back as its entry in rows bit for bit. A block whose mask is
+          empty has an empty closure.
+        The rows must be finite.
         """
-        base = factual.values
-        m, n, d = base.shape
+        m, n, d = rows.shape
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != rows.shape or noise.shape not in (rows.shape, (m, 1, d)):
+            raise ValueError(f"do mask {mask.shape} and rows {rows.shape} must both have shape "
+                             f"(m, n, d) for a noise of (m, 1 or n, d), got {noise.shape}")
         seeds = list(seeds)
         if len(seeds) != m:
             raise ValueError(f"{len(seeds)} seeds for {m} blocks")
-        mask = values = None
-        if do is not None:
-            mask = np.asarray(do[0], dtype=bool)
-            values = np.asarray(do[1], dtype=float)
-            if mask.ndim == 3:
-                n = mask.shape[1]
-            if mask.shape != (m, n, d) or values.shape != mask.shape or base.shape[1] not in (1, n):
-                raise ValueError(
-                    f"do mask {mask.shape} and values {values.shape} must both have shape "
-                    f"(m, n, d) for a base of shape {base.shape}, with 1 or n base rows per block"
-                )
-            # one pass over values unless some value, masked or not, is non-finite
-            if not (np.isfinite(values).all() or np.isfinite(values[mask]).all()):
-                raise ValueError("oracle query do values must be finite where the mask is set")
+        if not np.isfinite(rows).all():
+            raise ValueError("oracle query do values must be finite where the mask is set")
 
         fresh = None  # drawn even for an empty closure: query draws after it
         if self.config.noise_policy == "resample":
-            # copied out to every block, not broadcast: propagation allocates
-            # its output like the noise, and a broadcast layout changes BLAS
             drawn = {s: self._charted.draw_noise(n, np.random.default_rng(s))
                      for s in dict.fromkeys(seeds)}
             fresh = np.stack([drawn[s] for s in seeds])
-        widen = n if base.shape[1] == 1 else 1  # a shared row repeats n times
-        if mask is not None:
-            closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
-        if mask is None or not closure.any():
-            return np.repeat(base, widen, axis=1)
-        noise = factual.noise
+        closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
+        if not closure.any():
+            return rows
         if fresh is not None:
             noise = np.where(self._charted.closure(mask), fresh, noise)
         run = closure.any(axis=0)
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
         if kept.any():
             mask = mask | kept
-            values = np.where(kept, base, values)
         # propagate writes into whole rows; the noise may broadcast
-        rows = base.copy() if widen == 1 else np.repeat(base, widen, axis=-2)
-        return self._charted.propagate(noise, mask, values, out=rows, nodes=run)
+        return self._charted.propagate(noise, mask, rows, out=rows, nodes=run)
 
     def _factual(self, base) -> SampleSet:
         """Base rows checked and abduced once: (n, d) rows, n > 0, for

@@ -543,6 +543,49 @@ def test_lime_fits_without_r2_keep_every_solution_bit(perturbation_policy, softm
     assert bare[2].tobytes() == classes.tobytes()
 
 
+@pytest.mark.parametrize("perturbation_policy", attribution.POLICIES)
+@pytest.mark.parametrize("kind", ["TSWI", "linear"])
+def test_lime_fits_of_a_negative_zero_equal_its_positive_twin(kind, perturbation_policy):
+    # the perturbed rows hold latent + 0.0 off the mask, which turns a -0.0
+    # into +0.0: neither the head's score nor the kernel weights see the sign
+    oracle, graph = batch_setup(kind, "fixed")
+    d = oracle.dim
+    head = ClassifierHead(np.linspace(-1.0, 1.0, d), bias=0.0)
+    latents = oracle.sample_latents(d, 5)
+    latents[np.arange(d), np.arange(d)] = 0.0  # latent k is zero at feature k
+    cfg = AttributionConfig(n_perturbations=30, perturbation_policy=perturbation_policy)
+    fits = attribution._lime_fits(oracle, head, graph, latents, cfg)
+    latents[np.arange(d), np.arange(d)] = -0.0
+    twins = attribution._lime_fits(oracle, head, graph, latents, cfg)
+    assert [a.tobytes() for a in twins] == [a.tobytes() for a in fits]
+
+
+def test_lime_rows_keep_the_latent_outside_each_rows_own_closure():
+    # 0 -> 1 with weight 1 and a latent whose x1 is tiny against x0: x1's
+    # abduced noise rounds to -x0, so x1 propagated again reads 0.0. A row
+    # whose clamped columns do not reach x1 must still score the latent's x1
+    w = np.zeros((3, 3))
+    w[0, 1] = 1.0
+    oracle = Oracle(ScmModel.linear(w), NOISELESS)
+    graph = oracle.model.ground_truth_graph()
+    head = ClassifierHead(np.array([0.0, 1.0, 1.0]))
+    latent = np.array([1.0, 1e-17, 0.5])
+    cfg = AttributionConfig(n_perturbations=30, seed=4)
+    scored = []
+    score = head._class_probabilities
+
+    def record(rows, classes):
+        scored.append(rows.copy())
+        return score(rows, classes)
+
+    with mock.patch.object(head, "_class_probabilities", side_effect=record):
+        attribution._lime_fits(oracle, head, graph, latent[None], cfg)
+    masks, _ = attribution._perturbations(cfg.seed, cfg.n_perturbations, 3, 1.0)
+    still = masks @ graph.reach() == 0
+    assert still[:, 1].any() and masks[:, 0].any()  # the case above occurs
+    assert np.array_equal(scored[0][0][still], np.broadcast_to(latent, still.shape)[still])
+
+
 def test_zero_ridge_lambda_fits_at_the_floor():
     oracle, graph = batch_setup("TSWI", "fixed")
     head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)

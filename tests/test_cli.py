@@ -251,7 +251,8 @@ def test_evaluate_outputs(tmp_path):
 def test_evaluate_scores_the_stacked_lime_batch_weights(deterministic_seed):
     """The weights evaluate_explainer scores for faithfulness and stability
     are, bit for bit, lime_latent's weights of each latent it fits under
-    that latent's seed, stacked."""
+    that latent's seed, stacked: one _lime_fits call, the faithfulness
+    latents first."""
     cfg = json.loads(json.dumps(TI_CFG))
     cfg["evaluate"]["deterministic_seed"] = deterministic_seed
     with (
@@ -260,13 +261,14 @@ def test_evaluate_scores_the_stacked_lime_batch_weights(deterministic_seed):
         mock.patch.object(cli, "stability", wraps=cli.stability) as stab,
     ):
         cli.evaluate_explainer(cfg, 0)
-    engine, noisy = (
-        np.array([
-            causalprobe.lime_latent(oracle, head, graph, latent, replace(acfg, seed=s)).weights
-            for latent, s in zip(latents, seeds)
-        ])
-        for oracle, head, graph, latents, acfg, seeds in (c.args for c in fits.call_args_list)
-    )
+    (call,) = fits.call_args_list
+    oracle, head, graph, latents, acfg, seeds = call.args
+    solo = np.array([
+        causalprobe.lime_latent(oracle, head, graph, latent, replace(acfg, seed=s)).weights
+        for latent, s in zip(latents, seeds)
+    ])
+    n_expl = cfg["evaluate"]["n_explanations"]
+    engine, noisy = solo[:n_expl], solo[n_expl:]
     assert faith.call_args_list[0].args[1].tobytes() == engine.tobytes()
     sets = stab.call_args.args[0]
     n_sets, n_reps, d = sets.shape
@@ -342,6 +344,9 @@ def no_discovery(*args, **kwargs):
          "--latent takes comma-separated numbers, got '1,,2'"),
         ("explain", TI_CFG, ["--index", "1", "--latent", "0.1,0.2"],
          "--index and --latent are alternatives"),
+        ("explain", TI_CFG, ["--latent", "0.1"], "latent vector has 1 entries"),
+        ("explain", TI_CFG, ["--do", "t+=abc"], "bad intervention value in 't+=abc'"),
+        ("explain", TI_CFG, ["--do", "t"], "bad intervention spec 't'"),
         ("evaluate", dict(TI_CFG, evaluate={"n_explanations": 3}),
          [], "evaluate.n_explanations (3) must be at least evaluation.mi_bins (4)"),
         ("evaluate", dict(TI_CFG, evaluate={"n_explanations": 0}),
@@ -359,7 +364,7 @@ def no_discovery(*args, **kwargs):
          "config key 'attribution.n_perturbations' must be at least 3"),
     ],
     ids=["pool-size-0", "pool-size-negative", "index-past-pool", "latent-not-a-number",
-         "index-and-latent",
+         "index-and-latent", "latent-wrong-length", "do-not-a-number", "do-without-operator",
          "fewer-explanations-than-bins", "no-explanations", "explain-attribution",
          "evaluate-attribution", "negative-seed", "explain-too-few-perturbations",
          "evaluate-too-few-perturbations"],

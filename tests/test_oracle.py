@@ -235,6 +235,20 @@ def test_classifier_dimension_mismatch():
         head.probabilities(np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "weights, n_classes, message",
+    [
+        (np.zeros(2), 3, "vector weights define a binary head"),
+        (np.zeros((3, 2)), 2, "n_classes disagrees with weight matrix"),
+        (np.zeros((1, 2)), None, "softmax head needs at least 2 classes"),
+        (np.zeros((2, 2, 2)), None, "weights must be a vector or a matrix"),
+    ],
+)
+def test_classifier_rejects_malformed_heads(weights, n_classes, message):
+    with pytest.raises(ValueError, match=message):
+        ClassifierHead(weights, n_classes=n_classes)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_classifier_rejects_non_finite_weights_and_bias(bad):
     # a NaN weight would reach lime's ridge solve as an unsolvable system,
@@ -261,6 +275,12 @@ def test_class_probabilities_gather_the_probabilities_bit_for_bit(softmax):
     probs = head.probabilities(blocks)
     expected = np.stack([probs[k, :, classes[k]] for k in range(len(blocks))])
     assert same_bits(head._class_probabilities(blocks, classes), expected)
+
+
+def realise(oracle, base, mask, values, seeds):
+    """_realise of an (m, 1 or n, d) base stack with values clamped under
+    the (m, n, d) mask."""
+    return oracle._realise(oracle._factual(base).noise, mask, np.where(mask, values, base), seeds)
 
 
 def random_dag_weights(d, rng):
@@ -305,9 +325,13 @@ def test_realise_blocks_equal_solo_queries(
     # repeated seeds share draws
     seeds = [(int(s), 8) for s in rng.integers(0, 1 if shared_seed else 3, m)]
     factual = oracle._factual(base)
-    stacked = oracle._realise(factual, (mask, values), seeds)
-    plain = oracle._realise(factual, None, seeds)
-    assert same_bits(factual.values, base)  # read, never written
+    factual.noise.flags.writeable = False  # read, never written
+    rows, plain_rows = np.where(mask, values, base), base.copy()
+    stacked = oracle._realise(factual.noise, mask, rows, seeds)
+    plain = oracle._realise(factual.noise, np.zeros_like(mask), plain_rows, seeds)
+    # propagated in place, with or without a closure
+    assert stacked is rows and plain is plain_rows
+    assert same_bits(factual.values, base)
     # a block is its solo query without the round-trip draw: the query at std 0
     for k in range(m):
         assert np.array_equal(stacked[k], quiet.query(base[k], (mask[k], values[k]), seeds[k]))
@@ -345,9 +369,9 @@ def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_colu
     # the closure of each block's clamped columns, from the model's graph
     reach = model.ground_truth_graph().reach()
     closure = (mask.any(axis=1)[:, :, None] & reach).any(axis=1)
-    stacked = clean._realise(clean._factual(base), (mask, values), seeds)
+    stacked = realise(clean, base, mask, values, seeds)
     # realised rows never carry the round-trip draw
-    assert same_bits(oracle._realise(oracle._factual(base), (mask, values), seeds), stacked)
+    assert same_bits(realise(oracle, base, mask, values, seeds), stacked)
     for k in range(m):
         # the reference propagates every node from the abduced noise, under
         # "resample" with fresh noise on the closure of each row's columns
@@ -407,8 +431,8 @@ def test_realise_shared_row_equals_repeated_rows(
         mask = np.repeat(rng.random((m, 1, oracle.dim)) < 0.4, n, axis=1)
     values = base + rng.normal(size=base.shape)
     seeds = [(int(s), 8) for s in rng.integers(0, 1 if shared_seed else 3, m)]
-    shared = oracle._realise(oracle._factual(row), (mask, values), seeds)
-    repeated = oracle._realise(oracle._factual(base), (mask, values), seeds)
+    shared = realise(oracle, row, mask, values, seeds)
+    repeated = realise(oracle, base, mask, values, seeds)
     if linear:
         np.testing.assert_allclose(shared, repeated, rtol=1e-12, atol=1e-12)
     else:
@@ -425,32 +449,32 @@ def test_realise_rejects_bad_shapes():
         message = r"\(n, 2\) or \(2,\), got " + re.escape(str(rows.shape))
         with pytest.raises(ValueError, match=message):
             oracle.query(rows, None, 0)
+    rows = np.zeros((3, 4, 2))
     with pytest.raises(ValueError, match="seeds"):
-        oracle._realise(oracle._factual(np.zeros((3, 4, 2))), None, [0, 1])
+        oracle._realise(oracle._factual(rows).noise, rows > 0, rows, [0, 1])
     mask, values = np.ones((2, 5, 2), dtype=bool), np.ones((2, 5, 2))
-    # a base must hold 1 or n rows per block; the message names both shapes
+    # a noise must hold 1 or n rows per block; the message names both shapes
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(2, 3, 2\)"):
-        oracle._realise(oracle._factual(np.ones((2, 3, 2))), (mask, values), [0, 1])
+        oracle._realise(oracle._factual(np.ones((2, 3, 2))).noise, mask, values, [0, 1])
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(2, 4, 2\).*\(2, 1, 2\)"):
-        oracle._realise(oracle._factual(np.ones((2, 1, 2))), (mask, values[:, :4]), [0, 1])
+        oracle._realise(oracle._factual(np.ones((2, 1, 2))).noise, mask, values[:, :4], [0, 1])
     with pytest.raises(ValueError, match=r"\(2, 5, 2\).*\(3, 1, 2\)"):
-        oracle._realise(oracle._factual(np.ones((3, 1, 2))), (mask, values), [0, 1, 2])
+        oracle._realise(oracle._factual(np.ones((3, 1, 2))).noise, mask, values, [0, 1, 2])
 
 
 def test_realise_shared_row_without_do_is_a_one_row_query():
     oracle = Oracle(builtin("TSWI"), OracleConfig())
     quiet = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.0))
     base = oracle.sample_latents(3, 0)[:, None, :]
-    out = oracle._realise(oracle._factual(base), None, [0, 1, 2])
+    out = oracle._realise(oracle._factual(base).noise, base > np.inf, base.copy(), [0, 1, 2])
     assert out.shape == (3, 1, 4)
     for k in range(3):
         assert same_bits(out[k], base[k])
         assert same_bits(out[k], quiet.query(base[k], None, k))
-    # blocks of zero rows stay empty, with or without an intervention
+    # blocks of zero rows stay empty, from per-row or shared factual rows
     empty = np.zeros((2, 0, 4))
-    factual = oracle._factual(empty)
-    assert oracle._realise(factual, None, [0, 1]).shape == (2, 0, 4)
-    assert oracle._realise(factual, (empty > 0, empty), [0, 1]).shape == (2, 0, 4)
+    for noise in (oracle._factual(empty).noise, oracle._factual(np.zeros((2, 1, 4))).noise):
+        assert oracle._realise(noise, empty > 0, empty.copy(), [0, 1]).shape == (2, 0, 4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
