@@ -1,12 +1,12 @@
 """Globally-inspired local explanations over aligned latent features.
 
 lime_latent fits a proximity-weighted ridge surrogate of the classifier's
-target-class probability on intervention deltas around one latent. One
+predicted-class probability on intervention deltas around one latent. One
 private core, _lime_fits, runs every fit, for one latent or many at once,
 and returns them as stacked arrays (the ridge solutions, local_fit_r2 and
 target classes); lime_latent builds its one record from row 0, and cli's
 evaluate reads only the weights, so its fits skip local_fit_r2. A fit
-scores only its target class's probability. Under the interventional
+scores only its latent's predicted class. Under the interventional
 policy perturbations run through the oracle so descendants (per the
 discovered graph) co-move, and a call abduces its latents once; the
 independent policy writes coordinates directly and serves as the
@@ -51,6 +51,9 @@ class AttributionConfig:
             raise ValueError(f"perturbation_policy must be one of {POLICIES}")
         if not 0 < self.perturbation_std < np.inf:
             raise ValueError("perturbation_std must be > 0 and finite")
+        seed = self.seed  # a bool is an int to isinstance, but not a seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -119,21 +122,20 @@ def _lime_fits(
     latents: np.ndarray,
     config: AttributionConfig,
     seeds=None,
-    target_class: int | None = None,
     *,
     with_r2: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Local surrogate fits around each row of latents (m, d), stacked: the
     (m, d + 1) ridge solutions, intercept first, the (m,) local_fit_r2 (None
     when with_r2 is false; evaluate reads only the solutions) and the (m,)
-    target classes. Row k uses seeds[k] (config.seed when seeds is None),
-    non-negative integers, and the predicted class of its latent unless
-    target_class, in [0, head.n_classes), is given; both are checked before
-    any query, and a bool is neither. Under the interventional policy the
-    latents are checked and abduced once per call, each as its own 1-row
-    block, and _realise propagates each chunk's perturbed rows in place.
-    Batch invariance: row k equals lime_latent(latents[k]) under its seed
-    bit for bit, whatever else shares the call."""
+    target classes, each the predicted class of its latent. Row k uses
+    seeds[k], or config.seed when seeds is None; a seed is a non-negative
+    integer, which AttributionConfig checks for config.seed and callers
+    that pass seeds keep to. Under the interventional policy the latents
+    are checked and abduced once per call, each as its own 1-row block, and
+    _realise propagates each chunk's perturbed rows in place. Batch
+    invariance: row k equals lime_latent(latents[k]) under its seed bit for
+    bit, whatever else shares the call."""
     values = np.asarray(latents, dtype=float)
     d = oracle.dim
     if values.ndim != 2 or values.shape[1] != d:
@@ -148,21 +150,7 @@ def _lime_fits(
     seeds = [config.seed] * m if seeds is None else list(seeds)
     if len(seeds) != m:
         raise ValueError(f"{len(seeds)} seeds for {m} latents")
-    for s in seeds:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
-            raise ValueError(f"seeds must be non-negative integers, got {s!r}")
-    seeds = [int(s) for s in seeds]
-    if target_class is None:
-        classes = head.probabilities(values[:, None, :])[:, 0].argmax(axis=1)
-    elif (
-        not isinstance(target_class, bool)
-        and isinstance(target_class, (int, np.integer))
-        and 0 <= target_class < head.n_classes
-    ):
-        classes = np.full(m, target_class)
-    else:
-        raise ValueError(f"target_class must be an integer in [0, {head.n_classes}), "
-                         f"got {target_class!r}")
+    classes = head.probabilities(values[:, None, :])[:, 0].argmax(axis=1)
     reach = noise = None
     if config.perturbation_policy == "interventional":
         # float, so the 0/1 contraction below is exact and runs on BLAS
@@ -179,7 +167,8 @@ def _lime_fits(
     # allocations left them there, so a call's time would hang on history
     rows = min(step, m)
     masks = np.empty((rows, n, d), dtype=bool)
-    still = np.empty((rows, n, d), dtype=bool)  # coordinates left at the latent
+    # coordinates left at the latent; only the interventional policy resets them
+    still = np.empty((rows, n, d), dtype=bool) if reach is not None else None
     deltas, shifted = np.empty((rows, n, d)), np.empty((rows, n, d))
     design, wx = np.empty((rows, n, d + 1)), np.empty((rows, n, d + 1))
     design[..., 0] = 1.0
@@ -254,18 +243,15 @@ def lime_latent(
     graph: CausalGraph,
     latent: np.ndarray,
     config: AttributionConfig,
-    target_class: int | None = None,
 ) -> Explanation:
     """Local surrogate fit around one latent vector: row 0 of _lime_fits.
-
-    Deterministic given the config seed.
+    It explains the head's predicted class at the latent, and is
+    deterministic given the config seed.
     """
     values = np.asarray(latent, dtype=float)
     if values.shape != (oracle.dim,):
         raise ValueError(f"latent shape {values.shape} != oracle dimension ({oracle.dim},)")
-    beta, r2, classes = _lime_fits(
-        oracle, head, graph, values[None], config, target_class=target_class
-    )
+    beta, r2, classes = _lime_fits(oracle, head, graph, values[None], config)
     return Explanation(
         weights=beta[0, 1:],
         intercept=float(beta[0, 0]),

@@ -303,16 +303,27 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
             f"config key 'classifier.n_classes' must be {n_classes} for these "
             f"weights, got {spec['n_classes']}"
         )
-    return ClassifierHead(weights, bias, spec.get("n_classes"))
+    return ClassifierHead(weights, bias)
 
 
-def _check_lime_size(acfg: AttributionConfig, dim: int) -> None:
-    """lime's ridge fit needs a perturbation per unknown: dim + 1 of them."""
-    if acfg.n_perturbations < dim + 1:
+def _explainer_setup(cfg: dict, seed: int, policy: str | None = None):
+    """What explain and evaluate share, checked before anything runs: the
+    oracle, the head, and the discovery and attribution configs under their
+    derived seeds, with policy (--policy) over the configured
+    perturbation_policy. lime's ridge fit needs a perturbation per unknown:
+    oracle dimension + 1 of them."""
+    oracle = build_oracle(cfg, seed)
+    head = build_head(cfg, oracle.dim)
+    dcfg = _build_section(cfg, "discovery", seed=_derive_seed(seed, 13))
+    acfg = _build_section(cfg, "attribution", seed=_derive_seed(seed, 14))
+    if policy is not None:
+        acfg = replace(acfg, perturbation_policy=policy)
+    if acfg.n_perturbations < oracle.dim + 1:
         raise ValueError(
-            f"config key 'attribution.n_perturbations' must be at least {dim + 1} "
+            f"config key 'attribution.n_perturbations' must be at least {oracle.dim + 1} "
             f"(oracle dimension + 1) for a solvable fit, got {acfg.n_perturbations}"
         )
+    return oracle, head, dcfg, acfg
 
 
 def _build_section(cfg: dict, section: str, **defaults):
@@ -554,13 +565,7 @@ def run_explain(
     policy: str | None = None,
 ) -> dict:
     check_config(cfg)
-    oracle = build_oracle(cfg, seed)
-    head = build_head(cfg, oracle.dim)
-    dcfg = _build_section(cfg, "discovery", seed=_derive_seed(seed, 13))
-    acfg = _build_section(cfg, "attribution", seed=_derive_seed(seed, 14))
-    if policy is not None:
-        acfg = replace(acfg, perturbation_policy=policy)
-    _check_lime_size(acfg, oracle.dim)
+    oracle, head, dcfg, acfg = _explainer_setup(cfg, seed, policy)
     latent = _resolve_latent(cfg, oracle, seed, index, latent_csv)
     specs = list(cfg.get("explain", {}).get("interventions", [])) + list(do_specs)
     parsed = [_parse_intervention(s, oracle, latent) for s in specs]
@@ -615,16 +620,11 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
             f"evaluate.stability_index must lie in [0, {n_expl}), got {stability_index}"
         )
     det = evaluate.get("deterministic_seed", True)
-    fixed_seed = _derive_seed(seed, 14)
-    dcfg = _build_section(cfg, "discovery", seed=_derive_seed(seed, 13))
-    acfg = _build_section(cfg, "attribution", seed=fixed_seed)
-    oracle = build_oracle(cfg, seed)
-    head = build_head(cfg, oracle.dim)
-    _check_lime_size(acfg, oracle.dim)
+    oracle, head, dcfg, acfg = _explainer_setup(cfg, seed)
     graph = discover(oracle, dcfg)
 
     latents = oracle.sample_latents(n_expl, [seed, 16])
-    seeds = [fixed_seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
+    seeds = [acfg.seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
     n_sets, n_reps = ecfg.p_subsets, ecfg.q_repetitions
     base = latents[stability_index]
     noisy = [
@@ -633,7 +633,7 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     ]
     fits = 1 if det else n_reps  # one seed: a fit is a pure function of its input
     stab_seeds = [
-        fixed_seed if det else _derive_seed(seed, 19, p, q)
+        acfg.seed if det else _derive_seed(seed, 19, p, q)
         for p in range(n_sets)
         for q in range(fits)
     ]

@@ -247,27 +247,24 @@ class Oracle:
 class ClassifierHead:
     """Linear-logistic head over the latent space.
 
-    A 1-d weight vector gives the binary head [1 - p, p] with
-    p = sigmoid(w . l + b); a (n_classes, d) matrix gives a softmax head.
+    A 1-d weight vector and a scalar bias give the binary head [1 - p, p]
+    with p = sigmoid(w . l + b); an (n_classes, d) matrix, n_classes >= 2,
+    gives a softmax head with one bias, or one per class. The weights set
+    n_classes.
     """
 
-    def __init__(self, weights, bias=0.0, n_classes: int | None = None):
+    def __init__(self, weights, bias=0.0):
         w = np.asarray(weights, dtype=float)
-        if w.ndim == 1:
-            if n_classes not in (None, 2):
-                raise ValueError("vector weights define a binary head")
-            self.n_classes = 2
-            self.bias = np.asarray([float(bias)])
-        elif w.ndim == 2:
-            if n_classes is not None and n_classes != w.shape[0]:
-                raise ValueError("n_classes disagrees with weight matrix")
-            if w.shape[0] < 2:
-                raise ValueError("softmax head needs at least 2 classes")
-            self.n_classes = w.shape[0]
-            b = np.asarray(bias, dtype=float)
-            self.bias = np.broadcast_to(b, (self.n_classes,)).copy()
-        else:
+        if w.ndim not in (1, 2):
             raise ValueError("weights must be a vector or a matrix")
+        if w.ndim == 2 and w.shape[0] < 2:
+            raise ValueError("softmax head needs at least 2 classes")
+        self.n_classes = w.shape[0] if w.ndim == 2 else 2
+        b = np.asarray(bias, dtype=float)
+        shapes = [(), (self.n_classes,)][: w.ndim]  # a binary head takes one bias
+        if b.shape not in shapes:
+            raise ValueError(f"bias shape {b.shape} is not one of {shapes} for these weights")
+        self.bias = np.broadcast_to(b, self.n_classes if w.ndim == 2 else 1).copy()
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         if not np.isfinite(self.bias).all():

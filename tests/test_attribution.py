@@ -101,8 +101,10 @@ def test_argmax_invariant_under_logit_rescale():
         n_perturbations=500, perturbation_policy="independent", perturbation_std=0.3, seed=4
     )
     w = np.array([0.9, 0.1, -0.3])
-    exp1 = lime_latent(oracle, ClassifierHead(w), graph, base, cfg, target_class=1)
-    exp3 = lime_latent(oracle, ClassifierHead(3.0 * w), graph, base, cfg, target_class=1)
+    exp1 = lime_latent(oracle, ClassifierHead(w), graph, base, cfg)
+    exp3 = lime_latent(oracle, ClassifierHead(3.0 * w), graph, base, cfg)
+    # p is 1/2 at latent 0, so both explain class 0, whose 1 - p falls along w
+    assert exp1.target_class == exp3.target_class == 0
     assert int(np.argmax(np.abs(exp1.weights))) == int(np.argmax(np.abs(exp3.weights)))
 
 
@@ -122,10 +124,11 @@ def test_weights_align_with_classifier_gradient():
             perturbation_std=0.5,
             seed=6,
         ),
-        target_class=1,
     )
+    # p is 1/2 at latent 0, so lime explains class 0, whose 1 - p falls along -w
+    assert exp.target_class == 0
     cos = float(
-        exp.weights @ w / (np.linalg.norm(exp.weights) * np.linalg.norm(w))
+        exp.weights @ -w / (np.linalg.norm(exp.weights) * np.linalg.norm(w))
     )
     assert cos > 0.99
 
@@ -272,6 +275,45 @@ def test_attribution_config_validation():
         AttributionConfig(n_perturbations=1)
     with pytest.raises(ValueError):
         AttributionConfig(kernel_width=0.0)
+    assert AttributionConfig(seed=np.int64(3)).seed == 3  # a numpy integer is a seed
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        pytest.param(True, "got True", id="bool-seed"),
+        pytest.param(1.5, "got 1.5", id="float-seed"),
+        pytest.param(-2, "got -2", id="negative-seed"),
+    ],
+)
+def test_attribution_config_rejects_bad_seeds(seed, message):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, {message}"):
+        AttributionConfig(seed=seed)
+
+
+@pytest.mark.parametrize("perturbation_policy", attribution.POLICIES)
+def test_lime_fits_numpy_integer_seeds_equal_python_ints(perturbation_policy):
+    # _lime_fits takes its seeds as given: numpy integers draw the same bits
+    oracle, graph = batch_setup("TSWI", "resample")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents = oracle.sample_latents(3, 0)
+    cfg = AttributionConfig(n_perturbations=20, perturbation_policy=perturbation_policy)
+    seeds = [5, 2**40, 5]
+    plain = attribution._lime_fits(oracle, head, graph, latents, cfg, seeds)
+    wrapped = attribution._lime_fits(oracle, head, graph, latents, cfg, np.array(seeds))
+    assert [a.tobytes() for a in wrapped] == [a.tobytes() for a in plain]
+
+
+def test_lime_explains_the_predicted_class():
+    oracle, graph = batch_setup("TSWI", "fixed")
+    head = ClassifierHead(np.random.default_rng(3).normal(size=(3, 4)))
+    latents = oracle.sample_latents(6, 3)
+    predicted = head.probabilities(latents).argmax(axis=1)
+    assert predicted[0] == 2 and len(set(predicted)) > 1
+    cfg = AttributionConfig(n_perturbations=20, seed=1)
+    assert lime_latent(oracle, head, graph, latents[0], cfg).target_class == 2
+    classes = attribution._lime_fits(oracle, head, graph, latents, cfg)[2]
+    assert np.array_equal(classes, predicted)
 
 
 @lru_cache(maxsize=None)
@@ -293,13 +335,12 @@ def batch_setup(kind, policy):
     noise_policy=st.sampled_from(["fixed", "resample"]),
     perturbation_policy=st.sampled_from(["interventional", "independent"]),
     softmax=st.booleans(),
-    target_class=st.sampled_from([None, 0, 1]),
     per_item_seeds=st.booleans(),
     m=st.integers(1, 7),
     seed=st.integers(0, 2**16),
 )
 def test_lime_batch_rows_equal_lime_latent(
-    kind, noise_policy, perturbation_policy, softmax, target_class, per_item_seeds, m, seed
+    kind, noise_policy, perturbation_policy, softmax, per_item_seeds, m, seed
 ):
     oracle, graph = batch_setup(kind, noise_policy)
     d = oracle.dim
@@ -313,12 +354,10 @@ def test_lime_batch_rows_equal_lime_latent(
     seeds = [int(s) for s in rng.integers(0, 4, m)] if per_item_seeds else None
     # two items per chunk, so an odd m leaves a short last chunk
     with mock.patch.object(attribution, "_CHUNK_ROWS", 2 * cfg.n_perturbations + 1):
-        beta, r2, classes = attribution._lime_fits(
-            oracle, head, graph, latents, cfg, seeds, target_class
-        )
+        beta, r2, classes = attribution._lime_fits(oracle, head, graph, latents, cfg, seeds)
     for k in range(m):
         solo_cfg = cfg if seeds is None else replace(cfg, seed=seeds[k])
-        solo = lime_latent(oracle, head, graph, latents[k], solo_cfg, target_class)
+        solo = lime_latent(oracle, head, graph, latents[k], solo_cfg)
         assert np.array_equal(beta[k, 1:], solo.weights)
         assert (beta[k, 0], r2[k]) == (solo.intercept, solo.local_fit_r2)
         assert (classes[k], solo.degenerate_fit) == (solo.target_class, False)
@@ -423,28 +462,6 @@ def test_lime_is_bit_identical_across_roundtrip_noise(
         for std in (0.0, 0.1, 1.0)
     ]
     assert fits[0] == fits[1] == fits[2]
-
-
-@pytest.mark.parametrize(
-    "target_class, seeds, message",
-    [
-        pytest.param(-1, None, r"integer in \[0, 2\), got -1", id="negative-class"),
-        pytest.param(2, None, r"integer in \[0, 2\), got 2", id="class-past-the-head"),
-        pytest.param(1.0, None, r"integer in \[0, 2\), got 1.0", id="float-class"),
-        pytest.param(True, None, r"integer in \[0, 2\), got True", id="bool-class"),
-        pytest.param(None, [1.7, 2.2], "non-negative integers, got 1.7", id="float-seeds"),
-        pytest.param(None, [1, -2], "non-negative integers, got -2", id="negative-seed"),
-        pytest.param(None, [2, True], "non-negative integers, got True", id="bool-seed"),
-    ],
-)
-def test_lime_batch_rejects_bad_targets_and_seeds_before_any_query(target_class, seeds, message):
-    oracle, graph = batch_setup("TSWI", "fixed")
-    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
-    latents = oracle.sample_latents(2, 0)
-    cfg = AttributionConfig(n_perturbations=20)
-    with mock.patch.object(Oracle, "_realise", side_effect=AssertionError("queried")):
-        with pytest.raises(ValueError, match=message):
-            attribution._lime_fits(oracle, head, graph, latents, cfg, seeds, target_class)
 
 
 @pytest.mark.parametrize(

@@ -236,17 +236,27 @@ def test_classifier_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
-    "weights, n_classes, message",
+    "weights, bias, message",
     [
-        (np.zeros(2), 3, "vector weights define a binary head"),
-        (np.zeros((3, 2)), 2, "n_classes disagrees with weight matrix"),
-        (np.zeros((1, 2)), None, "softmax head needs at least 2 classes"),
-        (np.zeros((2, 2, 2)), None, "weights must be a vector or a matrix"),
+        pytest.param(np.zeros((1, 2)), 0.0, "softmax head needs at least 2 classes",
+                     id="one-row-matrix"),
+        pytest.param(np.zeros((2, 2, 2)), 0.0, "weights must be a vector or a matrix",
+                     id="three-axes"),
+        pytest.param(np.zeros(2), [1.0, 2.0], r"bias shape \(2,\) is not one of \[\(\)\]",
+                     id="list-bias-on-vector"),
+        pytest.param(np.zeros(2), [1.0], r"bias shape \(1,\) is not one of \[\(\)\]",
+                     id="one-entry-bias-on-vector"),
+        pytest.param(np.zeros((3, 2)), [1.0, 2.0],
+                     r"bias shape \(2,\) is not one of \[\(\), \(3,\)\]",
+                     id="short-bias-on-matrix"),
+        pytest.param(np.zeros((3, 2)), np.zeros((3, 1)),
+                     r"bias shape \(3, 1\) is not one of \[\(\), \(3,\)\]",
+                     id="column-bias-on-matrix"),
     ],
 )
-def test_classifier_rejects_malformed_heads(weights, n_classes, message):
+def test_classifier_rejects_malformed_heads(weights, bias, message):
     with pytest.raises(ValueError, match=message):
-        ClassifierHead(weights, n_classes=n_classes)
+        ClassifierHead(weights, bias)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
