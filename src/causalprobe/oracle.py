@@ -3,9 +3,10 @@
 An oracle accepts a latent vector plus an optional do-intervention and
 returns the re-encoded latent vector: interventions are propagated to
 descendants by the backing structural causal model and i.i.d. Gaussian
-observation noise models the encode round trip. A linear SEM is an
-ScmModel too (ScmModel.linear), so one Oracle class serves both. A
-linear-logistic classifier head reads the latent space.
+observation noise models the encode round trip. Queries and discovery
+share one propagation; lime's per-row masks run stacked in another. A
+linear SEM is an ScmModel too (ScmModel.linear), so one Oracle class
+serves both. A linear-logistic classifier head reads the latent space.
 """
 from __future__ import annotations
 
@@ -47,31 +48,21 @@ class OracleConfig:
 
 
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, values) of one (1, n, d) block for an intervention, as
-    read-only broadcast views.
-
-    do is {node: scalar | (n,) array} with nodes given as in
-    ScmModel.node_index ({} intervenes on nothing), or a (mask, values)
-    pair broadcastable to (n, d). A dict clamps its columns on every row:
-    a (d,) mask with (n, d) values.
-    """
-    d = model.n_nodes
-    if isinstance(do, tuple):
-        mask, values = do
-    else:
-        mask, values = np.zeros(d, dtype=bool), np.zeros((n, d))
-        for key, val in do.items():
-            idx = model.node_index(key)
-            if np.shape(val) not in ((), (n,)):
-                raise ValueError(f"do value of node {key!r} must be a scalar or have shape "
-                                 f"({n},), got {np.shape(val)}")
-            mask[idx] = True
-            values[:, idx] = val
-    try:
-        return np.broadcast_to(mask, (1, n, d)), np.broadcast_to(values, (1, n, d))
-    except ValueError:
-        shapes = f"mask {np.shape(mask)} and values {np.shape(values)}"
-        raise ValueError(f"do {shapes} must broadcast to ({n}, {d})") from None
+    """The (d,) mask and (n, k) clamped columns, in column order, of do:
+    {node: scalar | (n,) array} with nodes given as in ScmModel.node_index
+    ({} intervenes on nothing), each clamped on every row."""
+    if not isinstance(do, dict):
+        raise ValueError(f"do must be a dict {{node: scalar or ({n},) array}}, "
+                         f"got {type(do).__name__}")
+    mask, values = np.zeros(model.n_nodes, dtype=bool), np.empty((n, model.n_nodes))
+    for key, val in do.items():
+        idx = model.node_index(key)
+        if np.shape(val) not in ((), (n,)):
+            raise ValueError(f"do value of node {key!r} must be a scalar or have shape "
+                             f"({n},), got {np.shape(val)}")
+        mask[idx] = True
+        values[:, idx] = val
+    return mask, values[:, mask]
 
 
 class Oracle:
@@ -83,10 +74,10 @@ class Oracle:
     constants of a fixed-size observational draw, and queries run on it.
     With standardize=False the chart is the raw feature space. A query is
     the counterfactual: the base rows' abduced noise ("resample": fresh
-    noise on each row's closure) propagated with the intervened nodes
-    clamped, evaluated only on the descendants of the clamped nodes (every
-    other feature keeps its base value). Queries are pure: identical
-    (base, do, seed) give identical output.
+    noise on the closure) propagated with the intervened columns clamped
+    on every row, evaluated only on the descendants of the clamped columns
+    (every other feature keeps its base value bit for bit). Queries are
+    pure: identical (base, do, seed) give identical output.
     """
 
     def __init__(self, model: ScmModel, config: OracleConfig | None = None):
@@ -116,16 +107,15 @@ class Oracle:
     def query(self, base: np.ndarray, do=None, seed=0) -> np.ndarray:
         """Re-encode base rows under an optional intervention.
 
-        base: (d,) or (n, d) latent rows in the oracle's chart; do: None
-        (no intervention) or any intervention _normalize_do accepts, its
-        values in the chart. Returns _realise of the base rows with the do
-        values written under do's mask, plus the round-trip noise, with
-        matching shape. One default_rng(seed) draws first the exogenous
-        noise ("resample" policy), then the round-trip noise. Two queries
-        under one int, int sequence or SeedSequence s share their draws:
-        query(base, do, s) and query(base, None, s) differ by exactly 0.0
-        off do's closure. At roundtrip_noise_std 0 nothing is added, so a
-        -0.0 off the closure stays -0.0.
+        base: (d,) or (n, d) latent rows in the oracle's chart, n > 0; do:
+        None (no intervention) or the dict _normalize_do takes, its values
+        in the chart. Returns _counterfactual of the base rows plus the
+        round-trip noise, with matching shape. One default_rng(seed) draws
+        first the exogenous noise ("resample" policy), then the round-trip
+        noise. Two queries under one int, int sequence or SeedSequence s
+        share their draws: query(base, do, s) and query(base, None, s)
+        differ by exactly 0.0 off do's closure. At roundtrip_noise_std 0
+        nothing is added, so a -0.0 off the closure stays -0.0.
         """
         arr = np.asarray(base, dtype=float)
         single = arr.ndim == 1
@@ -133,44 +123,36 @@ class Oracle:
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             d = self.dim
             raise ValueError(f"base rows must have shape (n, {d}) or ({d},), got {arr.shape}")
+        factual = self._factual(rows)
+        mask, clamped = _normalize_do(self.model, {} if do is None else do, len(rows))
         std = self.config.roundtrip_noise_std
-        rng = None
-        if std > 0 or self.config.noise_policy == "resample":
-            rng = np.random.default_rng(seed)
-        factual = self._factual(rows[None])
-        mask, values = _normalize_do(self.model, {} if do is None else do, len(rows))
-        out = self._realise(factual.noise, mask, np.where(mask, values, factual.values), [rng])[0]
+        rng = np.random.default_rng(seed) if std > 0 else seed
+        out = self._counterfactual(factual, mask, clamped, rng)
         if std > 0:
             out += rng.normal(0.0, std, out.shape)
         return out[0] if single else out
 
     def _realise(self, noise, mask, rows, seeds) -> np.ndarray:
-        """Counterfactual chart rows of m independent blocks in one
-        propagation, without the round-trip noise, written into rows.
+        """Counterfactual chart rows of m independent blocks of per-row
+        masks (lime's perturbations) in one propagation, written into rows.
 
         noise: _factual(base).noise of an (m, n, d) base stack, or of an
         (m, 1, d) one when every row of a block shares one factual row,
         read and never written. mask: the (m, n, d) clamped entries. rows:
         (m, n, d) floats, the do values under the mask and the base rows
-        elsewhere, propagated in place and returned. seeds: one hashable
-        seed per block (an int, a tuple of ints or a Generator). Block k
-        equals query(base[k] repeated to n rows, (mask[k], rows[k]), seeds[k])
-        less its round-trip draw, bit for bit on the builtin models; a
-        shared row is abduced once, and BLAS may round that one row's
-        contraction an ulp away from the same row among n (seen from d = 9
-        on). Further:
-        - under "resample", block k's fresh exogenous noise is the first
-          draw of default_rng(seeds[k]); blocks with equal seeds share it;
-        - every row contraction runs per block with the block's own shape
-          (BLAS rounds a row differently with the number of rows it gets);
-        - a row propagates its factual noise or, under "resample", the
-          fresh noise on the closure of its own clamped columns. The blocks
-          propagate together over the union of the closures of their
-          clamped columns (clamped on any row, descendants included); a
-          column outside its block's closure joins the mask, so it comes
-          back as its entry in rows bit for bit. A block whose mask is
-          empty has an empty closure.
-        The rows must be finite.
+        elsewhere, propagated in place and returned. seeds: one int or
+        tuple of ints per block. Block k equals block k realised alone
+        (m = 1) bit for bit. A block alone propagates, on the closure of
+        its clamped columns (clamped on any row, descendants included),
+        each row's factual noise or, under "resample", the first draw of
+        default_rng(seeds[k]) on the closure of the row's own clamped
+        columns (equal seeds share it; nothing is drawn when no block
+        clamps anything), every row contraction with the block's own shape
+        (BLAS rounds a row by the number of rows it gets). A clamped entry
+        and a column off that closure come back as their entry in rows,
+        bit for bit. A shared factual row is abduced once, and BLAS may
+        round its contraction an ulp away from the same row among n (seen
+        from d = 9 on). The rows must be finite.
         """
         m, n, d = rows.shape
         mask = np.asarray(mask, dtype=bool)
@@ -183,15 +165,13 @@ class Oracle:
         if not np.isfinite(rows).all():
             raise ValueError("oracle query do values must be finite where the mask is set")
 
-        fresh = None  # drawn even for an empty closure: query draws after it
+        closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
+        if not closure.any():
+            return rows
         if self.config.noise_policy == "resample":
             drawn = {s: self._charted.draw_noise(n, np.random.default_rng(s))
                      for s in dict.fromkeys(seeds)}
             fresh = np.stack([drawn[s] for s in seeds])
-        closure = self._charted.closure((np.ones((1, n), dtype=bool) @ mask)[:, 0])
-        if not closure.any():
-            return rows
-        if fresh is not None:
             noise = np.where(self._charted.closure(mask), fresh, noise)
         run = closure.any(axis=0)
         kept = (run & ~closure)[:, None]  # (m, 1, d); empty when m is 1
@@ -202,7 +182,7 @@ class Oracle:
 
     def _factual(self, base) -> SampleSet:
         """Base rows checked and abduced once: (n, d) rows, n > 0, for
-        _paired_change, or an (m, n, d) stack of blocks for _realise, each
+        _counterfactual, or an (m, n, d) stack of blocks for _realise, each
         block contracted on its own (so an (m, 1, d) stack abduces every row
         as its own 1-row block). The rows must be finite."""
         base = np.ascontiguousarray(base, dtype=float)
@@ -216,14 +196,16 @@ class Oracle:
             raise ValueError("oracle query base rows must be finite")
         return self._charted.abduce(base)
 
-    def _paired_change(self, factual: SampleSet, mask, clamped, seed, read=None) -> np.ndarray:
-        """query(base, do, seed) - query(base, None, seed) for factual =
-        _factual(base), do clamping the (d,) mask's k columns to the (n, k)
-        clamped values, in column order; the round-trip draw cancels and is
-        not drawn. The clamped columns are written into a copy of the factual
-        rows, never evaluated; the rest of their closure propagates. Given a
+    def _counterfactual(self, factual: SampleSet, mask, clamped, seed, read=None) -> np.ndarray:
+        """The counterfactual rows of factual = _factual(base), clamping the
+        (d,) mask's k columns to the (n, k) clamped values in column order,
+        without the round-trip draw: the one propagation of queries and of
+        discovery. The clamped columns are written into a copy of the
+        factual rows, never evaluated; the rest of their closure propagates
+        the factual noise or, under "resample", the first draw of
+        default_rng(seed) there, drawn even for an empty mask. Given a
         column read, only its ancestors among those propagate (no other
-        column enters their equations) and only its (n,) change returns."""
+        column enters their equations) and only its (n,) column returns."""
         n = len(factual.values)
         if mask.shape != (self.dim,) or clamped.shape != (n, np.count_nonzero(mask)):
             raise ValueError(f"do mask {mask.shape} and clamped columns {clamped.shape} must be "
@@ -241,7 +223,14 @@ class Oracle:
         out = factual.values.copy()
         out[:, mask] = clamped
         out = self._charted.propagate(noise, out=out, nodes=nodes)
-        return out - factual.values if read is None else out[:, read] - factual.values[:, read]
+        return out if read is None else out[:, read]
+
+    def _paired_change(self, factual: SampleSet, mask, clamped, seed, read=None) -> np.ndarray:
+        """query(base, do, seed) - query(base, None, seed): _counterfactual's
+        rows, or column read, less the factual ones. The round-trip draw
+        cancels and is not drawn."""
+        out = self._counterfactual(factual, mask, clamped, seed, read)
+        return out - (factual.values if read is None else factual.values[:, read])
 
 
 class ClassifierHead:

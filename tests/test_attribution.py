@@ -397,10 +397,11 @@ def reference_lime(oracle, head, graph, latent, cfg):
     deltas = np.where(masks, rng.normal(0.0, cfg.perturbation_std, (n, d)), 0.0)
     base = np.broadcast_to(latent, (n, d))
     if cfg.perturbation_policy == "interventional":
-        # the same-seed pair cancels the round-trip draw, which lime never takes
-        seed = [cfg.seed, 8]
-        realized = oracle.query(base, (masks, base + deltas), seed)
-        realized = realized - (oracle.query(base, None, seed) - base)
+        # the fixed-policy counterfactual without the round-trip draw, which
+        # lime never takes: the charted model's own abduction, every equation
+        # propagated under each row's clamps
+        charted = oracle._charted
+        realized = charted.propagate(charted.abduce(base).noise, masks, base + deltas)
         # its own closure, not graph.reach(): follow edges until nothing grows
         reach = np.eye(d, dtype=bool)
         grown = True

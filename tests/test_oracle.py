@@ -117,8 +117,10 @@ def test_resample_policy_redraws_noise():
     oracle, fixed = Oracle(model, cfg), Oracle(model, NOISELESS)
     base = oracle.sample_latents(32, 4)
     # an empty intervention has an empty closure: the base comes back
-    for do in (None, {}, (np.zeros(base.shape, dtype=bool), base + 1.0)):
+    for do in (None, {}):
         assert np.array_equal(oracle.query(base, do, seed=5), base)
+    empty = np.zeros((1,) + base.shape, dtype=bool)  # an all-False per-row mask
+    assert np.array_equal(realise(oracle, base[None], empty, base[None] + 1.0, [(5, 8)])[0], base)
     # round-trip noise is drawn after the (unused) exogenous draw
     noisy = Oracle(model, replace(cfg, roundtrip_noise_std=0.1))
     rng = np.random.default_rng(5)
@@ -136,13 +138,16 @@ def test_resample_policy_redraws_noise():
 @pytest.mark.parametrize("policy", ["fixed", "resample"])
 def test_empty_interventions_query_like_none(policy):
     # an all-False mask, in any form, has an empty closure: the query's
-    # draws and bits are those of do=None
+    # draws and bits are those of do=None, and a per-row block's bits are
+    # those of do=None less the round-trip draw
     oracle = Oracle(builtin("TSWI"), OracleConfig(noise_policy=policy))
+    quiet = Oracle(oracle.model, replace(oracle.config, roundtrip_noise_std=0.0))
     base = oracle.sample_latents(16, 2)
     plain = oracle.query(base, None, seed=4).tobytes()
-    empty = np.zeros(base.shape, dtype=bool)
-    for do in ({}, (empty, base + 1.0), (empty[0], 0.0)):
-        assert oracle.query(base, do, seed=4).tobytes() == plain
+    assert oracle.query(base, {}, seed=4).tobytes() == plain
+    empty = np.zeros((1,) + base.shape, dtype=bool)
+    block = realise(oracle, base[None], empty, base[None] + 1.0, [(4, 8)])[0]
+    assert block.tobytes() == quiet.query(base, None, seed=4).tobytes()
 
 
 def test_linear_oracle_single_edge():
@@ -342,10 +347,71 @@ def test_realise_blocks_equal_solo_queries(
     # propagated in place, with or without a closure
     assert stacked is rows and plain is plain_rows
     assert same_bits(factual.values, base)
-    # a block is its solo query without the round-trip draw: the query at std 0
+    # a block is the block realised alone; without a clamp, the query at std 0
     for k in range(m):
-        assert np.array_equal(stacked[k], quiet.query(base[k], (mask[k], values[k]), seeds[k]))
+        solo = realise(oracle, base[k : k + 1], mask[k : k + 1], values[k : k + 1], seeds[k : k + 1])
+        assert np.array_equal(stacked[k], solo[0])
         assert np.array_equal(plain[k], quiet.query(base[k], None, seeds[k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(BUILTIN_NAMES + ("linear9", "linear30")),
+    policy=st.sampled_from(["fixed", "resample"]),
+    n=st.integers(1, 20),
+    scalars=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_query_equals_its_block_realised(kind, policy, n, scalars, seed):
+    # a mask that clamps the same columns on every row: query's propagation
+    # and lime's stacked one give the same bits at roundtrip_noise_std 0
+    rng = np.random.default_rng(seed)
+    linear = kind.startswith("linear")
+    model = ScmModel.linear(random_dag_weights(int(kind[6:]), rng)) if linear else builtin(kind)
+    config = OracleConfig(roundtrip_noise_std=0.0, noise_policy=policy, standardize=not linear)
+    oracle = Oracle(model, config)
+    base = oracle.sample_latents(n, [seed, 1])
+    base[rng.random(base.shape) < 0.2] = -0.0
+    columns = rng.random(oracle.dim) < 0.4
+    if scalars:
+        values = np.broadcast_to(rng.normal(size=oracle.dim), base.shape)
+        do = {int(k): float(values[0, k]) for k in np.flatnonzero(columns)}
+    else:
+        values = base + rng.normal(size=base.shape)
+        do = {int(k): values[:, k] for k in np.flatnonzero(columns)}
+    mask = np.broadcast_to(columns, (1,) + base.shape)
+    block = realise(oracle, base[None], mask, values[None], [(seed, 8)])[0]
+    assert same_bits(oracle.query(base, do, (seed, 8)), block)
+
+
+@pytest.mark.parametrize("policy", ["fixed", "resample"])
+def test_query_never_evaluates_a_clamped_column(monkeypatch, policy):
+    # a query writes its clamped columns and propagates only the rest of
+    # their closure, in one plain propagation: lime's engine is not entered
+    model = builtin("TSWI")
+    oracle = Oracle(model, OracleConfig(noise_policy=policy))
+    base = oracle.sample_latents(16, 0)
+    cases = [(None, []), ({"s": 1.0}, [1]), ({"t": base[:, 0], "w": 0.5}, [0, 2])]
+    expected = [oracle.query(base, do, seed=3) for do, _ in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query entered Oracle._realise")
+
+    runs, propagate = [], ScmModel.propagate
+
+    def spy(self, noise, do_mask=None, do_values=None, *, out=None, nodes=None):
+        runs.append((do_mask, nodes.copy()))
+        return propagate(self, noise, do_mask, do_values, out=out, nodes=nodes)
+
+    monkeypatch.setattr(Oracle, "_realise", refuse)
+    monkeypatch.setattr(ScmModel, "propagate", spy)
+    for (do, clamped), want in zip(cases, expected):
+        runs.clear()
+        assert same_bits(oracle.query(base, do, seed=3), want)
+        columns = np.isin(np.arange(oracle.dim), clamped)
+        (do_mask, nodes), = runs
+        assert do_mask is None
+        assert np.array_equal(nodes, model.closure(columns) & ~columns)
 
 
 @settings(max_examples=40, deadline=None)
@@ -393,14 +459,17 @@ def test_queries_evaluate_only_the_closure(kind, policy, noise, m, n, whole_colu
         ref = clean.to_chart(model.propagate(exogenous, mask[k], to_raw(clean, values[k])))
         kept, run = ~closure[k], closure[k]
         tol = 1e-12 * np.abs(ref).max()
-        for out in (stacked[k], clean.query(base[k], (mask[k], values[k]), seeds[k])):
+        solo = realise(clean, base[k : k + 1], mask[k : k + 1], values[k : k + 1], [seeds[k]])[0]
+        for out in (stacked[k], solo):
             assert np.array_equal(out[:, kept], base[k][:, kept])
             np.testing.assert_allclose(out[:, run], ref[:, run], rtol=1e-12, atol=tol)
             np.testing.assert_allclose(out[~own], base[k][~own], rtol=1e-12, atol=tol)
-        # a query adds the round-trip noise on top of the realised rows
+        # a query adds the round-trip noise on top of its realised rows: a
+        # block's own when it clamps whole columns, else the base rows of do=None
         draw = draws.normal(0.0, noise, (n, d)) if noise else 0.0
-        assert np.array_equal(oracle.query(base[k], (mask[k], values[k]), seeds[k]),
-                              stacked[k] + draw)
+        do = {int(j): values[k][:, j] for j in np.flatnonzero(mask[k][0])}
+        do, realised = (do, stacked[k]) if whole_columns else (None, base[k])
+        assert np.array_equal(oracle.query(base[k], do, seeds[k]), realised + draw)
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,13 +568,11 @@ def test_query_rejects_non_finite_inputs(bad):
         oracle.query(nan_latent, None, seed=0)
     with pytest.raises(ValueError, match="do values must be finite"):
         oracle.query(base, {"t": bad}, seed=0)
-    # a non-finite value under a cleared mask entry is never used
-    mask = np.zeros(base.shape, dtype=bool)
-    mask[:, 0] = True
+    # a non-finite value in a column do does not clamp is never used
     values = base.copy()
     values[:, 1] = bad
     assert np.array_equal(
-        oracle.query(base, (mask, values), seed=0), oracle.query(base, {"t": base[:, 0]}, seed=0)
+        oracle.query(base, {"t": values[:, 0]}, seed=0), oracle.query(base, {"t": base[:, 0]}, seed=0)
     )
 
 
@@ -524,7 +591,8 @@ def test_query_purity_across_fresh_oracles(kind, policy, n, intervene, seed):
     config = OracleConfig(noise_policy=policy, standardize=not linear, seed=seed)
     first, second = Oracle(model, config), Oracle(model, config)
     base = first.sample_latents(n, [seed, 1])
-    do = (rng.random(base.shape) < 0.3, rng.normal(size=base.shape)) if intervene else None
+    columns = np.flatnonzero(rng.random(first.dim) < 0.3)
+    do = {int(k): rng.normal(size=n) for k in columns} if intervene else None
     query_seed = [seed, 2]
     out = first.query(base, do, seed=query_seed)
     again = second.query(base, do, seed=query_seed)
@@ -543,12 +611,12 @@ def same_bits(a, b):
     policy=st.sampled_from(["fixed", "resample"]),
     noise=st.sampled_from([0.0, 0.1]),
     n=st.integers(1, 12),
-    as_dict=st.booleans(),
+    scalars=st.booleans(),
     broadcast=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_same_seed_queries_pair_bit_for_bit_off_the_closure(
-    kind, policy, noise, n, as_dict, broadcast, seed
+    kind, policy, noise, n, scalars, broadcast, seed
 ):
     # the two queries intervention_effect makes: do and its no-do baseline
     rng = np.random.default_rng(seed)
@@ -560,12 +628,9 @@ def test_same_seed_queries_pair_bit_for_bit_off_the_closure(
     base[rng.random(base.shape) < 0.3] = -0.0  # off the closure at std 0 it comes back as -0.0
     if broadcast:  # copies of one latent, as intervention_effect passes them
         base = np.broadcast_to(base[0], base.shape)
-    if as_dict:
-        do = {int(k): rng.normal(size=n) for k in np.flatnonzero(rng.random(oracle.dim) < 0.4)}
-        clamped = np.isin(np.arange(oracle.dim), list(do))
-    else:
-        do = (rng.random(base.shape) < 0.3, rng.normal(size=base.shape))
-        clamped = do[0].any(axis=0)
+    clamped = rng.random(oracle.dim) < 0.4
+    draw = (lambda: float(rng.normal())) if scalars else (lambda: rng.normal(size=n))
+    do = {int(k): draw() for k in np.flatnonzero(clamped)}
     sequence = np.random.SeedSequence([seed, 2])
     out, ref = oracle.query(base, do, sequence), oracle.query(base, None, sequence)
     # a SeedSequence replays the stream of the seed it wraps
@@ -584,12 +649,12 @@ def test_same_seed_queries_pair_bit_for_bit_off_the_closure(
     policy=st.sampled_from(["fixed", "resample"]),
     d=st.integers(2, 12),
     n=st.integers(1, 12),
-    as_dict=st.booleans(),
+    scalars=st.booleans(),
     broadcast=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_paired_change_is_the_pair_difference_without_the_draw(
-    kind, policy, d, n, as_dict, broadcast, seed
+    kind, policy, d, n, scalars, broadcast, seed
 ):
     # a column clamp: the (d,) mask holds on every row, as in discovery
     rng = np.random.default_rng(seed)
@@ -601,8 +666,13 @@ def test_paired_change_is_the_pair_difference_without_the_draw(
     base[rng.random(base.shape) < 0.3] = -0.0
     if broadcast:
         base = np.broadcast_to(base[0], base.shape)
-    mask, values = rng.random(oracle.dim) < 0.4, rng.normal(size=base.shape)
-    do = {int(k): values[:, k] for k in np.flatnonzero(mask)} if as_dict else (mask, values)
+    mask = rng.random(oracle.dim) < 0.4
+    if scalars:  # one value per clamped column, by label
+        values = np.broadcast_to(rng.normal(size=oracle.dim), base.shape)
+        do = {model.labels[k]: float(values[0, k]) for k in np.flatnonzero(mask)}
+    else:
+        values = rng.normal(size=base.shape)
+        do = {int(k): values[:, k] for k in np.flatnonzero(mask)}
     factual = oracle._factual(base)
     change = oracle._paired_change(factual, mask, values[:, mask], [seed, 2])
     out, ref = (quiet.query(base, d, [seed, 2]) for d in (do, None))
@@ -632,6 +702,10 @@ def test_paired_change_rejects_what_a_query_rejects(policy):
             oracle._factual(bad)
     with pytest.raises(ValueError, match="oracle query base rows must be finite"):
         oracle.query(nonfinite, None, seed=0)  # the message a query gives
+    # a query's rows are _factual's: no rows is the error a discovery base of none gives
+    for do in (None, {"s": 1.0}):
+        with pytest.raises(ValueError, match=r"base rows must have shape \(n, 4\), got \(0, 4\)"):
+            oracle.query(base[:0], do, seed=0)
     factual, mask = oracle._factual(base), np.array([False, True, False, False])
     clamped = base[:, mask] + 1.0
     for value in (np.inf, np.nan):
@@ -644,15 +718,18 @@ def test_paired_change_rejects_what_a_query_rejects(policy):
 def test_malformed_do_names_the_expected_shape():
     oracle = Oracle(builtin("TI"), OracleConfig())
     base = oracle.sample_latents(4, 0)
+    # any form but the dict, the old (mask, values) pair included, names the dict
     cases = [
-        ((np.zeros(5, bool), 0.0), r"do mask \(5,\) and values \(\) must broadcast to \(4, 2\)"),
+        ((np.zeros(5, bool), 0.0), r"do must be a dict \{node: scalar or \(4,\) array\}, got tuple"),
+        ([("t", 1.0)], r"do must be a dict \{node: scalar or \(4,\) array\}, got list"),
         ({"t": np.ones(3)}, r"node 't' must be a scalar or have shape \(4,\), got \(3,\)"),
     ]
     for do, message in cases:
         with pytest.raises(ValueError, match=message):
             oracle.query(base, do, seed=0)
     # the paired change clamps whole columns, a (d,) mask's k columns to
-    # (n, k) values: the two cases above as a column mask and its columns
+    # (n, k) values: the tuple and the short column above as a column mask
+    # and its columns
     factual = oracle._factual(base)
     for mask, clamped, got in [
         (np.zeros(5, bool), np.zeros(()), r"mask \(5,\) and clamped columns \(\)"),
