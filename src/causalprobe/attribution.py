@@ -37,7 +37,6 @@ class AttributionConfig:
     kernel_width: float | None = None  # None -> 0.75 * sqrt(dim)
     ridge_lambda: float = 1e-3
     perturbation_policy: str = "interventional"
-    perturbation_std: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class AttributionConfig:
             raise ValueError("ridge_lambda must be >= 0 and finite")
         if self.perturbation_policy not in POLICIES:
             raise ValueError(f"perturbation_policy must be one of {POLICIES}")
-        if not 0 < self.perturbation_std < np.inf:
-            raise ValueError("perturbation_std must be > 0 and finite")
         seed = self.seed  # a bool is an int to isinstance, but not a seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
@@ -79,15 +76,15 @@ class Explanation:
         }
 
 
-def _perturbations(seed: int, n: int, d: int, std: float) -> tuple[np.ndarray, np.ndarray]:
-    """Random feature subsets (at least one feature each) and Gaussian deltas."""
+def _perturbations(seed: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random feature subsets (at least one feature each) and standard normal deltas."""
     rng = np.random.default_rng([seed, 7])
     masks = rng.random((n, d)) < 0.5
     empty = ~masks.any(axis=1)
     if empty.any():
         picks = rng.integers(0, d, size=int(empty.sum()))
         masks[np.flatnonzero(empty), picks] = True
-    deltas = np.where(masks, rng.normal(0.0, std, (n, d)), 0.0)
+    deltas = np.where(masks, rng.normal(0.0, 1.0, (n, d)), 0.0)
     return masks, deltas
 
 
@@ -184,7 +181,7 @@ def _lime_fits(
             # stays bounded by the chunk
             chunk = seeds[lo : lo + c]
             drawn = {
-                s: drawn[s] if s in drawn else _perturbations(s, n, d, config.perturbation_std)
+                s: drawn[s] if s in drawn else _perturbations(s, n, d)
                 for s in dict.fromkeys(chunk)
             }
             np.stack([drawn[s][0] for s in chunk], out=masks[:c])

@@ -120,7 +120,6 @@ _SCHEMA = {
     "classifier": {
         "weights": _Required(list[float] | list[list[float]]),
         "bias": float | list[float],
-        "n_classes": int | None,
     },
     **{
         name: {k: v for k, v in get_type_hints(cls).items() if k != "seed"}
@@ -128,7 +127,7 @@ _SCHEMA = {
     },
     "sample": {"n": int},
     "explain": {"index": int, "interventions": list[str]},
-    "evaluate": {"n_explanations": int, "stability_index": int, "deterministic_seed": bool},
+    "evaluate": {"n_explanations": int, "deterministic_seed": bool},
 }
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string",
                type(None): "null"}
@@ -297,11 +296,6 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
         raise ValueError(
             f"config key 'classifier.weights' needs rows of length {dim}, the "
             f"oracle dimension; got {[len(row) for row in rows]}"
-        )
-    if spec.get("n_classes") not in (None, n_classes):
-        raise ValueError(
-            f"config key 'classifier.n_classes' must be {n_classes} for these "
-            f"weights, got {spec['n_classes']}"
         )
     return ClassifierHead(weights, bias)
 
@@ -598,9 +592,10 @@ def run_explain(
 def evaluate_explainer(cfg: dict, seed: int) -> dict:
     """Faithfulness (engine vs shuffled baseline) and stability protocol.
 
-    Under the default deterministic-seed protocol every explanation run
-    reuses one attribution seed, so explanations are a pure function of
-    their input and a deterministic explainer scores stability 0 exactly.
+    Stability explains P noisy copies of the first evaluation latent. Under
+    the default deterministic-seed protocol every explanation run reuses
+    one attribution seed, so explanations are a pure function of their
+    input and a deterministic explainer scores stability 0 exactly.
     Setting evaluate.deterministic_seed to false derives an independent
     seed per run instead, exposing the explainer's Monte-Carlo variance.
     Shuffled pairings define no stability baseline, so that entry is None.
@@ -614,11 +609,6 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
             f"evaluate.n_explanations ({n_expl}) must be at least evaluation.mi_bins "
             f"({ecfg.mi_bins}), one row per histogram bin"
         )
-    stability_index = evaluate.get("stability_index", 0)
-    if not 0 <= stability_index < n_expl:
-        raise ValueError(
-            f"evaluate.stability_index must lie in [0, {n_expl}), got {stability_index}"
-        )
     det = evaluate.get("deterministic_seed", True)
     oracle, head, dcfg, acfg = _explainer_setup(cfg, seed)
     graph = discover(oracle, dcfg)
@@ -626,9 +616,8 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     latents = oracle.sample_latents(n_expl, [seed, 16])
     seeds = [acfg.seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
     n_sets, n_reps = ecfg.p_subsets, ecfg.q_repetitions
-    base = latents[stability_index]
     noisy = [
-        base + np.random.default_rng([seed, 18, p]).normal(0.0, ecfg.noise_std, oracle.dim)
+        latents[0] + np.random.default_rng([seed, 18, p]).normal(0.0, ecfg.noise_std, oracle.dim)
         for p in range(n_sets)
     ]
     fits = 1 if det else n_reps  # one seed: a fit is a pure function of its input

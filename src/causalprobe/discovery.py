@@ -52,19 +52,14 @@ def _sweep(oracle: Oracle, factual, src: int, magnitude: float, config: Discover
                                  _sweep_seed(config, src, magnitude), read)
 
 
-def edge_weight(
-    oracle: Oracle, i: int, j: int, base: np.ndarray, config: DiscoveryConfig,
-    magnitude: float | None = None,
-) -> float:
-    """Monte-Carlo edge weight for i -> j under do(l_i = l_i + magnitude): the
-    mean of _sweep's paired change of j (summed in row order, as propose_edges'
-    axis-0 mean sums it) over the magnitude, which must not be 0."""
+def edge_weight(oracle: Oracle, i: int, j: int, base: np.ndarray, config: DiscoveryConfig) -> float:
+    """Monte-Carlo edge weight for i -> j under do(l_i = l_i + m), m the
+    config's intervention_magnitude: the mean of _sweep's paired change of j
+    (summed in row order, as propose_edges' axis-0 mean sums it) over m."""
     i, j = oracle.model.node_index(i), oracle.model.node_index(j)
     if i == j:
         raise ValueError("edge weight needs distinct features")
-    mag = config.intervention_magnitude if magnitude is None else magnitude
-    if mag == 0:
-        raise ValueError("edge weight needs a nonzero magnitude")
+    mag = config.intervention_magnitude
     change = _sweep(oracle, oracle._factual(base), i, mag, config, read=j)
     return float(np.cumsum(change)[-1] / len(change) / mag)
 

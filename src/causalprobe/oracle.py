@@ -50,13 +50,16 @@ class OracleConfig:
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (d,) mask and (n, k) clamped columns, in column order, of do:
     {node: scalar | (n,) array} with nodes given as in ScmModel.node_index
-    ({} intervenes on nothing), each clamped on every row."""
+    ({} intervenes on nothing) and no node named twice, each clamped on
+    every row."""
     if not isinstance(do, dict):
         raise ValueError(f"do must be a dict {{node: scalar or ({n},) array}}, "
                          f"got {type(do).__name__}")
     mask, values = np.zeros(model.n_nodes, dtype=bool), np.empty((n, model.n_nodes))
     for key, val in do.items():
         idx = model.node_index(key)
+        if mask[idx]:
+            raise ValueError(f"do names node {idx} ({model.labels[idx]!r}) twice")
         if np.shape(val) not in ((), (n,)):
             raise ValueError(f"do value of node {key!r} must be a scalar or have shape "
                              f"({n},), got {np.shape(val)}")

@@ -346,11 +346,11 @@ class ScmModel:
         return cls(name=doc["name"], labels=labels, equations=equations)
 
     @classmethod
-    def linear(cls, weights, noise_std: float = 1.0, labels=None) -> "ScmModel":
+    def linear(cls, weights, noise_std: float = 1.0) -> "ScmModel":
         """Linear SEM x_j = sum_k weights[k, j] x_k + normal(noise_std) noise.
 
         weights must be a square DAG matrix with a zero diagonal; node ids
-        need not follow the topological order. Labels default to x0, x1, ...
+        need not follow the topological order. Labels are x0, x1, ...
         """
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -358,9 +358,6 @@ class ScmModel:
         d = w.shape[0]
         if np.any(np.diag(w) != 0):
             raise ValueError("self-weights must be zero")
-        labels = tuple(labels) if labels is not None else tuple(f"x{k}" for k in range(d))
-        if len(labels) != d:
-            raise ValueError("labels length must match dimension")
         noise = NoiseSpec("normal", (noise_std,))
         equations = []
         for j in range(d):
@@ -368,6 +365,7 @@ class ScmModel:
             equations.append(
                 StructuralEquation(j, tuple(parents), noise, linear=tuple(w[parents, j]))
             )
+        labels = tuple(f"x{k}" for k in range(d))
         return cls(name="linear", labels=labels, equations=tuple(equations))
 
 

@@ -98,7 +98,7 @@ def test_argmax_invariant_under_logit_rescale():
     graph = discover(oracle, DiscoveryConfig(n_samples=64, seed=0))
     base = np.zeros(3)
     cfg = AttributionConfig(
-        n_perturbations=500, perturbation_policy="independent", perturbation_std=0.3, seed=4
+        n_perturbations=500, perturbation_policy="independent", seed=4
     )
     w = np.array([0.9, 0.1, -0.3])
     exp1 = lime_latent(oracle, ClassifierHead(w), graph, base, cfg)
@@ -121,7 +121,6 @@ def test_weights_align_with_classifier_gradient():
         AttributionConfig(
             n_perturbations=5000,
             perturbation_policy="independent",
-            perturbation_std=0.5,
             seed=6,
         ),
     )
@@ -394,7 +393,7 @@ def reference_lime(oracle, head, graph, latent, cfg):
     empty = ~masks.any(axis=1)
     if empty.any():
         masks[np.flatnonzero(empty), rng.integers(0, d, size=int(empty.sum()))] = True
-    deltas = np.where(masks, rng.normal(0.0, cfg.perturbation_std, (n, d)), 0.0)
+    deltas = np.where(masks, rng.normal(0.0, 1.0, (n, d)), 0.0)
     base = np.broadcast_to(latent, (n, d))
     if cfg.perturbation_policy == "interventional":
         # the fixed-policy counterfactual without the round-trip draw, which
@@ -598,7 +597,7 @@ def test_lime_rows_keep_the_latent_outside_each_rows_own_closure():
 
     with mock.patch.object(head, "_class_probabilities", side_effect=record):
         attribution._lime_fits(oracle, head, graph, latent[None], cfg)
-    masks, _ = attribution._perturbations(cfg.seed, cfg.n_perturbations, 3, 1.0)
+    masks, _ = attribution._perturbations(cfg.seed, cfg.n_perturbations, 3)
     still = masks @ graph.reach() == 0
     assert still[:, 1].any() and masks[:, 0].any()  # the case above occurs
     assert np.array_equal(scored[0][0][still], np.broadcast_to(latent, still.shape)[still])

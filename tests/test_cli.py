@@ -160,6 +160,18 @@ def test_explain_outputs(tmp_path):
     assert len(diff) == 3  # intervened + diff rows for one intervention
 
 
+def test_softmax_weights_alone_set_the_class_count(tmp_path):
+    # a 3-row weight matrix is a 3-class head: no config key names the count
+    weights = [[0.0, 1.0], [1.0, 0.0], [-1.0, -1.0]]
+    cfg = write_cfg(tmp_path, {**TI_CFG, "classifier": {"weights": weights}})
+    out = tmp_path / "exp"
+    assert main(["explain", "--config", cfg, "--out", str(out), "--do", "t+=1"]) == 0
+    conf = (out / "confidence_delta.csv").read_text().strip().splitlines()
+    assert conf[0] == "row,intervention,class_0,class_1,class_2"
+    assert [len(line.split(",")) for line in conf] == [5, 5, 5]
+    assert 0 <= json.loads((out / "explanation.json").read_text())["target_class"] < 3
+
+
 def test_explain_empty_do_only_baseline(tmp_path):
     cfg = write_cfg(tmp_path, TI_CFG)
     out = tmp_path / "exp0"
@@ -275,15 +287,6 @@ def test_evaluate_scores_the_stacked_lime_batch_weights(deterministic_seed):
     assert len(noisy) == n_sets * (1 if deterministic_seed else n_reps)
     per_set = noisy.reshape(n_sets, -1, d)
     assert sets.tobytes() == per_set.repeat(n_reps // per_set.shape[1], axis=1).tobytes()
-
-
-def test_evaluate_rejects_out_of_range_stability_index(tmp_path, capsys):
-    evaluate = {"n_explanations": 150, "stability_index": 150}
-    cfg = write_cfg(tmp_path, {**TI_CFG, "evaluate": evaluate})
-    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "ev")]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
-    assert "evaluate.stability_index" in err["message"] and "[0, 150)" in err["message"]
 
 
 def test_warnings_reach_stderr_as_json_lines(tmp_path):
@@ -471,12 +474,10 @@ _KEY_KINDS = [
     ("attribution", "kernel_width", float, "explain"),  # null is valid too
     ("attribution", "ridge_lambda", float, "explain"),
     ("attribution", "perturbation_policy", str, "explain"),
-    ("attribution", "perturbation_std", float, "explain"),
     ("evaluation", "p_subsets", int, "discover"),
     ("evaluation", "q_repetitions", int, "discover"),
     ("evaluation", "noise_std", float, "evaluate"),
     ("evaluation", "mi_bins", int, "evaluate"),
-    ("classifier", "n_classes", int, "explain"),  # null is valid too
     ("oracle", "kind", str, "sample"),
     ("oracle", "model", str, "sample"),
     ("oracle", "model_file", str, "sample"),
@@ -501,7 +502,7 @@ _KEY_KINDS = [
         ("evaluate", "deterministic_seed", 0, "evaluate"),
         ("evaluate", "n_explanations", 40.9, "evaluate"),
         ("evaluate", "n_explanations", "150", "evaluate"),
-        ("evaluate", "stability_index", True, "evaluate"),
+        ("evaluate", "n_explanations", True, "evaluate"),
         (None, "pool_size", 1024.7, "discover"),
         (None, "pool_size", "512", "explain"),
         ("explain", "index", 3.9, "explain"),
@@ -667,8 +668,8 @@ _REPEATED_PARENT = dict(
          "number per weight row (3); got [1.0, 2.0]"),
         ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0]]}, "explain",
          "config key 'classifier.weights' needs rows of length 2"),
-        ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0, 1.0]], "n_classes": 3}, "evaluate",
-         "config key 'classifier.n_classes' must be 2 for these weights, got 3"),
+        ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0, 1.0]], "n_classes": 2}, "explain",
+         "unknown config key 'classifier.n_classes'"),
         ("ti", "classifier", {"weights": [0.0, 1.0, 0.5]}, "evaluate",
          "config key 'classifier.weights' needs rows of length 2, the oracle dimension"),
         ("ti", "classifier", {"weights": [[0.0, 1.0]]}, "explain",
@@ -707,6 +708,12 @@ _REPEATED_PARENT = dict(
          "config key 'oracle.noise_std' must be at least 0, got -1.0"),
         ("file", "noise_std", -0.5, "discover",
          "config key 'oracle.file.noise_std' must be at least 0, got -0.5"),
+        # settings that only tests varied: the weights set the class count,
+        # stability perturbs the first latent, lime draws unit-scale deltas
+        ("ti", "evaluate.stability_index", 0, "evaluate",
+         "unknown config key 'evaluate.stability_index'"),
+        ("ti", "attribution.perturbation_std", 1.0, "explain",
+         "unknown config key 'attribution.perturbation_std'"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
@@ -788,7 +795,6 @@ def test_config_types_checked_for_in_process_callers(tmp_path):
         (causalprobe.DiscoveryConfig, "intervention_magnitude"),
         (causalprobe.EvaluationConfig, "noise_std"),
         (causalprobe.AttributionConfig, "kernel_width"),
-        (causalprobe.AttributionConfig, "perturbation_std"),
         (causalprobe.AttributionConfig, "ridge_lambda"),
         # a partial has no name for its id, and an index-based id would shift
         # with the rows above

@@ -19,6 +19,7 @@ from causalprobe import (
     prune_indirect,
     resolve_cycles,
 )
+from causalprobe import discovery
 from causalprobe.graph import _has_cycle
 
 NOISELESS = OracleConfig(roundtrip_noise_std=0.0, standardize=False)
@@ -112,15 +113,6 @@ def test_malformed_base_rows_rejected():
             edge_weight(oracle, 0, 1, base, cfg)
 
 
-def test_edge_weight_degenerate_flag():
-    # a zero-magnitude sweep leaves every source unchanged: EW divides by it
-    oracle = linear({(0, 1): 2.0}, 2)
-    cfg = DiscoveryConfig(n_samples=8, seed=0)
-    base = oracle.sample_latents(8, 0)
-    with pytest.raises(ValueError, match="nonzero magnitude"):
-        edge_weight(oracle, 0, 1, base, cfg, magnitude=0.0)
-
-
 def test_propose_edges_chain_candidates():
     oracle = linear({(0, 1): 0.5, (1, 2): 0.8}, 3)
     cfg = DiscoveryConfig(n_samples=128, seed=0)
@@ -152,7 +144,8 @@ def test_propose_edges_ti_direction():
 
 def test_propose_edges_weight_is_mean_of_both_edge_weight_sweeps():
     # one sweep measurement and one seed convention: a candidate's stored EW
-    # is the mean of edge_weight's +magnitude and -magnitude sweeps, bit for bit
+    # is the mean of edge_weight's +magnitude sweep and the -magnitude sweep,
+    # summed as edge_weight sums it, bit for bit
     tswi = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.1))
     chain = linear({(0, 1): 0.5, (1, 2): 0.8}, 3,
                    config=OracleConfig(roundtrip_noise_std=0.3, standardize=False))
@@ -163,8 +156,9 @@ def test_propose_edges_weight_is_mean_of_both_edge_weight_sweeps():
         assert len(candidates.edges) == n_candidates
         mag = cfg.intervention_magnitude
         for (i, j), ew in candidates.edges.items():
-            plus = edge_weight(oracle, i, j, base, cfg, magnitude=mag)
-            minus = edge_weight(oracle, i, j, base, cfg, magnitude=-mag)
+            plus = edge_weight(oracle, i, j, base, cfg)
+            change = discovery._sweep(oracle, oracle._factual(base), i, -mag, cfg, read=j)
+            minus = float(np.cumsum(change)[-1] / len(change) / -mag)
             assert ew == (plus + minus) / 2.0
 
 
@@ -472,3 +466,6 @@ def test_config_validation():
         DiscoveryConfig(n_samples=0)
     with pytest.raises(ValueError):
         DiscoveryConfig(intervention_magnitude=-1.0)
+    # edge_weight divides by the magnitude: a zero one never reaches it
+    with pytest.raises(ValueError, match="intervention_magnitude must be > 0"):
+        DiscoveryConfig(intervention_magnitude=0.0)

@@ -183,8 +183,6 @@ def test_linear_oracle_cyclic_rejected():
         ScmModel.linear(np.eye(2))
     with pytest.raises(ValueError, match="square"):
         ScmModel.linear(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="labels"):
-        ScmModel.linear(np.zeros((2, 2)), labels=("a",))
 
 
 def test_linear_oracle_json_round_trip(tmp_path):
@@ -723,6 +721,9 @@ def test_malformed_do_names_the_expected_shape():
         ((np.zeros(5, bool), 0.0), r"do must be a dict \{node: scalar or \(4,\) array\}, got tuple"),
         ([("t", 1.0)], r"do must be a dict \{node: scalar or \(4,\) array\}, got list"),
         ({"t": np.ones(3)}, r"node 't' must be a scalar or have shape \(4,\), got \(3,\)"),
+        # a label and its id name one node: neither value may win, in either order
+        ({"t": 1.0, 0: 2.0}, r"do names node 0 \('t'\) twice"),
+        ({0: 2.0, "t": 1.0}, r"do names node 0 \('t'\) twice"),
     ]
     for do, message in cases:
         with pytest.raises(ValueError, match=message):
