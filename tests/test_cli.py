@@ -493,6 +493,14 @@ _KEY_KINDS = [
     ("oracle.file.edges.0", "to", int, "sample"),
     ("oracle.file.edges.0", "weight", float, "discover"),
 ]
+# settings that only tests varied, now gone: the weights set the class count,
+# stability perturbs the first latent, lime draws unit-scale deltas; a config
+# that still sets one fails as an unknown key whatever its value
+_REMOVED_KEYS = [
+    ("attribution", "perturbation_std", float, "explain"),
+    ("classifier", "n_classes", int, "explain"),
+    ("evaluate", "stability_index", int, "evaluate"),
+]
 
 
 @pytest.mark.parametrize(
@@ -525,7 +533,7 @@ _KEY_KINDS = [
         ("oracle.file", "edges", {"from": 0, "to": 1, "weight": 0.5}, "sample"),
         *[
             (section, key, value, command)
-            for section, key, kind, command in _KEY_KINDS
+            for section, key, kind, command in _KEY_KINDS + _REMOVED_KEYS
             for value in _WRONG[kind]
         ],
     ],
@@ -537,7 +545,9 @@ def test_config_values_must_have_json_types(tmp_path, capsys, section, key, valu
     err = json.loads(capsys.readouterr().err)
     name = key if section is None else f"{section}.{key}"
     name = re.sub(r"\.(\d+)", r"[\1]", name)  # list indices as in the message
-    assert err["error"] == "ValueError" and f"config key '{name}' must be" in err["message"]
+    removed = (section, key) in [(s, k) for s, k, _, _ in _REMOVED_KEYS]
+    expected = f"unknown config key '{name}'" if removed else f"config key '{name}' must be"
+    assert err["error"] == "ValueError" and expected in err["message"]
     assert not out.exists()
 
 
@@ -668,8 +678,9 @@ _REPEATED_PARENT = dict(
          "number per weight row (3); got [1.0, 2.0]"),
         ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0]]}, "explain",
          "config key 'classifier.weights' needs rows of length 2"),
-        ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0, 1.0]], "n_classes": 2}, "explain",
-         "unknown config key 'classifier.n_classes'"),
+        # n_classes is no longer a key: the weights alone set the class count
+        ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0, 1.0]], "n_classes": 3}, "evaluate",
+         "config key 'classifier.n_classes'; known keys"),
         ("ti", "classifier", {"weights": [0.0, 1.0, 0.5]}, "evaluate",
          "config key 'classifier.weights' needs rows of length 2, the oracle dimension"),
         ("ti", "classifier", {"weights": [[0.0, 1.0]]}, "explain",
@@ -708,12 +719,6 @@ _REPEATED_PARENT = dict(
          "config key 'oracle.noise_std' must be at least 0, got -1.0"),
         ("file", "noise_std", -0.5, "discover",
          "config key 'oracle.file.noise_std' must be at least 0, got -0.5"),
-        # settings that only tests varied: the weights set the class count,
-        # stability perturbs the first latent, lime draws unit-scale deltas
-        ("ti", "evaluate.stability_index", 0, "evaluate",
-         "unknown config key 'evaluate.stability_index'"),
-        ("ti", "attribution.perturbation_std", 1.0, "explain",
-         "unknown config key 'attribution.perturbation_std'"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
