@@ -34,7 +34,6 @@ POLICIES = ("interventional", "independent")
 @dataclass(frozen=True)
 class AttributionConfig:
     n_perturbations: int = 500
-    kernel_width: float | None = None  # None -> 0.75 * sqrt(dim)
     ridge_lambda: float = 1e-3
     perturbation_policy: str = "interventional"
     seed: int = 0
@@ -42,8 +41,6 @@ class AttributionConfig:
     def __post_init__(self):
         if self.n_perturbations < 2:
             raise ValueError("n_perturbations must be >= 2")
-        if self.kernel_width is not None and not 0 < self.kernel_width < np.inf:
-            raise ValueError("kernel_width must be > 0 and finite")
         if not 0 <= self.ridge_lambda < np.inf:
             raise ValueError("ridge_lambda must be >= 0 and finite")
         if self.perturbation_policy not in POLICIES:
@@ -153,7 +150,7 @@ def _lime_fits(
         # float, so the 0/1 contraction below is exact and runs on BLAS
         reach = graph.reach().astype(float)
         noise = oracle._factual(values[:, None, :]).noise
-    width = config.kernel_width if config.kernel_width is not None else 0.75 * np.sqrt(d)
+    width = 0.75 * np.sqrt(d)  # the proximity kernel's width
 
     beta = np.empty((m, d + 1))
     r2 = np.empty(m) if with_r2 else None

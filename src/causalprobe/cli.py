@@ -33,7 +33,7 @@ from .metrics import (
     stability,
 )
 from .oracle import ClassifierHead, Oracle, OracleConfig
-from .scm import BUILTIN_NAMES, ScmModel, builtin
+from .scm import ScmModel, builtin
 
 
 def _derive_seed(*parts) -> int:
@@ -86,7 +86,7 @@ class _Required:
 
 # Every config key and its JSON kind: a dict is an object with those keys,
 # optional unless marked _Required, list[kind] a list of that kind, float a
-# finite JSON number, and int, bool, str and None exactly those JSON values.
+# finite JSON number, and int, bool and str exactly those JSON values.
 # Each _SECTIONS section's keys and kinds are its dataclass fields; an oracle
 # spec's keys depend on its kind.
 _LINEAR_SPEC = {
@@ -129,8 +129,7 @@ _SCHEMA = {
     "explain": {"index": int, "interventions": list[str]},
     "evaluate": {"n_explanations": int, "deterministic_seed": bool},
 }
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string",
-               type(None): "null"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
 
 
 def _describe(kind) -> str:
@@ -201,6 +200,15 @@ def resolve_seed(cfg: dict, flag_seed) -> int:
     return seed
 
 
+def _keyed(key: str, build, *args):
+    """build(*args), with the config key put before any ValueError it
+    raises: the library constructors own the rules for what they build."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"config key '{key}': {exc}") from exc
+
+
 def _linear_model(doc: dict, where: str) -> ScmModel:
     if "dim" not in doc:
         raise ValueError(f"config key '{where}.dim' is required")
@@ -219,10 +227,7 @@ def _linear_model(doc: dict, where: str) -> ScmModel:
             raise ValueError(f"config key '{where}.edges[{k}]' repeats edge {pair}")
         seen.add(pair)
         weights[pair] = edge["weight"]
-    noise_std = doc.get("noise_std", 1.0)
-    if noise_std < 0:
-        raise ValueError(f"config key '{where}.noise_std' must be at least 0, got {noise_std}")
-    return ScmModel.linear(weights, noise_std)
+    return _keyed(where, ScmModel.linear, weights, doc.get("noise_std", 1.0))
 
 
 def build_scm_model(cfg: dict) -> ScmModel:
@@ -233,12 +238,7 @@ def build_scm_model(cfg: dict) -> ScmModel:
     if file_key not in spec:
         if linear:
             return _linear_model(spec, "oracle")
-        name = spec.get("model")
-        if name not in BUILTIN_NAMES:
-            raise ValueError(
-                f"config key 'oracle.model' must be one of {BUILTIN_NAMES}, got {name!r}"
-            )
-        return builtin(name)
+        return _keyed("oracle.model", builtin, spec.get("model"))
     where = f"oracle.{file_key}"
     inline = [f"'oracle.{k}'" for k in (_LINEAR_SPEC if linear else ["model"]) if k in spec]
     if inline:
@@ -247,23 +247,7 @@ def build_scm_model(cfg: dict) -> ScmModel:
     check_config(doc, _LINEAR_SPEC if linear else _MODEL_FILE, where)
     if linear:
         return _linear_model(doc, where)
-    n = len(doc["nodes"])
-    for section, id_key in (("nodes", "id"), ("equations", "node")):
-        ids = sorted(item[id_key] for item in doc[section])
-        if ids != list(range(n)):
-            raise ValueError(
-                f"config key '{where}.{section}' must hold ids 0..{n - 1} once each, got {ids}"
-            )
-    for k, eq in enumerate(doc["equations"]):
-        if not all(0 <= p < n for p in eq["parents"]):
-            raise ValueError(
-                f"config key '{where}.equations[{k}].parents' must lie in [0, {n}), "
-                f"got {eq['parents']}"
-            )
-    try:
-        return ScmModel.from_json_dict(doc)
-    except ValueError as exc:
-        raise ValueError(f"config key '{where}' holds an invalid model: {exc}") from exc
+    return _keyed(where, ScmModel.from_json_dict, doc)
 
 
 def build_oracle(cfg: dict, seed: int) -> Oracle:
@@ -279,25 +263,14 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
     spec = cfg.get("classifier")
     if not spec:
         raise ValueError("config key 'classifier' is required")
-    weights, bias = spec["weights"], spec.get("bias", 0.0)
-    matrix = bool(weights) and isinstance(weights[0], list)
-    rows, n_classes = (weights, len(weights)) if matrix else ([weights], 2)
-    if n_classes < 2:
-        raise ValueError(
-            "config key 'classifier.weights' needs at least 2 rows, one per class; "
-            f"got {n_classes}"
-        )
-    if isinstance(bias, list) and not (matrix and len(bias) == n_classes):
-        raise ValueError(
-            "config key 'classifier.bias' must be a number for vector weights, "
-            f"else one number per weight row ({n_classes}); got {bias}"
-        )
+    weights = spec["weights"]
+    rows = weights if weights and isinstance(weights[0], list) else [weights]
     if any(len(row) != dim for row in rows):
         raise ValueError(
             f"config key 'classifier.weights' needs rows of length {dim}, the "
             f"oracle dimension; got {[len(row) for row in rows]}"
         )
-    return ClassifierHead(weights, bias)
+    return _keyed("classifier", ClassifierHead, weights, spec.get("bias", 0.0))
 
 
 def _explainer_setup(cfg: dict, seed: int, policy: str | None = None):

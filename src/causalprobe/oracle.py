@@ -250,12 +250,15 @@ class ClassifierHead:
         if w.ndim not in (1, 2):
             raise ValueError("weights must be a vector or a matrix")
         if w.ndim == 2 and w.shape[0] < 2:
-            raise ValueError("softmax head needs at least 2 classes")
+            raise ValueError(
+                f"softmax head needs at least 2 classes, one weight row each; got {w.shape[0]}"
+            )
         self.n_classes = w.shape[0] if w.ndim == 2 else 2
         b = np.asarray(bias, dtype=float)
         shapes = [(), (self.n_classes,)][: w.ndim]  # a binary head takes one bias
         if b.shape not in shapes:
-            raise ValueError(f"bias shape {b.shape} is not one of {shapes} for these weights")
+            need = f"or one per weight row ({w.shape[0]})" if w.ndim == 2 else "for vector weights"
+            raise ValueError(f"bias shape {b.shape} is not one of {shapes}: a number {need}")
         self.bias = np.broadcast_to(b, self.n_classes if w.ndim == 2 else 1).copy()
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")

@@ -153,6 +153,8 @@ class ScmModel:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "equations", tuple(self.equations))
+        if not self.labels:
+            raise ValueError("a model needs at least one node")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("node labels must be unique")
         if len(self.equations) != len(self.labels):
@@ -337,6 +339,13 @@ class ScmModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScmModel":
+        """The model of a to_json_dict document. Its node ids, and its
+        equations' node ids, are 0..n-1 once each, in any order."""
+        n = len(doc["nodes"])
+        for section, key in (("nodes", "id"), ("equations", "node")):
+            ids = sorted(item[key] for item in doc[section])
+            if ids != list(range(n)):
+                raise ValueError(f"{section} must hold ids 0..{n - 1} once each, got {ids}")
         nodes = sorted(doc["nodes"], key=lambda d: d["id"])
         labels = tuple(d["label"] for d in nodes)
         equations = tuple(
@@ -349,15 +358,14 @@ class ScmModel:
     def linear(cls, weights, noise_std: float = 1.0) -> "ScmModel":
         """Linear SEM x_j = sum_k weights[k, j] x_k + normal(noise_std) noise.
 
-        weights must be a square DAG matrix with a zero diagonal; node ids
-        need not follow the topological order. Labels are x0, x1, ...
+        weights must be a square DAG matrix with a zero diagonal (the model's
+        graph rejects a self-loop); node ids need not follow the topological
+        order. Labels are x0, x1, ...
         """
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
         d = w.shape[0]
-        if np.any(np.diag(w) != 0):
-            raise ValueError("self-weights must be zero")
         noise = NoiseSpec("normal", (noise_std,))
         equations = []
         for j in range(d):

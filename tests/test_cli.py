@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalprobe
-from causalprobe import CausalGraph, builtin, cli, discover
+from causalprobe import BUILTIN_NAMES, CausalGraph, builtin, cli, discover
 from causalprobe.cli import main
 
 TI_CFG = {
@@ -471,7 +471,6 @@ _KEY_KINDS = [
     ("discovery", "intervention_magnitude", float, "discover"),
     ("discovery", "n_samples", int, "discover"),
     ("attribution", "n_perturbations", int, "explain"),
-    ("attribution", "kernel_width", float, "explain"),  # null is valid too
     ("attribution", "ridge_lambda", float, "explain"),
     ("attribution", "perturbation_policy", str, "explain"),
     ("evaluation", "p_subsets", int, "discover"),
@@ -494,9 +493,11 @@ _KEY_KINDS = [
     ("oracle.file.edges.0", "weight", float, "discover"),
 ]
 # settings that only tests varied, now gone: the weights set the class count,
-# stability perturbs the first latent, lime draws unit-scale deltas; a config
-# that still sets one fails as an unknown key whatever its value
+# stability perturbs the first latent, lime draws unit-scale deltas and
+# weighs them with a kernel of width 0.75 * sqrt(dim); a config that still
+# sets one fails as an unknown key whatever its value
 _REMOVED_KEYS = [
+    ("attribution", "kernel_width", float, "explain"),
     ("attribution", "perturbation_std", float, "explain"),
     ("classifier", "n_classes", int, "explain"),
     ("evaluate", "stability_index", int, "evaluate"),
@@ -618,6 +619,7 @@ def config_for(tmp_path, base, path, value):
 
 
 _LOOP = {"from": 1, "to": 1, "weight": 0.0}
+_CYCLE = [_EDGE, {"from": 1, "to": 0, "weight": 0.5}]
 _MF = "oracle.model_file"
 # the TI intensity equation with its parent repeated and a linear term
 _REPEATED_PARENT = dict(
@@ -649,9 +651,11 @@ _REPEATED_PARENT = dict(
         ("file", "edges.0", _LOOP, "sample", "config key 'oracle.file.edges[0]' is a self-loop"),
         # a list bias needs a weight matrix
         ("ti", "classifier.bias", [-1.0], "explain",
-         "config key 'classifier.bias' must be a number for vector weights"),
+         "config key 'classifier': bias shape (1,) is not one of [()]: a number for vector "
+         "weights"),
         ("ti", "classifier.bias", [-1.0, 0.0], "evaluate",
-         "config key 'classifier.bias' must be a number for vector weights"),
+         "config key 'classifier': bias shape (2,) is not one of [()]: a number for vector "
+         "weights"),
         # model files
         ("model_file", "equations.1.coeffs.const", "64", "sample",
          f"config key '{_MF}.equations[1].coeffs.const' must be a finite number"),
@@ -668,14 +672,14 @@ _REPEATED_PARENT = dict(
         ("model_file", "equations", {}, "sample", f"config key '{_MF}.equations' must be a list"),
         # model-file node ids are 0..n-1, once each
         ("model_file", "nodes.1.id", 0, "sample",
-         f"config key '{_MF}.nodes' must hold ids 0..1 once each, got [0, 0]"),
-        ("model_file", "nodes.1.id", 7, "discover", f"config key '{_MF}.nodes' must hold"),
+         f"config key '{_MF}': nodes must hold ids 0..1 once each, got [0, 0]"),
+        ("model_file", "nodes.1.id", 7, "discover", f"config key '{_MF}': nodes must hold"),
         ("model_file", "equations.0.node", 1, "sample",
-         f"config key '{_MF}.equations' must hold ids 0..1 once each, got [1, 1]"),
+         f"config key '{_MF}': equations must hold ids 0..1 once each, got [1, 1]"),
         # classifier shapes, checked before discovery
         ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "bias": [1.0, 2.0]},
-         "explain", "config key 'classifier.bias' must be a number for vector weights, else one "
-         "number per weight row (3); got [1.0, 2.0]"),
+         "explain", "config key 'classifier': bias shape (2,) is not one of [(), (3,)]: a number "
+         "or one per weight row (3)"),
         ("ti", "classifier", {"weights": [[1.0, 0.0], [0.0]]}, "explain",
          "config key 'classifier.weights' needs rows of length 2"),
         # n_classes is no longer a key: the weights alone set the class count
@@ -684,16 +688,16 @@ _REPEATED_PARENT = dict(
         ("ti", "classifier", {"weights": [0.0, 1.0, 0.5]}, "evaluate",
          "config key 'classifier.weights' needs rows of length 2, the oracle dimension"),
         ("ti", "classifier", {"weights": [[0.0, 1.0]]}, "explain",
-         "config key 'classifier.weights' needs at least 2 rows, one per class; got 1"),
+         "config key 'classifier': softmax head needs at least 2 classes, one weight row each; "
+         "got 1"),
         # model-file parents lie in 0..n-1, once each, with one coefficient each
         ("model_file", "equations.1.parents", [7], "sample",
-         f"config key '{_MF}.equations[1].parents' must lie in [0, 2), got [7]"),
+         f"config key '{_MF}': edge (7, 1) out of range for 2 nodes"),
         ("model_file", "equations.1", _REPEATED_PARENT, "sample",
-         f"config key '{_MF}' holds an invalid model: equation for node 1: parents must be "
-         "distinct integers, got [0, 0]"),
+         f"config key '{_MF}': equation for node 1: parents must be distinct integers, got [0, 0]"),
         ("model_file", "equations.1.coeffs.sig_linear", [2.0, 1.0], "discover",
-         f"config key '{_MF}' holds an invalid model: equation for node 1: sig_linear must "
-         "hold no coefficient or one per parent (1), got 2"),
+         f"config key '{_MF}': equation for node 1: sig_linear must hold no coefficient or one "
+         "per parent (1), got 2"),
         # stage dataclass range errors name their key
         ("ti", "discovery.n_samples", 0, "discover",
          "discovery.n_samples: n_samples must be >= 1"),
@@ -709,16 +713,19 @@ _REPEATED_PARENT = dict(
         # required sections, the builtin model name and the pool size
         ("ti", "oracle", DROP, "sample", "config key 'oracle' is required"),
         ("ti", "oracle.model", DROP, "sample",
-         f"config key 'oracle.model' must be one of {cli.BUILTIN_NAMES}, got None"),
+         f"config key 'oracle.model': unknown builtin model None; choose one of {BUILTIN_NAMES}"),
         ("ti", "classifier", DROP, "explain", "config key 'classifier' is required"),
         ("ti", "pool_size", 100, "discover",
          "config key 'pool_size' (100) must be at least discovery.n_samples (256)"),
         ("ti", "sample.n", 0, "sample", "config key 'sample.n' must be at least 1, got 0"),
         # a linear spec's noise scale, inline and in its file
         ("linear", "oracle.noise_std", -1.0, "sample",
-         "config key 'oracle.noise_std' must be at least 0, got -1.0"),
+         "config key 'oracle': normal noise requires std >= 0, got (-1.0,)"),
         ("file", "noise_std", -0.5, "discover",
-         "config key 'oracle.file.noise_std' must be at least 0, got -0.5"),
+         "config key 'oracle.file': normal noise requires std >= 0, got (-0.5,)"),
+        # a cyclic linear SEM, inline and in its file
+        ("linear", "oracle.edges", _CYCLE, "sample", "config key 'oracle': graph contains a cycle"),
+        ("file", "edges", _CYCLE, "discover", "config key 'oracle.file': graph contains a cycle"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
@@ -799,7 +806,6 @@ def test_config_types_checked_for_in_process_callers(tmp_path):
         (causalprobe.DiscoveryConfig, "prune_eps"),
         (causalprobe.DiscoveryConfig, "intervention_magnitude"),
         (causalprobe.EvaluationConfig, "noise_std"),
-        (causalprobe.AttributionConfig, "kernel_width"),
         (causalprobe.AttributionConfig, "ridge_lambda"),
         # a partial has no name for its id, and an index-based id would shift
         # with the rows above

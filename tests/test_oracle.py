@@ -179,7 +179,7 @@ def test_linear_oracle_cyclic_rejected():
     w[1, 0] = 1.0
     with pytest.raises(ValueError, match="cycle"):
         ScmModel.linear(w)
-    with pytest.raises(ValueError, match="self-weights"):
+    with pytest.raises(ValueError, match="self-loop on node 0"):
         ScmModel.linear(np.eye(2))
     with pytest.raises(ValueError, match="square"):
         ScmModel.linear(np.zeros((2, 3)))

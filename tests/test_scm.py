@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,25 @@ def test_json_round_trip():
         a = model.sample(32, 99).values
         b = back.sample(32, 99).values
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("section, key", [("nodes", "id"), ("equations", "node")])
+@pytest.mark.parametrize("ids", [[0, 0], [0, 7], [5, 3]])
+def test_from_json_dict_rejects_ids_other_than_0_to_n(section, key, ids):
+    # [5, 3] sorts like [0, 1] but names no node 0 or 1
+    doc = builtin("TI").to_json_dict()
+    for item, k in zip(doc[section], ids):
+        item[key] = k
+    expected = re.escape(f"{section} must hold ids 0..1 once each, got {sorted(ids)}")
+    with pytest.raises(ValueError, match=expected):
+        ScmModel.from_json_dict(doc)
+
+
+def test_model_needs_a_node():
+    with pytest.raises(ValueError, match="a model needs at least one node"):
+        ScmModel.linear(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="a model needs at least one node"):
+        ScmModel.from_json_dict({"name": "empty", "nodes": [], "equations": []})
 
 
 def test_equation_record_rejects_non_integer_parents():
