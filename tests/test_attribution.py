@@ -618,13 +618,32 @@ def test_zero_ridge_lambda_fits_at_the_floor():
     assert (a.intercept, a.local_fit_r2) == (b.intercept, b.local_fit_r2)
 
 
-def test_underflowed_kernel_weights_raise_unsolvable():
+@pytest.mark.parametrize("policy", attribution.POLICIES)
+def test_underflowed_kernel_weights_raise_unsolvable(monkeypatch, policy):
     # every kernel weight is 0, so the Gram matrix is zero and the
     # unpenalized intercept is unconstrained, whatever lambda
     gram, rhs = np.zeros((3, 5, 5)), np.zeros((3, 5, 1))
     for lam in (0.0, 1e-3, 1.0):
         with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
             attribution._ridge(gram, rhs, lam)
+
+    # the kernel's width is fixed, so push every perturbed feature 1e3 away:
+    # each row's squared gap is at least 1e6 and its weight underflows to 0
+    draw = attribution._perturbations
+
+    def far(seed, n, d):
+        masks, _ = draw(seed, n, d)
+        return masks, np.where(masks, 1e3, 0.0)
+
+    monkeypatch.setattr(attribution, "_perturbations", far)
+    oracle, graph = batch_setup("TSWI", "fixed")
+    head = ClassifierHead(np.array([0.0, 0.0, 0.0, 1.0]), bias=-3.0)
+    latents = oracle.sample_latents(3, 0)
+    cfg = AttributionConfig(n_perturbations=20, perturbation_policy=policy, seed=1)
+    with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
+        attribution._lime_fits(oracle, head, graph, latents, cfg)
+    with pytest.raises(np.linalg.LinAlgError, match="unsolvable even after lambda floor"):
+        lime_latent(oracle, head, graph, latents[1], cfg)
 
 
 def criterion_7_fit_inputs(model, policy, noise_policy="fixed"):
