@@ -40,11 +40,12 @@ class AttributionConfig:
 
     def __post_init__(self):
         if self.n_perturbations < 2:
-            raise ValueError("n_perturbations must be >= 2")
+            raise ValueError(f"n_perturbations must be >= 2, got {self.n_perturbations}")
         if not 0 <= self.ridge_lambda < np.inf:
-            raise ValueError("ridge_lambda must be >= 0 and finite")
+            raise ValueError(f"ridge_lambda must be >= 0 and finite, got {self.ridge_lambda}")
         if self.perturbation_policy not in POLICIES:
-            raise ValueError(f"perturbation_policy must be one of {POLICIES}")
+            raise ValueError(f"perturbation_policy must be one of {POLICIES}, "
+                             f"got {self.perturbation_policy!r}")
         seed = self.seed  # a bool is an int to isinstance, but not a seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

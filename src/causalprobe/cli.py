@@ -109,7 +109,9 @@ _MODEL_FILE = {
             **dict.fromkeys(["const", "sig_scale", "sig_bias"], _Required(float)),
             **dict.fromkeys(["linear", "sig_linear"], _Required(list[float])),
         }),
-        "noise": _Required({"family": _Required(str), "params": _Required(list[float])}),
+        "noise": _Required({
+            "family": _Required(str), "params": _Required(list[float]), "scale": float,
+        }),
     }]),
     "context_count": int,  # legacy, ignored
 }
@@ -200,11 +202,11 @@ def resolve_seed(cfg: dict, flag_seed) -> int:
     return seed
 
 
-def _keyed(key: str, build, *args):
-    """build(*args), with the config key put before any ValueError it
-    raises: the library constructors own the rules for what they build."""
+def _keyed(key: str, build, /, *args, **kwargs):
+    """build(*args, **kwargs), with the config key put before any ValueError
+    it raises: the library constructors own the rules for what they build."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"config key '{key}': {exc}") from exc
 
@@ -255,7 +257,8 @@ def build_oracle(cfg: dict, seed: int) -> Oracle:
     an scm model and off for a linear SEM."""
     model = build_scm_model(cfg)
     standardize = cfg["oracle"].get("kind", "scm") == "scm"
-    return Oracle(model, _build_section(cfg, "oracle_config", seed=seed, standardize=standardize))
+    ocfg = _build_section(cfg, "oracle_config", seed=seed, standardize=standardize)
+    return _keyed("oracle", Oracle, model, ocfg)
 
 
 def build_head(cfg: dict, dim: int) -> ClassifierHead:
@@ -295,19 +298,8 @@ def _explainer_setup(cfg: dict, seed: int, policy: str | None = None):
 
 def _build_section(cfg: dict, section: str, **defaults):
     """The dataclass of a config section over defaults and the section's
-    keys. A range error the dataclass raises names the first key that fails
-    with every other field at its default, with that key's own message (or
-    the section alone when no single key fails)."""
-    cls, given = _SECTIONS[section], cfg.get(section, {})
-    try:
-        return cls(**{**defaults, **given})
-    except ValueError as exc:
-        for key, value in given.items():
-            try:
-                cls(**{**defaults, key: value})
-            except ValueError as one:
-                raise ValueError(f"{section}.{key}: {one}") from exc
-        raise ValueError(f"{section}: {exc}") from exc
+    keys; its range errors, which name their field, are keyed by section."""
+    return _keyed(section, _SECTIONS[section], **{**defaults, **cfg.get(section, {})})
 
 
 def _remove_stale_outputs(root: Path, files: dict) -> None:

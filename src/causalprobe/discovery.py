@@ -30,12 +30,11 @@ class DiscoveryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.threshold < np.inf and 0 < self.prune_eps < np.inf):
-            raise ValueError("threshold and prune_eps must be > 0 and finite")
-        if not 0 < self.intervention_magnitude < np.inf:
-            raise ValueError("intervention_magnitude must be > 0 and finite")
+        for name in ("threshold", "prune_eps", "intervention_magnitude"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
 def _sweep_seed(config: DiscoveryConfig, src: int, magnitude: float) -> list[int]:

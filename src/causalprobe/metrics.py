@@ -25,12 +25,13 @@ class EvaluationConfig:
     mi_bins: int = 16
 
     def __post_init__(self):
-        if self.p_subsets < 1 or self.q_repetitions < 1:
-            raise ValueError("P and Q must be >= 1")
+        for name in ("p_subsets", "q_repetitions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mi_bins < 2:
-            raise ValueError("mi_bins must be >= 2")
+            raise ValueError(f"mi_bins must be >= 2, got {self.mi_bins}")
         if not 0 <= self.noise_std < np.inf:
-            raise ValueError("noise_std must be >= 0 and finite")
+            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
 
 
 def correctness_index(predicted: Sequence[CausalGraph], truth: CausalGraph) -> float:

@@ -42,9 +42,11 @@ class OracleConfig:
 
     def __post_init__(self):
         if not 0 <= self.roundtrip_noise_std < np.inf:
-            raise ValueError("roundtrip_noise_std must be >= 0 and finite")
+            raise ValueError(f"roundtrip_noise_std must be >= 0 and finite, "
+                             f"got {self.roundtrip_noise_std}")
         if self.noise_policy not in ("fixed", "resample"):
-            raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
+            raise ValueError(f"noise_policy must be one of ('fixed', 'resample'), "
+                             f"got {self.noise_policy!r}")
 
 
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,6 +95,11 @@ class Oracle:
             self.chart_mean = ref.values.mean(axis=0)
             self.chart_scale = ref.values.std(axis=0)
             self.chart_scale[self.chart_scale < 1e-9] = 1.0  # degenerate columns keep raw units
+            bad = ~(np.isfinite(self.chart_mean) & np.isfinite(self.chart_scale))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"chart of column {self.labels[k]!r} must have a finite mean and "
+                                 f"spread, got {self.chart_mean[k]} and {self.chart_scale[k]}")
             self._charted = model.rescaled(self.chart_mean, self.chart_scale)
 
     @property

@@ -50,6 +50,8 @@ class NoiseSpec:
         fam, p = self.family, self.params
         if not 0 < self.scale < np.inf:
             raise ValueError(f"noise scale must be > 0 and finite, got {self.scale}")
+        if not np.isfinite(p).all():
+            raise ValueError(f"{fam} noise requires finite params, got {p}")
         if fam == "gamma":
             if len(p) != 2 or p[0] <= 0 or p[1] <= 0:
                 raise ValueError(f"gamma noise requires shape > 0 and rate > 0, got {p}")
@@ -57,8 +59,10 @@ class NoiseSpec:
             if len(p) != 1 or p[0] < 0:
                 raise ValueError(f"normal noise requires std >= 0, got {p}")
         elif fam == "uniform":
-            if len(p) != 2 or not p[0] < p[1]:
-                raise ValueError(f"uniform noise requires low < high, got {p}")
+            if len(p) != 2 or not 0 < p[1] - p[0] < np.inf:
+                raise ValueError(
+                    f"uniform noise requires low < high and a finite high - low, got {p}"
+                )
         elif fam == "degenerate-zero":
             if p:
                 raise ValueError("degenerate-zero noise takes no params")

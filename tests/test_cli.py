@@ -698,18 +698,29 @@ _REPEATED_PARENT = dict(
         ("model_file", "equations.1.coeffs.sig_linear", [2.0, 1.0], "discover",
          f"config key '{_MF}': equation for node 1: sig_linear must hold no coefficient or one "
          "per parent (1), got 2"),
-        # stage dataclass range errors name their key
-        ("ti", "discovery.n_samples", 0, "discover",
-         "discovery.n_samples: n_samples must be >= 1"),
-        ("ti", "evaluation.p_subsets", 0, "evaluate",
-         "evaluation.p_subsets: P and Q must be >= 1"),
-        ("ti", "attribution.n_perturbations", 1, "explain",
-         "attribution.n_perturbations: n_perturbations must be >= 2"),
-        ("ti", "oracle_config", {"roundtrip_noise_std": -1}, "discover",
-         "oracle_config.roundtrip_noise_std: roundtrip_noise_std must be >= 0"),
-        # with two bad keys, the first one is named with its own message
-        ("ti", "evaluation", {"mi_bins": 1, "p_subsets": 0}, "evaluate",
-         "evaluation.mi_bins: mi_bins must be >= 2"),
+        # a stage dataclass names the failing field, and the CLI its section;
+        # ids from when the CLI named the key itself
+        pytest.param("ti", "discovery.n_samples", 0, "discover",
+                     "config key 'discovery': n_samples must be >= 1, got 0",
+                     id="ti-discovery.n_samples-0-discover-discovery.n_samples: n_samples must be "
+                        ">= 1"),
+        pytest.param("ti", "evaluation.p_subsets", 0, "evaluate",
+                     "config key 'evaluation': p_subsets must be >= 1, got 0",
+                     id="ti-evaluation.p_subsets-0-evaluate-evaluation.p_subsets: P and Q must be "
+                        ">= 1"),
+        pytest.param("ti", "attribution.n_perturbations", 1, "explain",
+                     "config key 'attribution': n_perturbations must be >= 2, got 1",
+                     id="ti-attribution.n_perturbations-1-explain-attribution.n_perturbations: "
+                        "n_perturbations must be >= 2"),
+        pytest.param("ti", "oracle_config", {"roundtrip_noise_std": -1}, "discover",
+                     "config key 'oracle_config': roundtrip_noise_std must be >= 0 and finite, "
+                     "got -1",
+                     id="ti-oracle_config-value36-discover-oracle_config.roundtrip_noise_std: "
+                        "roundtrip_noise_std must be >= 0"),
+        # with two bad keys, the first check in __post_init__ order fails
+        pytest.param("ti", "evaluation", {"mi_bins": 1, "p_subsets": 0}, "evaluate",
+                     "config key 'evaluation': p_subsets must be >= 1, got 0",
+                     id="ti-evaluation-value37-evaluate-evaluation.mi_bins: mi_bins must be >= 2"),
         # required sections, the builtin model name and the pool size
         ("ti", "oracle", DROP, "sample", "config key 'oracle' is required"),
         ("ti", "oracle.model", DROP, "sample",
@@ -726,6 +737,15 @@ _REPEATED_PARENT = dict(
         # a cyclic linear SEM, inline and in its file
         ("linear", "oracle.edges", _CYCLE, "sample", "config key 'oracle': graph contains a cycle"),
         ("file", "edges", _CYCLE, "discover", "config key 'oracle.file': graph contains a cycle"),
+        # one check per field: each message names only its own
+        ("ti", "discovery.prune_eps", 0, "discover",
+         "config key 'discovery': prune_eps must be > 0 and finite, got 0"),
+        ("ti", "evaluation.q_repetitions", 0, "evaluate",
+         "config key 'evaluation': q_repetitions must be >= 1, got 0"),
+        # a uniform noise range that numpy cannot draw from
+        ("model_file", "equations.0.noise", {"family": "uniform", "params": [-1e308, 1e308]},
+         "sample",
+         f"config key '{_MF}': uniform noise requires low < high and a finite high - low"),
     ],
 )
 def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, command, message):
@@ -734,6 +754,36 @@ def test_missing_keys_and_ranges_rejected(tmp_path, capsys, base, path, value, c
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and message in err["message"]
+    assert not out.exists()
+
+
+def test_rescaled_model_file_samples_like_its_model(tmp_path):
+    # a rescaled model writes each noise's scale into its file
+    model = builtin("TI").rescaled([1, 2], [2, 4])
+    (tmp_path / "model.json").write_text(model.to_json())
+    cfg = dict(TI_CFG, oracle={"kind": "scm", "model_file": str(tmp_path / "model.json")})
+    out = tmp_path / "o"
+    assert main(["sample", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "samples.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected = model.sample(TI_CFG["sample"]["n"], [TI_CFG["seed"], 1]).values
+    assert np.array_equal(np.array(rows, dtype=float), expected)
+
+
+def test_overflowing_chart_names_the_oracle(tmp_path, capsys):
+    # the chart's spread overflows to inf; rescaling by it would zero the noise
+    cfg = write_cfg(tmp_path, dict(
+        TI_CFG, oracle={"kind": "linear", "dim": 2, "noise_std": 1e300},
+        oracle_config={"standardize": True},
+    ))
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s")]) == 0  # no chart
+    out = tmp_path / "o"
+    assert main(["discover", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])  # after numpy's overflow warning
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(
+        "config key 'oracle': chart of column 'x0' must have a finite mean and spread"
+    )
     assert not out.exists()
 
 

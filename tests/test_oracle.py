@@ -73,6 +73,14 @@ def test_standardized_chart_is_affine_conjugation():
     assert np.allclose(to_raw(oracle, out_chart), expected, atol=1e-9)
 
 
+def test_standardize_rejects_a_non_finite_chart():
+    # x0's spread overflows to inf, which would rescale its noise to 0
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="chart of column 'x0' must have a finite mean and spread, got .* and inf"
+    ):
+        Oracle(ScmModel.linear(np.zeros((2, 2)), 1e300))
+
+
 def test_ti_intervention_moves_only_intensity():
     oracle = Oracle(builtin("TI"), NOISELESS)
     base = oracle.sample_latents(8, 1)

@@ -186,6 +186,23 @@ def test_noise_spec_validation():
         NoiseSpec("cauchy", (1.0,))
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("normal", (np.nan,), "normal noise requires finite params"),
+        ("normal", (np.inf,), "normal noise requires finite params"),
+        ("gamma", (np.nan, 5.0), "gamma noise requires finite params"),
+        ("gamma", (10.0, np.inf), "gamma noise requires finite params"),
+        # numpy cannot draw a range that overflows
+        ("uniform", (-1e308, 1e308), "uniform noise requires low < high and a finite high - low"),
+        ("uniform", (0.0, np.inf), "uniform noise requires finite params"),
+    ],
+)
+def test_noise_spec_rejects_non_finite_params(family, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NoiseSpec(family, params)
+
+
 def test_equation_ordering_validation():
     def model(*equations):
         return ScmModel(name="m", labels=("a", "b", "c")[: len(equations)], equations=equations)
@@ -230,8 +247,9 @@ def test_sample_rejects_non_finite_values():
 
 
 def test_json_round_trip():
-    for name in ("TI", "IT", "TS", "TSWI"):
-        model = builtin(name)
+    # a rescaled model also writes each noise's scale
+    rescaled = builtin("TI").rescaled([1, 2], [2, 4])
+    for model in [*map(builtin, ("TI", "IT", "TS", "TSWI")), rescaled]:
         doc = json.loads(model.to_json())
         back = ScmModel.from_json_dict(doc)
         assert back == model
