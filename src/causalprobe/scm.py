@@ -53,8 +53,11 @@ class NoiseSpec:
         if not np.isfinite(p).all():
             raise ValueError(f"{fam} noise requires finite params, got {p}")
         if fam == "gamma":
-            if len(p) != 2 or p[0] <= 0 or p[1] <= 0:
-                raise ValueError(f"gamma noise requires shape > 0 and rate > 0, got {p}")
+            # draw scales by 1 / rate, which overflows for a subnormal rate
+            if len(p) != 2 or p[0] <= 0 or p[1] <= 0 or not 1.0 / p[1] < np.inf:
+                raise ValueError(
+                    f"gamma noise requires shape > 0 and rate > 0 with a finite 1 / rate, got {p}"
+                )
         elif fam == "normal":
             if len(p) != 1 or p[0] < 0:
                 raise ValueError(f"normal noise requires std >= 0, got {p}")

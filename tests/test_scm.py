@@ -193,6 +193,8 @@ def test_noise_spec_validation():
         ("normal", (np.inf,), "normal noise requires finite params"),
         ("gamma", (np.nan, 5.0), "gamma noise requires finite params"),
         ("gamma", (10.0, np.inf), "gamma noise requires finite params"),
+        # finite and > 0, but the draw's scale 1 / rate overflows
+        ("gamma", (1.0, 1e-320), "gamma noise requires shape > 0 and rate > 0 with a finite 1 / rate"),
         # numpy cannot draw a range that overflows
         ("uniform", (-1e308, 1e308), "uniform noise requires low < high and a finite high - low"),
         ("uniform", (0.0, np.inf), "uniform noise requires finite params"),
