@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CausalGraph
-from .oracle import ClassifierHead, Oracle
+from .oracle import ClassifierHead, Oracle, _check_seed
 
 POLICIES = ("interventional", "independent")
 
@@ -46,9 +46,7 @@ class AttributionConfig:
         if self.perturbation_policy not in POLICIES:
             raise ValueError(f"perturbation_policy must be one of {POLICIES}, "
                              f"got {self.perturbation_policy!r}")
-        seed = self.seed  # a bool is an int to isinstance, but not a seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Command-line front end for reproducible experiment runs.
 
 Subcommands: sample, discover, explain, evaluate. Every command reads a
-JSON config, takes a mandatory seed (config key or --seed), computes all
-of its outputs, and only then writes them to its output directory with a
-run manifest embedding the resolved config, so a failed run writes nothing
-and re-runs with the same inputs produce byte-identical outputs.
+JSON config; each flag given writes the config key it sets (apply_flags), so
+a run reads one source. The seed is mandatory (config key or --seed). A
+command computes all of its outputs, and only then writes them to its output
+directory with a run manifest embedding that config: a failed run writes
+nothing, and re-running the manifest's config with no flags reproduces
+every output byte for byte.
 """
 from __future__ import annotations
 
@@ -104,7 +106,6 @@ _MODEL_FILE = {
     "nodes": _Required(list[{"id": _Required(int), "label": _Required(str)}]),
     "equations": _Required(list[{
         "node": _Required(int), "parents": _Required(list[int]),
-        "mechanism": str,  # legacy kind tag, ignored
         "coeffs": _Required({
             **dict.fromkeys(["const", "sig_scale", "sig_bias"], _Required(float)),
             **dict.fromkeys(["linear", "sig_linear"], _Required(list[float])),
@@ -113,7 +114,6 @@ _MODEL_FILE = {
             "family": _Required(str), "params": _Required(list[float]), "scale": float,
         }),
     }]),
-    "context_count": int,  # legacy, ignored
 }
 _SCHEMA = {
     "seed": int,
@@ -128,7 +128,7 @@ _SCHEMA = {
         for name, cls in _SECTIONS.items()
     },
     "sample": {"n": int},
-    "explain": {"index": int, "interventions": list[str]},
+    "explain": {"index": int, "latent": list[float], "interventions": list[str]},
     "evaluate": {"n_explanations": int, "deterministic_seed": bool},
 }
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
@@ -193,8 +193,37 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def resolve_seed(cfg: dict, flag_seed) -> int:
-    seed = cfg.get("seed") if flag_seed is None else int(flag_seed)
+# each flag and the config key it writes, as (section, key); "" is the top level
+_FLAG_KEYS = {"seed": ("", "seed"), "n": ("sample", "n"), "index": ("explain", "index"),
+              "latent": ("explain", "latent"), "policy": ("attribution", "perturbation_policy")}
+
+
+def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
+    """cfg with each flag given written into the config key it sets, and each
+    --do appended to explain.interventions, so the manifest's config replays
+    the run. --index drops a configured explain.latent, which would win."""
+    flags = {name: getattr(args, name, None) for name in _FLAG_KEYS}
+    if flags["latent"] is not None:
+        if flags["index"] is not None:
+            raise ValueError("--index and --latent are alternatives: give one of them")
+        try:
+            flags["latent"] = [float(v) for v in args.latent.split(",")]
+        except ValueError as exc:
+            raise ValueError(
+                f"--latent takes comma-separated numbers, got {args.latent!r}") from exc
+    for name, (section, key) in _FLAG_KEYS.items():
+        if flags[name] is not None:
+            (cfg.setdefault(section, {}) if section else cfg)[key] = flags[name]
+    if flags["index"] is not None:
+        cfg["explain"].pop("latent", None)
+    if getattr(args, "do", None):
+        explain = cfg.setdefault("explain", {})
+        explain["interventions"] = [*explain.get("interventions", []), *args.do]
+    return cfg
+
+
+def resolve_seed(cfg: dict) -> int:
+    seed = cfg.get("seed")
     if seed is None:
         raise ValueError("a seed is mandatory: set config key 'seed' or pass --seed")
     if seed < 0:
@@ -276,18 +305,15 @@ def build_head(cfg: dict, dim: int) -> ClassifierHead:
     return _keyed("classifier", ClassifierHead, weights, spec.get("bias", 0.0))
 
 
-def _explainer_setup(cfg: dict, seed: int, policy: str | None = None):
+def _explainer_setup(cfg: dict, seed: int):
     """What explain and evaluate share, checked before anything runs: the
     oracle, the head, and the discovery and attribution configs under their
-    derived seeds, with policy (--policy) over the configured
-    perturbation_policy. lime's ridge fit needs a perturbation per unknown:
-    oracle dimension + 1 of them."""
+    derived seeds. lime's ridge fit needs a perturbation per unknown: oracle
+    dimension + 1 of them."""
     oracle = build_oracle(cfg, seed)
     head = build_head(cfg, oracle.dim)
     dcfg = _build_section(cfg, "discovery", seed=_derive_seed(seed, 13))
     acfg = _build_section(cfg, "attribution", seed=_derive_seed(seed, 14))
-    if policy is not None:
-        acfg = replace(acfg, perturbation_policy=policy)
     if acfg.n_perturbations < oracle.dim + 1:
         raise ValueError(
             f"config key 'attribution.n_perturbations' must be at least {oracle.dim + 1} "
@@ -362,13 +388,12 @@ def _parse_intervention(spec: str, oracle, latent: np.ndarray) -> tuple[str, int
     raise ValueError(f"bad intervention spec {spec!r}; use feature+=v, feature-=v or feature=v")
 
 
-def run_sample(cfg: dict, out_dir: str, seed: int, n_override: int | None = None) -> dict:
+def run_sample(cfg: dict, out_dir: str, seed: int) -> dict:
     check_config(cfg)
     model = build_scm_model(cfg)
-    n = cfg.get("sample", {}).get("n", 100) if n_override is None else n_override
+    n = cfg.get("sample", {}).get("n", 100)
     if n < 1:
-        key = "config key 'sample.n'" if n_override is None else "--n"
-        raise ValueError(f"{key} must be at least 1, got {n}")
+        raise ValueError(f"config key 'sample.n' must be at least 1, got {n}")
     samples = model.sample(n, [seed, 1])
     _write_outputs(out_dir, "sample", cfg, seed, {"samples.csv": (model.labels, samples.values)})
     return {"rows": int(n), "columns": list(model.labels)}
@@ -491,42 +516,27 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     return report
 
 
-def _resolve_latent(cfg: dict, oracle, seed: int, index: int | None, latent_csv: str | None):
-    if latent_csv is not None and index is not None:
-        raise ValueError("--index and --latent are alternatives: give one of them")
-    if latent_csv is not None:
-        try:
-            values = np.asarray([float(v) for v in latent_csv.split(",")], dtype=float)
-        except ValueError as exc:
-            raise ValueError(
-                f"--latent takes comma-separated numbers, got {latent_csv!r}"
-            ) from exc
+def _resolve_latent(cfg: dict, oracle, seed: int) -> np.ndarray:
+    """explain.latent if set, else pool sample explain.index (default 0)."""
+    explain = cfg.get("explain", {})
+    if "latent" in explain:
+        values = np.asarray(explain["latent"], dtype=float)
         if values.size != oracle.dim:
             raise ValueError(
                 f"latent vector has {values.size} entries, oracle dimension is {oracle.dim}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"latent vector must be finite, got {latent_csv!r}")
         return values
-    k = cfg.get("explain", {}).get("index", 0) if index is None else index
+    k = explain.get("index", 0)
     return _latent_pool(cfg, oracle, seed, lambda size: (
         f"sample index {k} out of range for pool_size {size}"
     ) if not 0 <= k < size else None)[k]
 
 
-def run_explain(
-    cfg: dict,
-    out_dir: str,
-    seed: int,
-    index: int | None = None,
-    latent_csv: str | None = None,
-    do_specs=(),
-    policy: str | None = None,
-) -> dict:
+def run_explain(cfg: dict, out_dir: str, seed: int) -> dict:
     check_config(cfg)
-    oracle, head, dcfg, acfg = _explainer_setup(cfg, seed, policy)
-    latent = _resolve_latent(cfg, oracle, seed, index, latent_csv)
-    specs = list(cfg.get("explain", {}).get("interventions", [])) + list(do_specs)
+    oracle, head, dcfg, acfg = _explainer_setup(cfg, seed)
+    latent = _resolve_latent(cfg, oracle, seed)
+    specs = cfg.get("explain", {}).get("interventions", [])
     parsed = [_parse_intervention(s, oracle, latent) for s in specs]
     graph = discover(oracle, dcfg)
     explanation = lime_latent(oracle, head, graph, latent, acfg)
@@ -629,29 +639,31 @@ def run_evaluate(cfg: dict, out_dir: str, seed: int) -> dict:
     return report
 
 
+_COMMANDS = {"sample": run_sample, "discover": run_discover, "explain": run_explain,
+             "evaluate": run_evaluate}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalprobe",
         description="Causal-explanation experiments against latent-space oracles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("sample", "discover", "explain", "evaluate"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run config")
-        p.add_argument("--seed", type=int, default=None, help="overrides config seed")
+        p.add_argument("--seed", type=int, default=None, help="sets config key seed")
         p.add_argument("--out", required=True, help="output directory")
         if name == "sample":
-            p.add_argument("--n", type=int, default=None, help="sample count override")
+            p.add_argument("--n", type=int, default=None, help="sets sample.n")
         if name == "explain":
-            p.add_argument("--index", type=int, default=None, help="pool sample index")
-            p.add_argument("--latent", default=None, help="comma-separated latent vector")
-            p.add_argument(
-                "--do",
-                action="append",
-                default=[],
-                help="intervention, e.g. t+=1 or i=2.0 (repeatable)",
-            )
-            p.add_argument("--policy", choices=POLICIES, default=None)
+            p.add_argument("--index", type=int, default=None, help="sets explain.index")
+            p.add_argument("--latent", default=None, help="a,b,...: sets explain.latent")
+            p.add_argument("--do", action="append", default=[],
+                           help="intervention such as t+=1 or i=2.0, appended to "
+                           "explain.interventions (repeatable)")
+            p.add_argument("--policy", choices=POLICIES, default=None,
+                           help="sets attribution.perturbation_policy")
     return parser
 
 
@@ -662,24 +674,8 @@ def main(argv=None) -> int:
     error = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            cfg = load_config(args.config)
-            seed = resolve_seed(cfg, args.seed)
-            if args.command == "sample":
-                run_sample(cfg, args.out, seed, n_override=args.n)
-            elif args.command == "discover":
-                run_discover(cfg, args.out, seed)
-            elif args.command == "explain":
-                run_explain(
-                    cfg,
-                    args.out,
-                    seed,
-                    index=args.index,
-                    latent_csv=args.latent,
-                    do_specs=args.do,
-                    policy=args.policy,
-                )
-            elif args.command == "evaluate":
-                run_evaluate(cfg, args.out, seed)
+            cfg = apply_flags(load_config(args.config), args)
+            _COMMANDS[args.command](cfg, args.out, resolve_seed(cfg))
         except Exception as exc:  # surfaced as machine-readable JSON
             error = {"error": type(exc).__name__, "message": str(exc)}
     for w in caught:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CausalGraph, _has_cycle
-from .oracle import Oracle
+from .oracle import Oracle, _check_seed
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class DiscoveryConfig:
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        _check_seed(self.seed)
 
 
 def _sweep_seed(config: DiscoveryConfig, src: int, magnitude: float) -> list[int]:

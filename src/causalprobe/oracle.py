@@ -19,6 +19,12 @@ from .scm import SampleSet, ScmModel, logistic
 _STANDARDIZE_DRAWS = 4096
 
 
+def _check_seed(seed) -> None:
+    """A stage config's seed rule; a bool is an int to isinstance, but not a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Observable semantics of the re-encode round trip.
@@ -47,6 +53,7 @@ class OracleConfig:
         if self.noise_policy not in ("fixed", "resample"):
             raise ValueError(f"noise_policy must be one of ('fixed', 'resample'), "
                              f"got {self.noise_policy!r}")
+        _check_seed(self.seed)
 
 
 def _normalize_do(model: ScmModel, do, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -70,7 +70,9 @@ def test_sample_rejects_zero_rows(tmp_path, capsys):
     rc = main(["sample", "--config", cfg, "--out", str(tmp_path / "o"), "--n", "0"])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError", "message": "--n must be at least 1, got 0"}
+    # --n writes sample.n, so the config key is named
+    message = "config key 'sample.n' must be at least 1, got 0"
+    assert err == {"error": "ValueError", "message": message}
 
 
 def test_seed_is_mandatory(tmp_path, capsys):
@@ -311,8 +313,9 @@ def test_explain_rejects_non_finite_latent(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TI_CFG)
     rc = main(["explain", "--config", cfg, "--out", str(tmp_path / "e"), "--latent", "nan,1.0"])
     assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and "finite" in err["message"]
+    # --latent writes explain.latent, whose schema kind is a list of finite numbers
+    message = "config key 'explain.latent[0]' must be a finite number, got nan"
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
 
 
 def test_explain_rejects_non_finite_intervention(tmp_path, capsys):
@@ -331,6 +334,45 @@ def test_latent_flag_overrides_the_config_index(tmp_path):
     assert json.loads((out / "explanation.json").read_text())["latent"] == [0.1, 0.2]
 
 
+def test_config_latent_wins_over_the_config_index(tmp_path):
+    cfg = write_cfg(tmp_path, dict(TI_CFG, explain={"index": 1, "latent": [0.1, 2]}))
+    out = tmp_path / "e"
+    assert main(["explain", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "explanation.json").read_text())["latent"] == [0.1, 2.0]
+
+
+def test_index_flag_overrides_a_config_latent(tmp_path):
+    latent = write_cfg(tmp_path, dict(TI_CFG, explain={"latent": [0.1, 0.2]}), "latent.json")
+    index = write_cfg(tmp_path, dict(TI_CFG, explain={"index": 1}), "index.json")
+    assert main(["explain", "--config", latent, "--out", str(tmp_path / "a"), "--index", "1"]) == 0
+    assert main(["explain", "--config", index, "--out", str(tmp_path / "b")]) == 0
+    assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("sample", ["--n", "7", "--seed", "9"]),
+        ("explain", ["--index", "5", "--do", "i=2", "--policy", "independent"]),
+        ("explain", ["--latent", "0.25,-1.5", "--do", "t+=1", "--do", "i-=0.5"]),
+        ("discover", ["--seed", "4"]),
+        ("evaluate", []),
+    ],
+    ids=["sample-n-seed", "explain-index-do-policy", "explain-latent-do", "discover-seed",
+         "evaluate"],
+)
+def test_manifest_config_replays_a_flagged_run(tmp_path, command, flags):
+    """Each flag writes its config key, so the manifest's config, run with no
+    flags, reproduces every output, the manifest included."""
+    cfg = write_cfg(tmp_path, dict(TI_CFG, explain={"interventions": ["t-=1"]}))
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main([command, "--config", cfg, "--out", str(first), *flags]) == 0
+    manifest = json.loads((first / "run_manifest.json").read_text())
+    replayed = write_cfg(tmp_path, manifest["config"], "replayed.json")
+    assert main([command, "--config", replayed, "--out", str(replay)]) == 0
+    assert read_tree(first) == read_tree(replay)
+
+
 def no_discovery(*args, **kwargs):
     raise AssertionError("discovery ran before the config was checked")
 
@@ -346,8 +388,10 @@ def no_discovery(*args, **kwargs):
         ("explain", TI_CFG, ["--latent", "1,,2"],
          "--latent takes comma-separated numbers, got '1,,2'"),
         ("explain", TI_CFG, ["--index", "1", "--latent", "0.1,0.2"],
-         "--index and --latent are alternatives"),
+         "--index and --latent are alternatives: give one of them"),
         ("explain", TI_CFG, ["--latent", "0.1"], "latent vector has 1 entries"),
+        ("explain", dict(TI_CFG, explain={"latent": [0.1, 0.2, 0.3]}), [],
+         "latent vector has 3 entries, oracle dimension is 2"),
         ("explain", TI_CFG, ["--do", "t+=abc"], "bad intervention value in 't+=abc'"),
         ("explain", TI_CFG, ["--do", "t"], "bad intervention spec 't'"),
         ("evaluate", dict(TI_CFG, evaluate={"n_explanations": 3}),
@@ -367,10 +411,10 @@ def no_discovery(*args, **kwargs):
          "config key 'attribution.n_perturbations' must be at least 3"),
     ],
     ids=["pool-size-0", "pool-size-negative", "index-past-pool", "latent-not-a-number",
-         "index-and-latent", "latent-wrong-length", "do-not-a-number", "do-without-operator",
-         "fewer-explanations-than-bins", "no-explanations", "explain-attribution",
-         "evaluate-attribution", "negative-seed", "explain-too-few-perturbations",
-         "evaluate-too-few-perturbations"],
+         "index-and-latent", "latent-wrong-length", "config-latent-wrong-length",
+         "do-not-a-number", "do-without-operator", "fewer-explanations-than-bins",
+         "no-explanations", "explain-attribution", "evaluate-attribution", "negative-seed",
+         "explain-too-few-perturbations", "evaluate-too-few-perturbations"],
 )
 def test_explain_and_evaluate_fail_before_discovery(
     tmp_path, capsys, monkeypatch, command, cfg, flags, message
@@ -826,17 +870,21 @@ def test_linear_file_excludes_inline_keys(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-def test_model_file_with_legacy_key_samples_like_the_builtin(tmp_path):
-    # context_count and the mechanism kind tags are no longer written, but
-    # files that still carry them load
-    for path, value in (("context_count", 2), ("equations.1.mechanism", "affine-of-sigmoid")):
-        cfg = config_for(tmp_path, "model_file", path, value)
-        for name, config in (("file", cfg), ("builtin", TI_CFG)):
-            out = str(tmp_path / path / name)
-            assert main(["sample", "--config", write_cfg(tmp_path, config), "--out", out]) == 0
-        assert (tmp_path / path / "file/samples.csv").read_bytes() == (
-            tmp_path / path / "builtin/samples.csv"
-        ).read_bytes()
+@pytest.mark.parametrize(
+    "path, value, key",
+    [("context_count", 2, "context_count"),
+     ("equations.1.mechanism", "affine-of-sigmoid", "equations[1].mechanism")],
+    ids=["context_count", "mechanism"],
+)
+def test_model_file_rejects_the_dropped_legacy_keys(tmp_path, capsys, path, value, key):
+    # ScmModel.to_json no longer writes context_count or the mechanism kind
+    # tags, and a file that still carries one is rejected, not ignored
+    cfg = write_cfg(tmp_path, config_for(tmp_path, "model_file", path, value))
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"].startswith(f"unknown config key 'oracle.model_file.{key}'")
+    assert not out.exists()
 
 
 def test_config_types_checked_for_in_process_callers(tmp_path):
@@ -908,7 +956,8 @@ def test_intervention_effect_outputs_are_pinned(tmp_path, policy, expected):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cfg = json.loads(re.findall(r"```json\n(.*?)```", readme, flags=re.S)[0])
     cfg["oracle_config"]["noise_policy"] = policy
-    cli.run_explain(cfg, str(tmp_path), 0, do_specs=["i=2.0"])
+    cfg["explain"]["interventions"].append("i=2.0")  # what --do i=2.0 writes
+    cli.run_explain(cfg, str(tmp_path), 0)
     names = ("confidence_delta.csv", "counterfactual_diff.csv")
     assert tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names) == expected
 
@@ -1006,7 +1055,7 @@ def test_float_csv_matches_reference_writer_at_chunk_size(tmp_path, offset):
 
 def test_samples_csv_matches_reference_writer(tmp_path):
     n = cli._CSV_CHUNK_ROWS + 1
-    cli.run_sample(TI_CFG, str(tmp_path / "s"), 7, n_override=n)
+    cli.run_sample({**TI_CFG, "sample": {"n": n}}, str(tmp_path / "s"), 7)
     model = builtin("TI")
     reference_csv(tmp_path / "ref.csv", model.labels, model.sample(n, [7, 1]).values)
     assert (tmp_path / "s" / "samples.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

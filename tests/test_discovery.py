@@ -113,6 +113,20 @@ def test_malformed_base_rows_rejected():
             edge_weight(oracle, 0, 1, base, cfg)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        pytest.param(True, "got True", id="bool-seed"),
+        pytest.param(2.5, "got 2.5", id="float-seed"),
+        pytest.param(-1, "got -1", id="negative-seed"),
+    ],
+)
+def test_discovery_config_rejects_bad_seeds(seed, message):
+    # at construction and naming the field, not later inside numpy's SeedSequence
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, {message}"):
+        DiscoveryConfig(seed=seed)
+
+
 def test_propose_edges_chain_candidates():
     oracle = linear({(0, 1): 0.5, (1, 2): 0.8}, 3)
     cfg = DiscoveryConfig(n_samples=128, seed=0)

@@ -247,6 +247,20 @@ def test_classifier_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
+    "seed, message",
+    [
+        pytest.param(True, "got True", id="bool-seed"),
+        pytest.param(2.5, "got 2.5", id="float-seed"),
+        pytest.param(-1, "got -1", id="negative-seed"),
+    ],
+)
+def test_oracle_config_rejects_bad_seeds(seed, message):
+    # at construction and naming the field, not later inside numpy's SeedSequence
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, {message}"):
+        OracleConfig(seed=seed)
+
+
+@pytest.mark.parametrize(
     "weights, bias, message",
     [
         pytest.param(np.zeros((1, 2)), 0.0, "softmax head needs at least 2 classes",
