@@ -2,11 +2,12 @@
 
 Subcommands: sample, discover, explain, evaluate. Every command reads a
 JSON config; each flag given writes the config key it sets (apply_flags), so
-a run reads one source. The seed is mandatory (config key or --seed). A
-command computes all of its outputs, and only then writes them to its output
-directory with a run manifest embedding that config: a failed run writes
-nothing, and re-running the manifest's config with no flags reproduces
-every output byte for byte.
+a run reads one source. The seed is mandatory (config key or --seed); every
+entry point checks its seed argument and runs the config with key 'seed' set
+to it. A command computes all of its outputs, and only then writes them to
+its output directory with a manifest of its command, that config and its
+outputs: a failed run writes nothing, and re-running the manifest's config
+with no flags reproduces every output byte for byte.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .metrics import (
     joint_feasible,
     stability,
 )
-from .oracle import ClassifierHead, Oracle, OracleConfig
+from .oracle import ClassifierHead, Oracle, OracleConfig, _check_seed
 from .scm import ScmModel, builtin
 
 
@@ -222,15 +223,6 @@ def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def resolve_seed(cfg: dict) -> int:
-    seed = cfg.get("seed")
-    if seed is None:
-        raise ValueError("a seed is mandatory: set config key 'seed' or pass --seed")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return seed
-
-
 def _keyed(key: str, build, /, *args, **kwargs):
     """build(*args, **kwargs), with the config key put before any ValueError
     it raises: the library constructors own the rules for what they build."""
@@ -238,6 +230,18 @@ def _keyed(key: str, build, /, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"config key '{key}': {exc}") from exc
+
+
+def _seeded(cfg: dict, seed) -> tuple[dict, int]:
+    """The config a run reads and records, and its seed: cfg, checked, with
+    key 'seed' set to seed as a JSON integer. Every entry point calls this
+    first, so a bad seed fails, under the stage configs' seed rule, before
+    anything is drawn or written."""
+    if seed is None:
+        raise ValueError("a seed is mandatory: set config key 'seed' or pass --seed")
+    _keyed("seed", _check_seed, seed)
+    check_config(cfg)
+    return {**cfg, "seed": int(seed)}, int(seed)
 
 
 def _linear_model(doc: dict, where: str) -> ScmModel:
@@ -344,14 +348,14 @@ def _remove_stale_outputs(root: Path, files: dict) -> None:
         path.unlink()
 
 
-def _write_outputs(out_dir: str, command: str, cfg: dict, seed: int, files: dict) -> None:
+def _write_outputs(out_dir: str, command: str, cfg: dict, files: dict) -> None:
     """Write a command's outputs under out_dir, then run_manifest.json
     listing them. files maps each relative name to its content, whose
     writer the extension picks: a .json document, a .csv (header, rows)
     pair, or text. An earlier run's outputs that this run does not write
     are removed first, so out_dir holds what the manifest lists."""
     _remove_stale_outputs(Path(out_dir), files)
-    manifest = {"command": command, "config": cfg, "seed": seed, "outputs": sorted(files)}
+    manifest = {"command": command, "config": cfg, "outputs": sorted(files)}
     texts = {}  # id of a .json document -> its text, encoded once for all names holding it
     for name, content in {**files, "run_manifest.json": manifest}.items():
         path = Path(out_dir) / name
@@ -389,13 +393,13 @@ def _parse_intervention(spec: str, oracle, latent: np.ndarray) -> tuple[str, int
 
 
 def run_sample(cfg: dict, out_dir: str, seed: int) -> dict:
-    check_config(cfg)
+    cfg, seed = _seeded(cfg, seed)
     model = build_scm_model(cfg)
     n = cfg.get("sample", {}).get("n", 100)
     if n < 1:
         raise ValueError(f"config key 'sample.n' must be at least 1, got {n}")
-    samples = model.sample(n, [seed, 1])
-    _write_outputs(out_dir, "sample", cfg, seed, {"samples.csv": (model.labels, samples.values)})
+    samples = _keyed("oracle", model.sample, n, [seed, 1])
+    _write_outputs(out_dir, "sample", cfg, {"samples.csv": (model.labels, samples.values)})
     return {"rows": int(n), "columns": list(model.labels)}
 
 
@@ -433,14 +437,14 @@ def _latent_pool(cfg: dict, oracle: Oracle, seed: int, unusable) -> np.ndarray:
     message = unusable(size)
     if message is not None:
         raise ValueError(message)
-    return oracle.sample_latents(size, [seed, 10])
+    return _keyed("oracle", oracle.sample_latents, size, [seed, 10])
 
 
 def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
     """Discover Q graphs, one per seed, on each of P pool subsets; write them,
     their consensus and report. Q varies only under "resample"; under "fixed" a
     subset's Q graphs are one graph, so graph_consistency is 1.0 by construction."""
-    check_config(cfg)
+    cfg, seed = _seeded(cfg, seed)
     oracle = build_oracle(cfg, seed)
     dcfg = _build_section(cfg, "discovery", seed=seed)
     ecfg = _build_section(cfg, "evaluation")
@@ -506,7 +510,7 @@ def run_discover(cfg: dict, out_dir: str, seed: int) -> dict:
         ["graph_consistency", graph_consistency],
         ["graph_stability", graph_stability],
     ]
-    _write_outputs(out_dir, "discover", cfg, seed, {
+    _write_outputs(out_dir, "discover", cfg, {
         **files,
         "graph.json": consensus.to_json_dict(),
         "graph.dot": consensus.to_dot(),
@@ -533,7 +537,7 @@ def _resolve_latent(cfg: dict, oracle, seed: int) -> np.ndarray:
 
 
 def run_explain(cfg: dict, out_dir: str, seed: int) -> dict:
-    check_config(cfg)
+    cfg, seed = _seeded(cfg, seed)
     oracle, head, dcfg, acfg = _explainer_setup(cfg, seed)
     latent = _resolve_latent(cfg, oracle, seed)
     specs = cfg.get("explain", {}).get("interventions", [])
@@ -555,7 +559,7 @@ def run_explain(cfg: dict, out_dir: str, seed: int) -> dict:
         conf_rows.append(["delta", label] + list(delta))
         diff_rows.append(["intervened", label] + list(intervened))
         diff_rows.append(["diff", label] + list(diff))
-    _write_outputs(out_dir, "explain", cfg, seed, {
+    _write_outputs(out_dir, "explain", cfg, {
         "explanation.json": doc,
         "explanation.csv": (["feature", "label", "weight"], rows),
         "confidence_delta.csv": (["row", "intervention"] + class_cols, conf_rows),
@@ -575,7 +579,7 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
     seed per run instead, exposing the explainer's Monte-Carlo variance.
     Shuffled pairings define no stability baseline, so that entry is None.
     """
-    check_config(cfg)
+    cfg, seed = _seeded(cfg, seed)
     evaluate = cfg.get("evaluate", {})
     n_expl = evaluate.get("n_explanations", 400)
     ecfg = _build_section(cfg, "evaluation")
@@ -620,6 +624,7 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
 
 
 def run_evaluate(cfg: dict, out_dir: str, seed: int) -> dict:
+    cfg, seed = _seeded(cfg, seed)
     report = evaluate_explainer(cfg, seed)
     headline = {
         "correctness_index": None,
@@ -632,7 +637,7 @@ def run_evaluate(cfg: dict, out_dir: str, seed: int) -> dict:
         # shuffled pairings define no stability baseline: empty cell
         ["shuffled-baseline", report["faithfulness"]["shuffled_baseline"], ""],
     ]
-    _write_outputs(out_dir, "evaluate", cfg, seed, {
+    _write_outputs(out_dir, "evaluate", cfg, {
         "metrics.json": headline,
         "metrics.csv": (["method", "faithfulness", "stability"], table),
     })
@@ -675,7 +680,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             cfg = apply_flags(load_config(args.config), args)
-            _COMMANDS[args.command](cfg, args.out, resolve_seed(cfg))
+            _COMMANDS[args.command](cfg, args.out, cfg.get("seed"))
         except Exception as exc:  # surfaced as machine-readable JSON
             error = {"error": type(exc).__name__, "message": str(exc)}
     for w in caught:

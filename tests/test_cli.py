@@ -62,7 +62,7 @@ def test_sample_writes_csv(tmp_path):
     assert len(lines) == 4  # header + 3 rows
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "sample"
-    assert manifest["seed"] == 7
+    assert manifest["config"]["seed"] == 7
 
 
 def test_sample_rejects_zero_rows(tmp_path, capsys):
@@ -371,6 +371,50 @@ def test_manifest_config_replays_a_flagged_run(tmp_path, command, flags):
     replayed = write_cfg(tmp_path, manifest["config"], "replayed.json")
     assert main([command, "--config", replayed, "--out", str(replay)]) == 0
     assert read_tree(first) == read_tree(replay)
+
+
+@pytest.mark.parametrize("command", ["sample", "discover", "explain", "evaluate"])
+def test_manifest_config_replays_an_in_process_run(tmp_path, command):
+    """An in-process run records the seed argument it ran under as config key
+    'seed', over the config's own seed or none, and nowhere else: the
+    manifest's config, run through main with no flags, reproduces every
+    output. A numpy integer seed runs as its int."""
+    run = getattr(cli, f"run_{command}")
+    unseeded = {k: v for k, v in TI_CFG.items() if k != "seed"}
+    runs = [(dict(TI_CFG, seed=3), 5), (unseeded, 5), (unseeded, np.int64(5))]
+    trees = []
+    for k, (cfg, seed) in enumerate(runs):
+        first, replay = tmp_path / f"first{k}", tmp_path / f"replay{k}"
+        run(cfg, str(first), seed)
+        manifest = json.loads((first / "run_manifest.json").read_text())
+        assert list(manifest) == ["command", "config", "outputs"]
+        replayed = write_cfg(tmp_path, manifest["config"], f"replayed{k}.json")
+        assert main([command, "--config", replayed, "--out", str(replay)]) == 0
+        assert read_tree(replay) == read_tree(first)
+        trees.append(read_tree(first))
+    assert trees[0] == trees[1] == trees[2]
+
+
+def no_model(*args, **kwargs):
+    raise AssertionError("the model was built before the seed was checked")
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2.5], ids=["bool", "negative", "float"])
+@pytest.mark.parametrize(
+    "entry", ["run_sample", "run_discover", "run_explain", "run_evaluate", "evaluate_explainer"]
+)
+def test_every_entry_point_checks_its_seed(tmp_path, monkeypatch, entry, seed):
+    """The five entry points share the stage configs' seed rule, keyed by
+    'seed', and fail on a bad seed before building anything or writing."""
+    monkeypatch.setattr(cli, "build_scm_model", no_model)
+    out = tmp_path / "o"
+    args = (TI_CFG, seed) if entry == "evaluate_explainer" else (TI_CFG, str(out), seed)
+    with pytest.raises(ValueError) as exc:
+        getattr(cli, entry)(*args)
+    assert str(exc.value) == (
+        f"config key 'seed': seed must be a non-negative integer, got {seed!r}"
+    )
+    assert not out.exists()
 
 
 def no_discovery(*args, **kwargs):
@@ -1158,14 +1202,23 @@ OVERFLOW_CFG = {
 }
 
 
-@pytest.mark.parametrize("command", ["sample", "discover", "explain", "evaluate"])
-def test_non_finite_model_fails_and_writes_nothing(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("sample", "config key 'oracle': "),
+        ("discover", "config key 'oracle': "),  # the pool draw
+        ("explain", "config key 'oracle': "),  # the pool draw, before discovery
+        ("evaluate", ""),  # discovery's own base draw comes first and names no key
+    ],
+    ids=["sample", "discover", "explain", "evaluate"],
+)
+def test_non_finite_model_fails_and_writes_nothing(tmp_path, capsys, command, key):
     out = tmp_path / "o"
     assert main([command, "--config", write_cfg(tmp_path, OVERFLOW_CFG), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err == {
         "error": "ValueError",
-        "message": "model 'linear' propagates its noise to non-finite values",
+        "message": f"{key}model 'linear' propagates its noise to non-finite values",
     }
     assert not out.exists()
 
