@@ -32,7 +32,6 @@ from .graph import CausalGraph
 from .metrics import (
     EvaluationConfig,
     correctness_index,
-    entropy,
     faithfulness_index,
     mutual_information,
     stability,
@@ -71,7 +70,6 @@ __all__ = [
     "correctness_index",
     "discover",
     "edge_weight",
-    "entropy",
     "faithfulness_index",
     "frozen_loss",
     "intervention_effect",

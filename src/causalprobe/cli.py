@@ -542,7 +542,7 @@ def run_explain(cfg: dict, out_dir: str, seed: int) -> dict:
     latent = _resolve_latent(cfg, oracle, seed)
     specs = cfg.get("explain", {}).get("interventions", [])
     parsed = [_parse_intervention(s, oracle, latent) for s in specs]
-    graph = discover(oracle, dcfg)
+    graph = _keyed("oracle", discover, oracle, dcfg)
     explanation = lime_latent(oracle, head, graph, latent, acfg)
     doc = explanation.to_json_dict(oracle.labels)
     doc["latent"] = latent.tolist()
@@ -590,9 +590,9 @@ def evaluate_explainer(cfg: dict, seed: int) -> dict:
         )
     det = evaluate.get("deterministic_seed", True)
     oracle, head, dcfg, acfg = _explainer_setup(cfg, seed)
-    graph = discover(oracle, dcfg)
+    graph = _keyed("oracle", discover, oracle, dcfg)
 
-    latents = oracle.sample_latents(n_expl, [seed, 16])
+    latents = _keyed("oracle", oracle.sample_latents, n_expl, [seed, 16])
     seeds = [acfg.seed if det else _derive_seed(seed, 15, k) for k in range(n_expl)]
     n_sets, n_reps = ecfg.p_subsets, ecfg.q_repetitions
     noisy = [

@@ -3,11 +3,11 @@
 Pipeline: propose candidate edges from ±magnitude intervention sweeps,
 prune edges explained by a mediator via controlled follow-up interventions,
 then break any remaining cycles by dropping the weakest edge. The output is
-always a DAG without self-loops. Each stage abduces its base once; a query
-reads its paired change (Oracle._paired_change), the clamped rows minus their
-same-seed, no-intervention reference. The oracle's round-trip draw depends
-only on the seed, so it cancels there and is not drawn: the output does not
-depend on its size (an encoder error that depends on the re-encoded row would not).
+always a DAG without self-loops. The base is abduced once, for both stages; a
+query reads its paired change (Oracle._paired_change), the clamped rows minus
+their same-seed, no-intervention reference. The oracle's round-trip draw depends
+only on the seed, so it cancels there and is not drawn: the output does not depend
+on its size (an encoder error that depends on the re-encoded row would not).
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from .graph import CausalGraph, _has_cycle
 from .oracle import Oracle, _check_seed
+from .scm import SampleSet
 
 
 @dataclass(frozen=True)
@@ -43,37 +44,35 @@ def _sweep_seed(config: DiscoveryConfig, src: int, magnitude: float) -> list[int
     return [config.seed, 1, src, 0 if magnitude >= 0 else 1]
 
 
-def _sweep(oracle: Oracle, factual, src: int, magnitude: float, config: DiscoveryConfig,
-           read=None) -> np.ndarray:
+def _sweep(oracle: Oracle, factual, src: int, mag: float, config: DiscoveryConfig) -> np.ndarray:
     """The per-row paired change of Oracle._factual's rows under do(l_src = l_src
-    + magnitude), seeded by src and the sign of magnitude; column read's if given."""
+    + mag), seeded by src and the sign of mag."""
     return oracle._paired_change(factual, np.arange(oracle.dim) == src,
-                                 factual.values[:, src : src + 1] + magnitude,
-                                 _sweep_seed(config, src, magnitude), read)
+                                 factual.values[:, src : src + 1] + mag,
+                                 _sweep_seed(config, src, mag))
 
 
 def edge_weight(oracle: Oracle, i: int, j: int, base: np.ndarray, config: DiscoveryConfig) -> float:
     """Monte-Carlo edge weight for i -> j under do(l_i = l_i + m), m the
     config's intervention_magnitude: the mean of _sweep's paired change of j
-    (summed in row order, as propose_edges' axis-0 mean sums it) over m."""
+    over m, propose_edges' own +m reduction."""
     i, j = oracle.model.node_index(i), oracle.model.node_index(j)
     if i == j:
         raise ValueError("edge weight needs distinct features")
     mag = config.intervention_magnitude
-    change = _sweep(oracle, oracle._factual(base), i, mag, config, read=j)
-    return float(np.cumsum(change)[-1] / len(change) / mag)
+    return float(_sweep(oracle, oracle._factual(base), i, mag, config).mean(axis=0)[j] / mag)
 
 
 def propose_edges(
     oracle: Oracle, base: np.ndarray, config: DiscoveryConfig
-) -> tuple[CausalGraph, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[CausalGraph, tuple[SampleSet, np.ndarray]]:
     """Run ±magnitude sweeps on every feature and emit candidate edges.
 
     An ordered pair (i, j) becomes a candidate when the mean of |EW| over
     both sweep directions exceeds the threshold. The stored edge weight is
     the signed mean of the two directions. Returns the candidates and the
-    sweeps the pruning stage reuses, (base, change): change[i] (n, d) is
-    the paired change of feature i's +magnitude sweep.
+    sweeps the pruning stage reuses, (factual, change): Oracle._factual(base),
+    and change[i] (n, d), the paired change of feature i's +magnitude sweep.
     """
     factual = oracle._factual(base)
     d = oracle.dim
@@ -89,20 +88,20 @@ def propose_edges(
         for j in np.flatnonzero(strength > config.threshold).tolist():
             if j != i:
                 graph.add_edge(i, j, signed[j])
-    return graph, (factual.values, change)
+    return graph, (factual, change)
 
 
 def prune_indirect(
-    oracle: Oracle, candidates: CausalGraph, sweeps: tuple[np.ndarray, np.ndarray],
+    oracle: Oracle, candidates: CausalGraph, sweeps: tuple[SampleSet, np.ndarray],
     config: DiscoveryConfig,
 ) -> CausalGraph:
     """Remove candidate direct edges that their mediators fully explain.
 
-    sweeps is propose_edges' (base, change). For a candidate edge i -> j
+    sweeps is propose_edges' (factual, change). For a candidate edge i -> j
     its mediators are every node k other than i and j on a directed path
     i ~> k ~> j in the current graph. They are jointly clamped to their
-    de-noised values under the +magnitude i-sweep, base + change[i], in a
-    query under that sweep's seed, so j meets the exogenous noise it met
+    de-noised values under the +magnitude i-sweep, factual rows + change[i],
+    in a query under that sweep's seed, so j meets the exogenous noise it met
     there; if j's mean paired change (no round-trip draw taken) reproduces
     change[i]'s change of j within prune_eps, the edge i -> j is deleted; the
     query propagates only the mediators' descendants that are ancestors of j.
@@ -113,8 +112,7 @@ def prune_indirect(
     around it, so the reachability closure only needs recomputing while a
     cycle remains.
     """
-    base, change = sweeps
-    factual = oracle._factual(base)
+    factual, change = sweeps
     graph = candidates.copy()
     ordered = sorted(graph.sorted_edges(), key=lambda e: (abs(e[2]), e[0], e[1]))
     reach = graph.reach()
@@ -125,7 +123,7 @@ def prune_indirect(
         if not on_path.any():
             continue
         seed = _sweep_seed(config, i, config.intervention_magnitude)
-        clamped = base[:, on_path] + change[i][:, on_path]
+        clamped = factual.values[:, on_path] + change[i][:, on_path]
         change_j = oracle._paired_change(factual, on_path, clamped, seed, read=j)
         diff = float(np.mean(change_j - change[i][:, j]))
         if abs(diff) < config.prune_eps:

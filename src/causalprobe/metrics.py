@@ -135,17 +135,6 @@ def _regime_columns(codes: np.ndarray, dims: int, bins: int) -> list[np.ndarray]
     return list(codes.T)
 
 
-def entropy(x: np.ndarray, config: EvaluationConfig) -> float:
-    """Plug-in entropy (bits) on the equal-frequency binning.
-
-    Multi-column inputs use the joint histogram when adequately sampled and
-    fall back to the mean of per-column entropies otherwise.
-    """
-    codes = _bin_codes(x, config.mi_bins)
-    columns = _regime_columns(codes, codes.shape[1], config.mi_bins)
-    return float(np.mean([_entropy_from_codes(c) for c in columns]))
-
-
 def _mi_regime(x: np.ndarray, y: np.ndarray, bins: int) -> tuple[float, float, float]:
     """(MI, H(x), H(y)) in bits on the equal-frequency binning of two matrices.
 

@@ -113,13 +113,9 @@ class Oracle:
     def dim(self) -> int:
         return len(self.labels)
 
-    def to_chart(self, raw: np.ndarray) -> np.ndarray:
-        """Raw feature rows (..., d) in the oracle's chart."""
-        raw = np.asarray(raw, dtype=float)
-        return (raw - self.chart_mean) / self.chart_scale if self.config.standardize else raw
-
     def sample_latents(self, n: int, seed) -> np.ndarray:
-        return self.to_chart(self.model.sample(n, seed).values)
+        raw = self.model.sample(n, seed).values
+        return (raw - self.chart_mean) / self.chart_scale if self.config.standardize else raw
 
     def query(self, base: np.ndarray, do=None, seed=0) -> np.ndarray:
         """Re-encode base rows under an optional intervention.
@@ -195,7 +191,7 @@ class Oracle:
         if kept.any():
             mask = mask | kept
         # propagate writes into whole rows; the noise may broadcast
-        return self._charted.propagate(noise, mask, rows, out=rows, nodes=run)
+        return self._charted.propagate(noise, mask, out=rows, nodes=run)
 
     def _factual(self, base) -> SampleSet:
         """Base rows checked and abduced once: (n, d) rows, n > 0, for

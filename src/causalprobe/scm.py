@@ -2,14 +2,13 @@
 
 Each model holds one structural equation x_v = f_v(parents) + eps_v per
 node, with explicitly parameterized noise, supporting ancestral sampling,
-abduction of the additive noise, propagation under clamped nodes (from
-zeros, or from given rows over a subset of the nodes), the descendant
+abduction of the additive noise, propagation (from zeros, or from given rows
+that keep their clamped entries, over a subset of the nodes), the descendant
 closure of a node set, and ground-truth DAG export. The oracle builds its
-counterfactuals from these: propagation starts from the
-factual rows and evaluates only the closure of the clamped nodes. Four
-builtin models cover the thickness / intensity / slant / width worlds used
-throughout the test suite, and ScmModel.linear builds a linear SEM from a
-weight matrix.
+counterfactuals from these: propagation starts from the factual rows and
+evaluates only the closure of the clamped nodes. Four builtin models cover
+the thickness / intensity / slant / width worlds used throughout the test
+suite, and ScmModel.linear builds a linear SEM from a weight matrix.
 """
 from __future__ import annotations
 
@@ -227,7 +226,6 @@ class ScmModel:
         self,
         noise: np.ndarray,
         do_mask: np.ndarray | None = None,
-        do_values: np.ndarray | None = None,
         *,
         out: np.ndarray | None = None,
         nodes: np.ndarray | None = None,
@@ -235,16 +233,17 @@ class ScmModel:
         """Evaluate the equations in topological order against given noise.
 
         noise is (..., n, d): leading axes stack independent blocks of rows,
-        each contracted on its own. Intervened entries (do_mask True) are
-        clamped to do_values and their descendants see the clamped value.
-        The result is written into out (a finite float array like noise,
-        returned) when given, else into zeros. When nodes (a (d,) boolean)
-        is given, only those nodes' equations run: every other column keeps
-        the value out held. A caller that clamps the same columns on every
-        row writes them into out and leaves them out of nodes, so their
-        equations are never evaluated and no do_mask is needed.
+        each contracted on its own. The result is written into out (a finite
+        float array like noise, returned) when given, else into zeros. The
+        entries under do_mask (which needs out) keep their value in out bit
+        for bit, and their descendants see it. When nodes (a (d,) boolean) is
+        given, only those nodes' equations run: every other column keeps the
+        value out held. So a caller that clamps the same columns on every row
+        writes them into out, leaves them out of nodes and needs no do_mask.
         """
         noise = np.asarray(noise, dtype=float)
+        if do_mask is not None and out is None:
+            raise ValueError("a do_mask clamps entries of out, so out must be given")
         if out is None:
             # zeros, not empty: columns not yet evaluated meet zero
             # coefficients, and NaN * 0 would still be NaN
@@ -261,7 +260,7 @@ class ScmModel:
                 mech = term if mech is None else mech + term
             mech = noise[..., v] if mech is None else mech + noise[..., v]
             if do_mask is not None:
-                mech = np.where(do_mask[..., v], do_values[..., v], mech)
+                mech = np.where(do_mask[..., v], out[..., v], mech)
             out[..., v] = mech
         return out
 

@@ -398,7 +398,8 @@ def reference_lime(oracle, head, graph, latent, cfg):
         # lime never takes: the charted model's own abduction, every equation
         # propagated under each row's clamps
         charted = oracle._charted
-        realized = charted.propagate(charted.abduce(base).noise, masks, base + deltas)
+        clamped = np.where(masks, base + deltas, 0.0)
+        realized = charted.propagate(charted.abduce(base).noise, masks, out=clamped)
         # its own closure, not graph.reach(): follow edges until nothing grows
         reach = np.eye(d, dtype=bool)
         grown = True

@@ -1203,22 +1203,24 @@ OVERFLOW_CFG = {
 
 
 @pytest.mark.parametrize(
-    "command, key",
+    "command, extra",
     [
-        ("sample", "config key 'oracle': "),
-        ("discover", "config key 'oracle': "),  # the pool draw
-        ("explain", "config key 'oracle': "),  # the pool draw, before discovery
-        ("evaluate", ""),  # discovery's own base draw comes first and names no key
+        ("sample", {}),
+        ("discover", {}),  # the pool draw
+        ("explain", {}),  # the pool draw, before discovery
+        ("explain", {"explain": {"latent": [0.0, 0.0, 0.0]}}),  # no pool: discovery's draw
+        ("evaluate", {}),  # discovery's own base draw comes first
     ],
-    ids=["sample", "discover", "explain", "evaluate"],
+    ids=["sample", "discover", "explain", "explain-latent", "evaluate"],
 )
-def test_non_finite_model_fails_and_writes_nothing(tmp_path, capsys, command, key):
+def test_non_finite_model_fails_and_writes_nothing(tmp_path, capsys, command, extra):
     out = tmp_path / "o"
-    assert main([command, "--config", write_cfg(tmp_path, OVERFLOW_CFG), "--out", str(out)]) == 1
+    cfg = write_cfg(tmp_path, {**OVERFLOW_CFG, **extra})
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err == {
         "error": "ValueError",
-        "message": f"{key}model 'linear' propagates its noise to non-finite values",
+        "message": "config key 'oracle': model 'linear' propagates its noise to non-finite values",
     }
     assert not out.exists()
 

@@ -10,6 +10,7 @@ from causalprobe import (
     DiscoveryConfig,
     Oracle,
     OracleConfig,
+    SampleSet,
     ScmModel,
     builtin,
     correctness_index,
@@ -131,9 +132,9 @@ def test_propose_edges_chain_candidates():
     oracle = linear({(0, 1): 0.5, (1, 2): 0.8}, 3)
     cfg = DiscoveryConfig(n_samples=128, seed=0)
     base = oracle.sample_latents(cfg.n_samples, 1)
-    candidates, (swept_base, change) = propose_edges(oracle, base, cfg)
+    candidates, (factual, change) = propose_edges(oracle, base, cfg)
     assert candidates.edge_set() == {(0, 1), (0, 2), (1, 2)}
-    assert np.array_equal(swept_base, base)
+    assert np.array_equal(factual.values, base)
     assert change.shape == (3,) + base.shape
     for i in range(3):  # change[i] is feature i's +magnitude paired change
         assert change[i][:, i] == pytest.approx(np.full(len(base), cfg.intervention_magnitude))
@@ -159,7 +160,7 @@ def test_propose_edges_ti_direction():
 def test_propose_edges_weight_is_mean_of_both_edge_weight_sweeps():
     # one sweep measurement and one seed convention: a candidate's stored EW
     # is the mean of edge_weight's +magnitude sweep and the -magnitude sweep,
-    # summed as edge_weight sums it, bit for bit
+    # reduced as edge_weight reduces it, bit for bit
     tswi = Oracle(builtin("TSWI"), OracleConfig(roundtrip_noise_std=0.1))
     chain = linear({(0, 1): 0.5, (1, 2): 0.8}, 3,
                    config=OracleConfig(roundtrip_noise_std=0.3, standardize=False))
@@ -171,8 +172,8 @@ def test_propose_edges_weight_is_mean_of_both_edge_weight_sweeps():
         mag = cfg.intervention_magnitude
         for (i, j), ew in candidates.edges.items():
             plus = edge_weight(oracle, i, j, base, cfg)
-            change = discovery._sweep(oracle, oracle._factual(base), i, -mag, cfg, read=j)
-            minus = float(np.cumsum(change)[-1] / len(change) / -mag)
+            change = discovery._sweep(oracle, oracle._factual(base), i, -mag, cfg)
+            minus = float(change.mean(axis=0)[j] / -mag)
             assert ew == (plus + minus) / 2.0
 
 
@@ -211,11 +212,8 @@ class EchoOracle:
     prune query reproduces the sweep's change and any mediator set explains
     its edge."""
 
-    def _factual(self, base):
-        return base
-
-    def _paired_change(self, base, mask, clamped, seed, read=None):
-        shift = (clamped - base[:, mask]).mean(axis=1)
+    def _paired_change(self, factual, mask, clamped, seed, read=None):
+        shift = (clamped - factual.values[:, mask]).mean(axis=1)
         return np.repeat(shift[:, None], len(mask), axis=1) if read is None else shift
 
 
@@ -224,7 +222,7 @@ def test_prune_recomputes_reach_once_a_cycle_breaks():
     # both are pruned, the chain a -> b -> c leaves a -> b and b -> c without
     # a mediator, which a closure kept from the cyclic graph would still find
     candidates = CausalGraph(list("abc"), {(0, 2): 0.1, (2, 0): 0.2, (0, 1): 0.3, (1, 2): 0.4})
-    sweeps = (np.zeros((4, 3)), np.ones((3, 4, 3)))
+    sweeps = (SampleSet(np.zeros((4, 3)), np.zeros((4, 3))), np.ones((3, 4, 3)))
     pruned = prune_indirect(EchoOracle(), candidates, sweeps, DiscoveryConfig())
     assert pruned.edge_set() == {(0, 1), (1, 2)}
 
@@ -425,14 +423,9 @@ def test_fixed_policy_discovery_builds_no_generator(monkeypatch):
 
 
 @pytest.mark.parametrize("policy", ["fixed", "resample"])
-def test_discover_abduces_its_base_once_per_stage(monkeypatch, policy):
-    # propose_edges and prune_indirect each abduce the base once and share it
-    # across their queries (2d sweeps and one query per mediated candidate)
-    model, _ = next(sigma_invariance_cases())
-    oracle = Oracle(model, OracleConfig(noise_policy=policy, standardize=False))
-    cfg = DiscoveryConfig(n_samples=64, seed=3)
-    base = oracle.sample_latents(cfg.n_samples, [cfg.seed, 0])
-    expected = discover(oracle, cfg, base=base).edges
+def test_discover_abduces_its_base_once(monkeypatch, policy):
+    # propose_edges abduces the base once and prune_indirect reuses it: one
+    # abduction serves every query (2d sweeps and one per mediated candidate)
     rows = []
     abduce = ScmModel.abduce
 
@@ -440,9 +433,19 @@ def test_discover_abduces_its_base_once_per_stage(monkeypatch, policy):
         rows.append(np.shape(values))
         return abduce(self, values)
 
-    monkeypatch.setattr(ScmModel, "abduce", counted)
-    assert discover(oracle, cfg, base=base).edges == expected
-    assert expected and 1 <= len(rows) <= 2 and set(rows) == {base.shape}
+    model, _ = next(sigma_invariance_cases())
+    for oracle in (Oracle(model, OracleConfig(noise_policy=policy, standardize=False)),
+                   Oracle(builtin("TSWI"), OracleConfig(noise_policy=policy))):
+        cfg = DiscoveryConfig(n_samples=64, seed=3)
+        base = oracle.sample_latents(cfg.n_samples, [cfg.seed, 0])
+        candidates, _ = propose_edges(oracle, base, cfg)
+        expected = discover(oracle, cfg, base=base).edges
+        assert len(candidates.edges) > len(expected)  # the pruning ran a query
+        rows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ScmModel, "abduce", counted)
+            assert discover(oracle, cfg, base=base).edges == expected
+        assert rows == [base.shape]
 
 
 @pytest.mark.parametrize("std", [0.0, 0.1])

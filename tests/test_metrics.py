@@ -8,12 +8,11 @@ from causalprobe import (
     CausalGraph,
     EvaluationConfig,
     correctness_index,
-    entropy,
     faithfulness_index,
     mutual_information,
     stability,
 )
-from causalprobe.metrics import _average_ranks, joint_feasible
+from causalprobe.metrics import _average_ranks, _mi_regime, joint_feasible
 
 CFG = EvaluationConfig()
 
@@ -94,20 +93,25 @@ def test_stability_always_nonpositive():
     assert stability(sets) <= 0.0
 
 
+def entropy(x):
+    """H(x) in bits of one column, as _mi_regime estimates it beside an MI."""
+    return _mi_regime(x, x, CFG.mi_bins)[1]
+
+
 def test_entropy_constant_column_is_zero():
-    assert entropy(np.full(100, 3.7), CFG) == 0.0
+    assert entropy(np.full(100, 3.7)) == 0.0
 
 
 def test_entropy_uniform_symbols():
     # 2^4 equiprobable symbols, ties share bins -> exactly 4 bits
     x = np.repeat(np.arange(16.0), 64)
-    assert entropy(x, CFG) == pytest.approx(4.0)
+    assert entropy(x) == pytest.approx(4.0)
 
 
 def test_entropy_equal_frequency_binning_of_continuous():
     # rank binning gives near-uniform bin counts for continuous data
     rng = np.random.default_rng(1)
-    h = entropy(rng.normal(size=100_000), CFG)
+    h = entropy(rng.normal(size=100_000))
     assert abs(h - np.log2(CFG.mi_bins)) < 0.01
 
 
@@ -213,7 +217,7 @@ def test_metrics_reject_non_finite_samples(bad):
     y = x + rng.normal(size=(400, 2))
     x[17, 1] = bad
     calls = [
-        lambda: entropy(x, CFG),
+        lambda: _mi_regime(x, y, CFG.mi_bins),
         lambda: mutual_information(x, y, CFG),
         lambda: mutual_information(y, x, CFG),
         lambda: faithfulness_index(x, y, CFG),

@@ -42,7 +42,7 @@ def clamped(model, base, do):
     for node, value in do.items():
         k = model.node_index(node)
         mask[:, k], values[:, k] = True, value
-    return model.propagate(base.noise, mask, values)
+    return model.propagate(base.noise, mask, out=values)
 
 
 def test_builtin_dags():
@@ -352,7 +352,7 @@ def test_linear_engine_properties(d, n, seed):
     # an empty intervention changes nothing
     base = model.sample(n, seed)
     no_do = (np.zeros((n, d), dtype=bool), rng.normal(size=(n, d)))
-    assert np.array_equal(model.propagate(base.noise, *no_do), base.values)
+    assert np.array_equal(model.propagate(base.noise, no_do[0], out=no_do[1].copy()), base.values)
     oracle = Oracle(model, NOISELESS)
     assert np.array_equal(oracle.query(base.values, {}, seed=seed), base.values)
     rows = base.values[None].copy()
@@ -368,6 +368,13 @@ def test_linear_engine_properties(d, n, seed):
     partial = model.propagate(base.noise, out=start.copy(), nodes=nodes[0])
     assert np.array_equal(partial[:, keep], start[:, keep])
     assert np.array_equal(model.propagate(base.noise, out=start.copy()), base.values)
+    # entries under a do_mask keep the value the given rows hold, bit for bit,
+    # whichever nodes run; a do_mask has nothing to clamp without given rows
+    mask = rng.random((n, d)) < 0.5
+    clamped = model.propagate(base.noise, mask, out=start.copy(), nodes=nodes[1])
+    assert clamped[mask].tobytes() == start[mask].tobytes()
+    with pytest.raises(ValueError, match="a do_mask clamps entries of out, so out must be given"):
+        model.propagate(base.noise, mask)
 
 
 def chart_scales(rng, d, pow2):
@@ -405,8 +412,9 @@ def test_rescaled_model_is_the_model_in_chart_coordinates(kind, d, n, pow2, seed
     z = to_chart(raw.values)
     assert_close(charted.abduce(z).noise, raw.noise / scale, z)
     mask, values = rng.random((n, d)) < 0.3, raw.values + rng.normal(0.0, 5.0, (n, d))
-    ref = to_chart(model.propagate(raw.noise, mask, values))
-    assert_close(charted.propagate(raw.noise / scale, mask, to_chart(values)), ref, z, ref)
+    ref = to_chart(model.propagate(raw.noise, mask, out=np.where(mask, values, 0.0)))
+    out = charted.propagate(raw.noise / scale, mask, out=np.where(mask, to_chart(values), 0.0))
+    assert_close(out, ref, z, ref)
     # fresh noise is the raw model's draw in chart units
     draws = [m.draw_noise(n, np.random.default_rng(seed)) for m in (charted, model)]
     np.testing.assert_allclose(draws[0], draws[1] / scale, rtol=1e-15, atol=0)
